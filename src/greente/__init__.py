@@ -17,6 +17,7 @@ from .model import (
     Arc,
     FULL_DUPLEX,
     Network,
+    Result,
     SIMPLEX,
     TrafficMatrix,
     build_network,
@@ -71,6 +72,7 @@ __all__ = [
     "Path",
     "RepetitaInstance",
     "ReportRow",
+    "Result",
     "RoutingResult",
     "SIMPLEX",
     "TrafficMatrix",

@@ -12,16 +12,39 @@ import math
 import time
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .mcps import solve_mcps
-from .model import FULL_DUPLEX, SIMPLEX, full_activation, scale_traffic
+from .model import FULL_DUPLEX, SIMPLEX, Result, full_activation, scale_traffic
 from .mspnd import solve_f_mspnd, solve_mspnd
 from .repetita import GraphPrecursor, preprocess
 from .routing import mlu
 from .toca import alg_mcf, alg_mcf_pp
 
-ALGORITHMS = ("mspnd", "f-mspnd", "mcps", "mcf", "mcf++")
-TRAFFIC_AWARE = ("mspnd", "f-mspnd")
+
+@dataclass(frozen=True)
+class Solver:
+    """One algorithm of the study.  ``run(net, rho, traffic, time_limit,
+    strengthening)`` takes the rho-scaled traffic; oblivious solvers ignore it."""
+
+    traffic_aware: bool
+    run: Callable[..., Result]
+
+
+# Each run looks its solver up among this module's globals at call time, so
+# that rebinding e.g. ``bench.solve_mspnd`` reaches every caller.
+SOLVERS: dict[str, Solver] = {
+    "mspnd": Solver(True, lambda net, rho, traffic, time_limit, strengthening: solve_mspnd(
+        net, traffic, strengthening=strengthening, time_limit=time_limit)),
+    "f-mspnd": Solver(True, lambda net, rho, traffic, *_: Result(
+        solve_f_mspnd(net, traffic), "optimal", None)),
+    "mcps": Solver(False, lambda net, rho, traffic, time_limit, _: solve_mcps(
+        net, rho, time_limit=time_limit)),
+    "mcf": Solver(False, lambda net, rho, *_: Result(alg_mcf(net, rho), "optimal", None)),
+    "mcf++": Solver(False, lambda net, rho, *_: Result(alg_mcf_pp(net, rho), "optimal", None)),
+}
+ALGORITHMS = tuple(SOLVERS)
+TRAFFIC_AWARE = tuple(name for name, solver in SOLVERS.items() if solver.traffic_aware)
 MODES = (SIMPLEX, FULL_DUPLEX)
 
 CSV_HEADER = (
@@ -115,27 +138,6 @@ def make_row(
     )
 
 
-def _run_algorithm(algorithm, net, rho, traffic, config):
-    """Returns (activation, status, bound); traffic is the rho-scaled matrix."""
-    if algorithm == "mspnd":
-        res = solve_mspnd(
-            net, traffic,
-            strengthening=config.strengthening,
-            time_limit=config.time_limit,
-        )
-        return res.activation, res.status, res.bound
-    if algorithm == "f-mspnd":
-        return solve_f_mspnd(net, traffic), "optimal", None
-    if algorithm == "mcps":
-        res = solve_mcps(net, rho, time_limit=config.time_limit)
-        return res.activation, res.status, res.bound
-    if algorithm == "mcf":
-        return alg_mcf(net, rho), "optimal", None
-    if algorithm == "mcf++":
-        return alg_mcf_pp(net, rho), "optimal", None
-    raise ConfigError(f"unknown algorithm {algorithm!r}")
-
-
 def run_experiment(config: ExperimentConfig, instances) -> list[ReportRow]:
     config.validate()
     rows: list[ReportRow] = []
@@ -167,7 +169,7 @@ def _run_cell(config, inst, mode, mu, rho) -> list[ReportRow]:
     scaled = [scale_traffic(traffic, rho_frac) for _, traffic in prepped]
     full_value = full_activation(net).value
     for alg in config.algorithms:
-        if alg in TRAFFIC_AWARE:
+        if SOLVERS[alg].traffic_aware:
             for k in range(len(scaled)):
                 rows.append(
                     _run_one(config, inst, net, alg, rho, rho_frac, mu, mode,
@@ -184,18 +186,18 @@ def _run_cell(config, inst, mode, mu, rho) -> list[ReportRow]:
 def _run_one(config, inst, net, alg, rho, rho_frac, mu, mode, matrix_id, traffic, scaled, full_value):
     start = time.perf_counter()
     try:
-        activation, status, bound = _run_algorithm(alg, net, rho_frac, traffic, config)
+        res = SOLVERS[alg].run(net, rho_frac, traffic, config.time_limit, config.strengthening)
     except Exception as exc:
         return make_row(
             inst.instance_id, matrix_id, alg, rho, mu, mode,
             f"error:{type(exc).__name__}", runtime=time.perf_counter() - start,
         )
     runtime = time.perf_counter() - start
-    mlus = [mlu(net, activation, t) for t in scaled]
+    mlus = [mlu(net, res.activation, t) for t in scaled]
     return make_row(
-        inst.instance_id, matrix_id, alg, rho, mu, mode, status,
-        activation=activation, full_value=full_value,
-        runtime=runtime, mlus=mlus, bound=bound,
+        inst.instance_id, matrix_id, alg, rho, mu, mode, res.status,
+        activation=res.activation, full_value=full_value,
+        runtime=runtime, mlus=mlus, bound=res.bound,
     )
 
 

@@ -13,9 +13,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .lp import LpModel, LpSolution, solve_lp
-
-INT_TOL = 1e-6
+from .lp import INT_TOL, LpModel, LpSolution, frac_dist, solve_lp
 
 
 class IncumbentRejected(RuntimeError):
@@ -24,9 +22,7 @@ class IncumbentRejected(RuntimeError):
 
 @dataclass
 class BnbConfig:
-    integrality_tol: float = INT_TOL
     time_limit: float | None = None
-    node_limit: int | None = None
     mode: str = "float"
     objective_integral: bool = False
     price: Callable[[LpModel, LpSolution], list[int]] | None = None
@@ -49,14 +45,9 @@ class BnbResult:
     bound_history: list = field(default_factory=list)
 
 
-def _frac_dist(v) -> float:
-    return abs(float(v) - round(float(v)))
-
-
 def branch_and_bound(model: LpModel, integer_columns, config: BnbConfig) -> BnbResult:
     """Exact optimum over integer assignments of ``integer_columns``."""
     integer_columns = list(integer_columns)
-    tol = config.integrality_tol
     start = time.perf_counter()
     deadline = None if config.time_limit is None else start + config.time_limit
 
@@ -74,7 +65,7 @@ def branch_and_bound(model: LpModel, integer_columns, config: BnbConfig) -> BnbR
         if math.isinf(b):
             return b > 0
         if config.objective_integral:
-            return math.ceil(b - tol) >= incumbent_value - 1e-9
+            return math.ceil(b - INT_TOL) >= incumbent_value - 1e-9
         return b >= incumbent_value - 1e-9 * (1 + abs(incumbent_value))
 
     # nodes: (bound estimate, seq, {col: (lb, ub)})
@@ -100,8 +91,6 @@ def branch_and_bound(model: LpModel, integer_columns, config: BnbConfig) -> BnbR
 
     while open_nodes:
         if deadline is not None and time.perf_counter() > deadline:
-            return finish("feasibleTimeout" if incumbent is not None else "timeout")
-        if config.node_limit is not None and nodes_done >= config.node_limit:
             return finish("feasibleTimeout" if incumbent is not None else "timeout")
         bound_est, _, overrides = heapq.heappop(open_nodes)
         if prunable(bound_est):
@@ -141,9 +130,7 @@ def branch_and_bound(model: LpModel, integer_columns, config: BnbConfig) -> BnbR
             if prunable(node_bound):
                 record_bound()
                 continue
-            fractional = [
-                j for j in integer_columns if _frac_dist(sol.primal[j]) > tol
-            ]
+            fractional = [j for j in integer_columns if frac_dist(sol.primal[j]) > INT_TOL]
             if not fractional:
                 ok = True
                 if config.accept_incumbent is not None:
@@ -162,13 +149,13 @@ def branch_and_bound(model: LpModel, integer_columns, config: BnbConfig) -> BnbR
             if config.branch_select is not None:
                 col = config.branch_select(sol, fractional)
             else:
-                col = max(fractional, key=lambda j: (_frac_dist(sol.primal[j]), -j))
+                col = max(fractional, key=lambda j: (frac_dist(sol.primal[j]), -j))
             x = float(sol.primal[col])
             lo, hi = overrides.get(col, model.bounds(col))
             down = dict(overrides)
-            down[col] = (lo, math.floor(x + tol))
+            down[col] = (lo, math.floor(x + INT_TOL))
             up = dict(overrides)
-            up[col] = (math.ceil(x - tol), hi)
+            up[col] = (math.ceil(x - INT_TOL), hi)
             for child in (down, up):
                 seq += 1
                 heapq.heappush(open_nodes, (node_bound, seq, child))

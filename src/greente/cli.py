@@ -1,29 +1,46 @@
 """Command-line workbench: solve / bench / evaluate / oracle.
 
 Activation vectors serialize as ``arc_id,chi`` csv.  Exit code 0 on batch
-completion, 2 on configuration errors (argparse uses 2 for bad flags too).
+completion, 2 on configuration or input errors (argparse uses 2 for bad flags
+too).
 """
 from __future__ import annotations
 
 import argparse
 import json
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
 from .bench import (
     ALGORITHMS,
+    SOLVERS,
     ConfigError,
     ExperimentConfig,
     RepetitaInstance,
-    _run_algorithm,
     emit_report,
     make_row,
     run_experiment,
 )
-from .model import Activation, FULL_DUPLEX, SIMPLEX, full_activation, scale_traffic
+from .model import (
+    Activation,
+    FULL_DUPLEX,
+    SIMPLEX,
+    Network,
+    NetworkError,
+    full_activation,
+    scale_traffic,
+)
 from .mspnd import brute_force_mspnd
-from .repetita import parse_repetita_demands, parse_repetita_graph, preprocess
+from .repetita import (
+    DisconnectedDemand,
+    ParseError,
+    UnknownNode,
+    parse_repetita_demands,
+    parse_repetita_graph,
+    preprocess,
+)
 from .routing import mlu
 
 MODE_NAMES = {"simplex": SIMPLEX, "duplex": FULL_DUPLEX}
@@ -57,13 +74,35 @@ def _activation_csv(activation: Activation) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _read_activation_csv(text: str, n_arcs: int) -> Activation:
-    counts = [0] * n_arcs
+def _read_activation_csv(text: str, net: Network) -> Activation:
+    """Inverse of :func:`_activation_csv`: every arc exactly once, with an
+    integer count valid for ``net``."""
+    counts: dict[int, int] = {}
     lines = [ln for ln in text.splitlines() if ln.strip()]
     for ln in lines[1:]:
-        aid, chi = ln.split(",")
-        counts[int(aid)] = int(chi)
-    return Activation(tuple(counts))
+        try:
+            aid, chi = (int(field) for field in ln.split(","))
+        except ValueError:
+            raise ConfigError(f"activation csv: expected 'arc_id,chi', got {ln!r}") from None
+        if not 0 <= aid < net.n_arcs or aid in counts:
+            raise ConfigError(f"activation csv: arc id {aid} out of range or repeated")
+        counts[aid] = chi
+    missing = [a for a in range(net.n_arcs) if a not in counts]
+    if missing:
+        raise ConfigError(f"activation csv: no count for arcs {missing}")
+    activation = Activation(tuple(counts[a] for a in range(net.n_arcs)))
+    try:
+        activation.validate(net)
+    except ValueError as exc:
+        raise ConfigError(f"activation csv: {exc}") from None
+    return activation
+
+
+def _parse_rho(value: float) -> Fraction:
+    rho = Fraction(value).limit_denominator(10**6)
+    if not 0 < rho < 1:
+        raise ConfigError("--rho must lie strictly between 0 and 1")
+    return rho
 
 
 def _write(text: str, out: str | None) -> None:
@@ -74,34 +113,21 @@ def _write(text: str, out: str | None) -> None:
 
 
 def _cmd_solve(args) -> int:
+    rho = _parse_rho(args.rho)
     net, traffic = _load_preprocessed(args, args.demands)
-    rho = Fraction(args.rho).limit_denominator(10**6)
-    if not 0 < rho < 1:
-        raise ConfigError("--rho must lie strictly between 0 and 1")
     scaled = scale_traffic(traffic, rho)
-    config = ExperimentConfig(
-        algorithms=(args.algorithm,),
-        rhos=(float(rho),),
-        mus=(args.mu,),
-        modes=(MODE_NAMES[args.mode],),
-        time_limit=args.time_limit,
-        length_mode=LENGTH_NAMES[args.lengths],
-        strengthening=args.strengthening == "on",
+    start = time.perf_counter()
+    res = SOLVERS[args.algorithm].run(
+        net, rho, scaled, args.time_limit, args.strengthening == "on"
     )
-    import time as _time
-
-    start = _time.perf_counter()
-    activation, status, bound = _run_algorithm(
-        args.algorithm, net, rho, scaled, config
-    )
-    runtime = _time.perf_counter() - start
-    _write(_activation_csv(activation), args.out)
+    runtime = time.perf_counter() - start
+    _write(_activation_csv(res.activation), args.out)
     if args.out not in (None, "-"):
         row = make_row(
             Path(args.graph).stem, "0", args.algorithm, float(rho), args.mu,
-            MODE_NAMES[args.mode], status, activation=activation,
+            MODE_NAMES[args.mode], res.status, activation=res.activation,
             full_value=full_activation(net).value, runtime=runtime,
-            mlus=[mlu(net, activation, scaled)], bound=bound,
+            mlus=[mlu(net, res.activation, scaled)], bound=res.bound,
         )
         sys.stdout.write(emit_report([row], args.format))
     return 0
@@ -138,14 +164,14 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    results = []
-    for k, demand_path in enumerate(args.demands):
-        net, traffic = _load_preprocessed(args, demand_path)
-        rho = Fraction(args.rho).limit_denominator(10**6)
-        scaled = scale_traffic(traffic, rho)
-        activation = _read_activation_csv(Path(args.chi).read_text(), net.n_arcs)
-        value = mlu(net, activation, scaled)
-        results.append((str(k), float(value)))
+    rho = _parse_rho(args.rho)
+    loaded = [_load_preprocessed(args, demand_path) for demand_path in args.demands]
+    net = loaded[0][0]  # the network does not depend on the demand file
+    activation = _read_activation_csv(Path(args.chi).read_text(), net)
+    results = [
+        (str(k), float(mlu(net, activation, scale_traffic(traffic, rho))))
+        for k, (_, traffic) in enumerate(loaded)
+    ]
     if args.format == "json":
         payload = [
             {"matrix": k, "mlu": "inf" if v == float("inf") else round(v, 6)}
@@ -162,8 +188,8 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    rho = _parse_rho(args.rho)
     net, traffic = _load_preprocessed(args, args.demands)
-    rho = Fraction(args.rho).limit_denominator(10**6)
     activation = brute_force_mspnd(net, scale_traffic(traffic, rho))
     _write(_activation_csv(activation), args.out)
     return 0
@@ -213,11 +239,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+    except (ParseError, UnknownNode, DisconnectedDemand, NetworkError) as exc:
+        print(f"input error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -22,13 +22,17 @@ from scipy.sparse import csr_matrix
 
 try:
     from gmpy2 import mpq as _Q
-except ImportError:  # pragma: no cover
+except ImportError:  # gmpy2 is the optional "fast" extra
     _Q = Fraction
 
 LE, GE, EQ = "<=", ">=", "="
 
-FEAS_TOL = 1e-9
-INT_TOL = 1e-6
+INT_TOL = 1e-6  # a value within INT_TOL of an integer counts as integral
+
+
+def frac_dist(v) -> float:
+    """Distance from ``v`` to the nearest integer."""
+    return abs(float(v) - round(float(v)))
 
 
 class NumericalFailure(RuntimeError):

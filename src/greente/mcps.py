@@ -15,7 +15,7 @@ from fractions import Fraction
 from .bnb import BnbConfig, branch_and_bound
 from .flows import all_pairs_maxflow, extract_cut, max_flow
 from .lp import GE, EQ, LpModel
-from .model import Activation, FULL_DUPLEX, Network, as_fraction
+from .model import Activation, Network, Result, as_fraction, decode_activation
 
 
 @dataclass(frozen=True)
@@ -121,17 +121,6 @@ def separate_cuts(
     return cuts
 
 
-@dataclass
-class McpsResult:
-    activation: Activation
-    status: str
-    bound: float
-    value: int = 0
-
-    def __post_init__(self):
-        self.value = self.activation.value
-
-
 def audit_retention(instance: McpsInstance, activation: Activation) -> bool:
     """Independent all-pairs check lambda_H(s,t) >= rho * lambda_G(s,t)."""
     net = instance.net
@@ -143,7 +132,7 @@ def audit_retention(instance: McpsInstance, activation: Activation) -> bool:
     return True
 
 
-def solve_mcps(net: Network, rho, time_limit: float | None = None, mode: str = "float") -> McpsResult:
+def solve_mcps(net: Network, rho, time_limit: float | None = None, mode: str = "float") -> Result:
     """Minimum total connections keeping every pair's min-cut above rho times its
     full-network value; always feasible (full activation qualifies)."""
     instance = make_instance(net, rho)
@@ -157,12 +146,8 @@ def solve_mcps(net: Network, rho, time_limit: float | None = None, mode: str = "
     for arc in net.arcs:
         if lb[arc.id] > 0:
             model.add_row({x_col[arc.id]: 1}, GE, lb[arc.id], name=f"lb_{arc.id}")
-    if net.duplex_mode == FULL_DUPLEX:
-        assert net.link_pair is not None
-        for arc in net.arcs:
-            rev = net.link_pair[arc.id]
-            if arc.id < rev:
-                model.add_row({x_col[arc.id]: 1, x_col[rev]: -1}, EQ, 0, name=f"dx_{arc.id}")
+    for a, rev in net.duplex_pairs:
+        model.add_row({x_col[a]: 1, x_col[rev]: -1}, EQ, 0, name=f"dx_{a}")
 
     added_cuts: set[tuple[tuple[int, int], frozenset[int]]] = set()
 
@@ -181,8 +166,7 @@ def solve_mcps(net: Network, rho, time_limit: float | None = None, mode: str = "
         return new_rows
 
     def accept(sol):
-        chi = tuple(int(round(float(sol.primal[x_col[a.id]]))) for a in net.arcs)
-        return audit_retention(instance, Activation(chi))
+        return audit_retention(instance, decode_activation(sol.primal, x_col.values()))
 
     config = BnbConfig(
         mode=mode,
@@ -197,10 +181,7 @@ def solve_mcps(net: Network, rho, time_limit: float | None = None, mode: str = "
     )
     result = branch_and_bound(model, list(x_col.values()), config)
     assert result.incumbent is not None  # full activation is always feasible
-    chi = tuple(
-        int(round(float(result.incumbent.primal[x_col[a.id]]))) for a in net.arcs
-    )
-    activation = Activation(chi)
+    activation = decode_activation(result.incumbent.primal, x_col.values())
     activation.validate(net)
     status = "optimal" if result.status == "optimal" else "timeout"
-    return McpsResult(activation, status, float(result.bound))
+    return Result(activation, status, float(result.bound))

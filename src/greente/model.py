@@ -95,13 +95,18 @@ class Network:
     def arc_by_pair(self) -> dict[tuple[int, int], Arc]:
         return {(a.tail, a.head): a for a in self.arcs}
 
+    @cached_property
+    def duplex_pairs(self) -> tuple[tuple[int, int], ...]:
+        """``(a, reverse)`` per full-duplex link, ``a < reverse``, in arc-id
+        order; empty in simplex mode."""
+        if self.duplex_mode != FULL_DUPLEX:
+            return ()
+        return tuple((a, rev) for a, rev in enumerate(self.link_pair) if a < rev)
+
     def reverse_of(self, arc_id: int) -> int | None:
         if self.link_pair is None:
             return None
         return self.link_pair[arc_id]
-
-    def vertex_id(self, name: str) -> int:
-        return self.vertex_names.index(name)
 
 
 @dataclass(frozen=True)
@@ -150,16 +155,28 @@ class Activation:
             chi = self.counts[arc.id]
             if not 0 <= chi <= arc.mu:
                 raise ValueError(f"chi({arc.id})={chi} outside [0,{arc.mu}]")
-        if net.duplex_mode == FULL_DUPLEX:
-            assert net.link_pair is not None
-            for arc in net.arcs:
-                if self.counts[arc.id] != self.counts[net.link_pair[arc.id]]:
-                    raise ValueError(f"duplex asymmetry on arc {arc.id}")
+        for a, rev in net.duplex_pairs:
+            if self.counts[a] != self.counts[rev]:
+                raise ValueError(f"duplex asymmetry on arc {a}")
 
-    def with_count(self, arc_id: int, chi: int) -> "Activation":
-        counts = list(self.counts)
-        counts[arc_id] = chi
-        return Activation(tuple(counts))
+
+def decode_activation(primal: Mapping[int, object], columns: Iterable[int]) -> Activation:
+    """Nearest-integer counts of an LP point; ``columns`` lists each arc's column."""
+    return Activation(tuple(int(round(float(primal.get(j, 0)))) for j in columns))
+
+
+@dataclass(frozen=True)
+class Result:
+    """One solver's answer: the activation, ``optimal`` or ``timeout``, and
+    the proven lower bound on the optimum (None where none is proven)."""
+
+    activation: Activation
+    status: str
+    bound: float | None
+
+    @property
+    def value(self) -> int:
+        return self.activation.value
 
 
 def build_network(
@@ -257,10 +274,6 @@ def build_network(
 def full_activation(net: Network) -> Activation:
     """All connections on: chi(a) = mu(a)."""
     return Activation(tuple(arc.mu for arc in net.arcs))
-
-
-def zero_activation(net: Network) -> Activation:
-    return Activation((0,) * net.n_arcs)
 
 
 def scale_traffic(traffic: TrafficMatrix, factor: Rational) -> TrafficMatrix:

@@ -19,12 +19,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .bnb import BnbConfig, branch_and_bound
-from .lp import GE, EQ, LpModel, LpSolution, solve_lp
+from .lp import GE, EQ, INT_TOL, LpModel, LpSolution, frac_dist, solve_lp
 from .model import (
     Activation,
-    FULL_DUPLEX,
     Network,
+    Result,
     TrafficMatrix,
+    decode_activation,
     full_activation,
 )
 from .routing import (
@@ -39,7 +40,6 @@ from .routing import (
 )
 
 INITIAL_PATHS = 5
-INT_TOL = 1e-6
 
 
 class NotRoutableInFull(RuntimeError):
@@ -124,13 +124,9 @@ class MspndModel:
             )
             self.lp.add_row({self.x_col[arc.id]: 1, self.y_col[arc.id]: -1}, GE, 0, name=f"cl_{arc.id}")
             self.lp.add_row({self.y_col[arc.id]: arc.mu, self.x_col[arc.id]: -1}, GE, 0, name=f"cu_{arc.id}")
-        if net.duplex_mode == FULL_DUPLEX:
-            assert net.link_pair is not None
-            for arc in net.arcs:
-                rev = net.link_pair[arc.id]
-                if arc.id < rev:
-                    self.lp.add_row({self.x_col[arc.id]: 1, self.x_col[rev]: -1}, EQ, 0, name=f"dx_{arc.id}")
-                    self.lp.add_row({self.y_col[arc.id]: 1, self.y_col[rev]: -1}, EQ, 0, name=f"dy_{arc.id}")
+        for a, rev in net.duplex_pairs:
+            self.lp.add_row({self.x_col[a]: 1, self.x_col[rev]: -1}, EQ, 0, name=f"dx_{a}")
+            self.lp.add_row({self.y_col[a]: 1, self.y_col[rev]: -1}, EQ, 0, name=f"dy_{a}")
 
     @property
     def terminal_pairs(self) -> list[tuple[int, int]]:
@@ -397,15 +393,8 @@ def _feasibility_price(model: MspndModel, mode: str) -> list[int]:
     return _price_against(model, extract_duals(model, sol))
 
 
-def _decode_activation(model: MspndModel, sol: LpSolution) -> Activation:
-    counts = tuple(
-        int(round(float(sol.primal[model.x_col[a.id]]))) for a in model.net.arcs
-    )
-    return Activation(counts)
-
-
 def _integral_on(sol: LpSolution, columns) -> bool:
-    return all(abs(float(sol.primal[j]) - round(float(sol.primal[j]))) <= INT_TOL for j in columns)
+    return all(frac_dist(sol.primal[j]) <= INT_TOL for j in columns)
 
 
 def _complete_spr_paths(model: MspndModel, sol: LpSolution) -> list[int]:
@@ -415,7 +404,7 @@ def _complete_spr_paths(model: MspndModel, sol: LpSolution) -> list[int]:
     shortest active path of some pair is missing, its ordering row is what
     cuts the bogus point off, so adding the column restores correctness.
     """
-    activation = _decode_activation(model, sol)
+    activation = decode_activation(sol.primal, model.x_col)
     added = []
     for pair in model.terminal_pairs:
         path = shortest_path_unique(model.net, activation, pair[0], pair[1])
@@ -440,17 +429,6 @@ def root_lp_value(net: Network, traffic: TrafficMatrix, strengthening: bool, mod
         return sol.objective
 
 
-@dataclass
-class MspndResult:
-    activation: Activation
-    status: str
-    bound: float
-    value: int = 0
-
-    def __post_init__(self):
-        self.value = self.activation.value
-
-
 def solve_f_mspnd(net: Network, traffic: TrafficMatrix) -> Activation:
     """Fixed-routing baseline: route in the full network, then drop spare
     connections; kept arcs still carry the same unique shortest paths."""
@@ -465,10 +443,8 @@ def solve_f_mspnd(net: Network, traffic: TrafficMatrix) -> Activation:
         if need > arc.mu:
             raise NotRoutableInFull(f"arc {aid} overloaded even at full activation")
         counts[aid] = int(need)
-    if net.duplex_mode == FULL_DUPLEX:
-        assert net.link_pair is not None
-        for aid in range(net.n_arcs):
-            counts[aid] = max(counts[aid], counts[net.link_pair[aid]])
+    for a, rev in net.duplex_pairs:
+        counts[a] = counts[rev] = max(counts[a], counts[rev])
     activation = Activation(tuple(counts))
     activation.validate(net)
     return activation
@@ -480,7 +456,7 @@ def solve_mspnd(
     strengthening: bool = True,
     time_limit: float | None = None,
     mode: str = "float",
-) -> MspndResult:
+) -> Result:
     """Exact minimum-activation design with shortest-path routability.
 
     Branch-and-price over the activation columns only (path columns stay
@@ -490,7 +466,7 @@ def solve_mspnd(
     """
     if not traffic.demands:
         act = Activation((0,) * net.n_arcs)
-        return MspndResult(act, "optimal", 0.0)
+        return Result(act, "optimal", 0.0)
     model = build_root_model(net, traffic, strengthening)
     int_cols = list(model.x_col) + list(model.y_col)
     x_set = set(model.x_col)
@@ -505,14 +481,12 @@ def solve_mspnd(
         return []
 
     def accept(sol):
-        activation = _decode_activation(model, sol)
-        return is_spr_routable(net, activation, traffic)
+        return is_spr_routable(net, decode_activation(sol.primal, model.x_col), traffic)
 
     def branch_select(sol, fractional):
         ys = [j for j in fractional if j in y_set]
         pool = ys if ys else [j for j in fractional if j in x_set]
-        dist = lambda j: abs(float(sol.primal[j]) - round(float(sol.primal[j])))
-        return max(pool, key=lambda j: (dist(j), -j))
+        return max(pool, key=lambda j: (frac_dist(sol.primal[j]), -j))
 
     initial = None
     try:
@@ -540,36 +514,27 @@ def solve_mspnd(
         if result.status == "infeasible":
             raise NotRoutableInFull("no activation can route the demands")
         raise RuntimeError("time limit reached before any feasible activation was found")
-    counts = tuple(
-        int(round(float(result.incumbent.primal.get(model.x_col[a.id], 0))))
-        for a in net.arcs
-    )
-    activation = Activation(counts)
+    activation = decode_activation(result.incumbent.primal, model.x_col)
     activation.validate(net)
     status = "optimal" if result.status == "optimal" else "timeout"
-    return MspndResult(activation, status, float(result.bound))
+    return Result(activation, status, float(result.bound))
 
 
 def brute_force_mspnd(net: Network, traffic: TrafficMatrix) -> Activation:
     """Exhaustive oracle over all activation vectors (duplex-symmetric only
     in full-duplex mode); guarded against oversized search spaces."""
-    if net.duplex_mode == FULL_DUPLEX:
-        assert net.link_pair is not None
-        free_arcs = [a.id for a in net.arcs if a.id <= net.link_pair[a.id]]
-    else:
-        free_arcs = [a.id for a in net.arcs]
+    # one free count per duplex link; a simplex arc is its own partner
+    free = net.duplex_pairs or tuple((a.id, a.id) for a in net.arcs)
     size = 1
-    for aid in free_arcs:
+    for aid, _ in free:
         size *= net.arcs[aid].mu + 1
         if size > 10_000_000:
             raise TooLarge("activation space exceeds 1e7 vectors")
     best: Activation | None = None
-    for combo in itertools.product(*(range(net.arcs[a].mu + 1) for a in free_arcs)):
+    for combo in itertools.product(*(range(net.arcs[a].mu + 1) for a, _ in free)):
         counts = [0] * net.n_arcs
-        for aid, chi in zip(free_arcs, combo):
-            counts[aid] = chi
-            if net.duplex_mode == FULL_DUPLEX:
-                counts[net.link_pair[aid]] = chi
+        for (aid, rev), chi in zip(free, combo):
+            counts[aid] = counts[rev] = chi
         value = sum(counts)
         if best is not None and value >= best.value:
             continue

@@ -12,10 +12,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .lp import EQ, GE, LpModel, solve_lp
-from .model import Activation, FULL_DUPLEX, Network, as_fraction
-
-INT_TOL = 1e-6
+from .lp import EQ, GE, INT_TOL, LpModel, frac_dist, solve_lp
+from .model import Activation, Network, as_fraction, decode_activation
 
 
 class InfeasibleAfterFix(RuntimeError):
@@ -59,12 +57,8 @@ def build_toca_lp(net: Network, rho) -> TocaLp:
                 name=f"f_{com.id}_{edge.id}",
             )
             flow_col[(com.id, edge.id)] = j
-    if net.duplex_mode == FULL_DUPLEX:
-        assert net.link_pair is not None
-        for a in net.arcs:
-            rev = net.link_pair[a.id]
-            if a.id < rev:
-                model.add_row({x_col[a.id]: 1, x_col[rev]: -1}, EQ, 0, name=f"dx_{a.id}")
+    for a, rev in net.duplex_pairs:
+        model.add_row({x_col[a]: 1, x_col[rev]: -1}, EQ, 0, name=f"dx_{a}")
     return TocaLp(model, x_col, flow_col, rho)
 
 
@@ -108,7 +102,7 @@ def alg_mcf_pp(net: Network, rho, mode: str = "float") -> Activation:
         gaps = []
         for a in net.arcs:
             v = float(sol.primal[t.x_col[a.id]])
-            if abs(v - round(v)) > INT_TOL:
+            if frac_dist(v) > INT_TOL:
                 gaps.append((math.ceil(v - INT_TOL) - v, a.id))
         if not gaps:
             break
@@ -119,10 +113,7 @@ def alg_mcf_pp(net: Network, rho, mode: str = "float") -> Activation:
         sol = solve_lp(t.model, mode)
         if sol.status != "optimal":
             raise InfeasibleAfterFix(f"LP {sol.status} after fixing arc {arc_id}")
-    chi = tuple(
-        int(round(float(sol.primal[t.x_col[a.id]]))) for a in net.arcs
-    )
-    activation = Activation(chi)
+    activation = decode_activation(sol.primal, t.x_col.values())
     activation.validate(net)
     return activation
 

@@ -1,7 +1,12 @@
 import math
 
+import pytest
+
+from greente import Activation, bench
 from greente.bench import (
+    ALGORITHMS,
     CSV_HEADER,
+    SOLVERS,
     ExperimentConfig,
     RepetitaInstance,
     emit_report,
@@ -163,3 +168,31 @@ def test_json_report_round_trips():
     )
     text = emit_report(rows, "json")
     assert parse_report_json(text) == rows
+
+
+SOLVER_FUNCTIONS = {
+    "mspnd": "solve_mspnd",
+    "f-mspnd": "solve_f_mspnd",
+    "mcps": "solve_mcps",
+    "mcf": "alg_mcf",
+    "mcf++": "alg_mcf_pp",
+}
+
+
+def test_solver_table_lists_every_algorithm():
+    assert ALGORITHMS == tuple(SOLVER_FUNCTIONS)
+    assert bench.TRAFFIC_AWARE == ("mspnd", "f-mspnd")
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_solver_runs_look_up_the_module_function(monkeypatch, algorithm):
+    """Rebinding ``bench.<solver>`` must reach the table, so wrappers see every call."""
+    calls = []
+
+    def fake(*args, **kwargs):
+        calls.append(args)
+        return Activation((0,))
+
+    monkeypatch.setattr(bench, SOLVER_FUNCTIONS[algorithm], fake)
+    SOLVERS[algorithm].run("net", "rho", "traffic", 1.0, True)
+    assert len(calls) == 1

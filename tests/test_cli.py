@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from greente.bench import ALGORITHMS, ExperimentConfig, RepetitaInstance, run_experiment
 from greente.cli import main
+from greente.repetita import parse_repetita_demands, parse_repetita_graph
 
 GRAPH = """\
 NODES 3
@@ -19,6 +21,10 @@ e2 1 2 1 6 0
 """
 
 DEMANDS = "DEMANDS 1\nlabel src dest bw\nd0 0 2 2\n"
+
+
+def total(path):
+    return sum(int(line.split(",")[1]) for line in path.read_text().splitlines()[1:])
 
 
 @pytest.fixture
@@ -65,11 +71,23 @@ def test_oracle_agrees_with_exact_solver(tmp_path, instance_files):
                  "--rho", "0.5", "--out", str(a)]) == 0
     assert main(["solve", "--algorithm", "mspnd", "--graph", str(graph),
                  "--demands", str(demands), "--rho", "0.5", "--out", str(b)]) == 0
-
-    def total(path):
-        return sum(int(line.split(",")[1]) for line in path.read_text().splitlines()[1:])
-
     assert total(a) == total(b)
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_solve_matches_bench_cell(tmp_path, instance_files, algorithm):
+    graph, demands = instance_files
+    out = tmp_path / "chi.csv"
+    assert main(["solve", "--algorithm", algorithm, "--graph", str(graph),
+                 "--demands", str(demands), "--rho", "0.5", "--out", str(out)]) == 0
+    precursor = parse_repetita_graph(graph.read_text())
+    matrix = parse_repetita_demands(demands.read_text(), num_nodes=len(precursor.nodes))
+    rows = run_experiment(
+        ExperimentConfig(algorithms=(algorithm,), rhos=(0.5,), mus=(1,)),
+        [RepetitaInstance("topo", precursor, (matrix,))],
+    )
+    assert [row.status for row in rows] == ["optimal"]
+    assert total(out) == rows[0].active_connections
 
 
 def test_evaluate_reports_mlu(tmp_path, instance_files, capsys):
@@ -122,3 +140,42 @@ def test_bad_flag_exits_2(instance_files):
         main(["solve", "--algorithm", "nonsense", "--graph", str(graph),
               "--demands", str(demands)])
     assert err.value.code == 2
+
+
+def test_malformed_graph_exits_2(instance_files, capsys):
+    graph, demands = instance_files
+    graph.write_text("NODES three\n")
+    assert main(["solve", "--algorithm", "mcf", "--graph", str(graph),
+                 "--demands", str(demands)]) == 2
+    assert "input error" in capsys.readouterr().err
+
+
+def test_demand_to_unknown_vertex_exits_2(instance_files, capsys):
+    graph, demands = instance_files
+    demands.write_text("DEMANDS 1\nlabel src dest bw\nd0 0 7 2\n")
+    assert main(["solve", "--algorithm", "f-mspnd", "--graph", str(graph),
+                 "--demands", str(demands)]) == 2
+    assert "input error" in capsys.readouterr().err
+
+
+def test_oracle_rejects_rho_outside_unit_interval(instance_files, capsys):
+    graph, demands = instance_files
+    assert main(["oracle", "--graph", str(graph), "--demands", str(demands),
+                 "--rho", "1.5"]) == 2
+    assert "--rho" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("chi_text", [
+    "arc_id,chi\n0,1\n1,1\n9,1\n",
+    "arc_id,chi\n0,5\n1,1\n2,1\n",
+    "arc_id,chi\n",
+    "arc_id,chi\n0,1\n0,1\n1,1\n2,1\n",
+    "arc_id,chi\n0,1\n1,0.5\n2,1\n",
+], ids=["arc-out-of-range", "chi-above-mu", "header-only", "repeated-arc", "fractional-chi"])
+def test_evaluate_rejects_bad_activation_csv(tmp_path, instance_files, capsys, chi_text):
+    graph, demands = instance_files
+    chi = tmp_path / "chi.csv"
+    chi.write_text(chi_text)
+    assert main(["evaluate", "--graph", str(graph), "--demands", str(demands),
+                 "--chi", str(chi)]) == 2
+    assert "activation csv" in capsys.readouterr().err

@@ -4,6 +4,7 @@ from fractions import Fraction
 from greente import (
     Activation,
     FULL_DUPLEX,
+    Result,
     TrafficMatrix,
     build_network,
     full_activation,
@@ -36,6 +37,15 @@ def test_full_duplex_pairs_arcs():
     )
     assert net.link_pair == (1, 0)
     assert net.reverse_of(0) == 1
+
+
+def test_duplex_pairs_in_arc_order(diamond):
+    net = build_network(
+        [(0, 1, 1, 1, 1), (2, 0, 1, 1, 1), (1, 0, 1, 1, 1), (0, 2, 1, 1, 1)],
+        duplex_mode=FULL_DUPLEX,
+    )
+    assert net.duplex_pairs == ((0, 2), (1, 3))
+    assert diamond.duplex_pairs == ()
 
 
 def test_full_duplex_requires_reverse():
@@ -101,6 +111,10 @@ def test_activation_duplex_symmetry():
     Activation((2, 2)).validate(net)
     with pytest.raises(ValueError):
         Activation((2, 1)).validate(net)
+
+
+def test_result_value_follows_activation():
+    assert Result(Activation((2, 0, 1)), "optimal", 3.0).value == 3
 
 
 def test_traffic_matrix_drops_zeros_and_rejects_bad_entries():
