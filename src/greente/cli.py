@@ -47,13 +47,20 @@ MODE_NAMES = {"simplex": SIMPLEX, "duplex": FULL_DUPLEX}
 LENGTH_NAMES = {"given": "asGiven", "unit": "unit", "invcap": "inverseCapacity"}
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)  # argparse reports a ValueError as an invalid value
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
+    return value
+
+
 def _add_instance_args(p: argparse.ArgumentParser, multi_demands: bool) -> None:
     p.add_argument("--graph", required=True, help="REPETITA topology file")
     p.add_argument(
         "--demands", required=True, nargs="+" if multi_demands else None,
         help="REPETITA demand file" + ("(s)" if multi_demands else ""),
     )
-    p.add_argument("--mu", type=int, default=1, help="connections per link")
+    p.add_argument("--mu", type=_positive_int, default=1, help="connections per link")
     p.add_argument("--mode", choices=sorted(MODE_NAMES), default="simplex")
     p.add_argument("--lengths", choices=sorted(LENGTH_NAMES), default="given")
 

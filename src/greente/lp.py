@@ -5,7 +5,11 @@ Two interchangeable backends sit behind one model type:
 * ``exact`` -- a bounded-variable two-phase revised simplex over rationals
   (gmpy2.mpq when available).  Deterministic, exact duals, meant for small
   fixtures where values like 17/2 must come out exactly.
-* ``float`` -- scipy's HiGHS simplex for larger models.
+* ``float`` -- HiGHS dual simplex for larger models.  Each model keeps one
+  live HiGHS instance (scipy's bundled ``_highspy``), loaded on its first
+  float solve.  Later solves push only what changed since the last one --
+  new columns, new rows, changed bounds -- and re-solve cold, with presolve,
+  so every solve runs the same algorithm on the same data.
 
 Dual sign convention: a >=-row of a minimization has a nonnegative dual, a
 <=-row a nonpositive one.  Every solve is audited for weak duality.
@@ -16,9 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
-import numpy as np
-from scipy.optimize import linprog
-from scipy.sparse import csr_matrix
+from scipy.optimize._highspy import _core as _highs
 
 try:
     from gmpy2 import mpq as _Q
@@ -56,6 +58,7 @@ class LpModel:
     senses: list = field(default_factory=list)
     rhs: list = field(default_factory=list)
     row_names: list = field(default_factory=list)
+    _mirror: _HighsMirror | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n_cols(self) -> int:
@@ -74,12 +77,15 @@ class LpModel:
         self.lower.append(lb)
         self.upper.append(ub)
         self.col_names.append(name or f"c{j}")
+        kept = {}
         if coefs:
             for i, v in coefs.items():
                 if not 0 <= i < self.n_rows:
                     raise BadReference(f"row {i} does not exist")
                 if v != 0:
-                    self.row_coefs[i][j] = v
+                    self.row_coefs[i][j] = kept[i] = v
+        if self._mirror is not None:
+            self._mirror.col_coefs[j] = kept
         return j
 
     def add_row(self, coefs: Mapping, sense: str, rhs, name: str = "") -> int:
@@ -103,6 +109,8 @@ class LpModel:
             raise BadReference(f"column {col} does not exist")
         self.lower[col] = lb
         self.upper[col] = ub
+        if self._mirror is not None:
+            self._mirror.dirty.add(col)
 
     def bounds(self, col: int):
         return self.lower[col], self.upper[col]
@@ -377,67 +385,116 @@ def _solve_exact(model: LpModel) -> LpSolution:
 
 
 # ---------------------------------------------------------------------------
-# float backend: scipy / HiGHS
+# float backend: one live HiGHS model per LpModel
 # ---------------------------------------------------------------------------
+
+_INF = _highs.kHighsInf
+_STATUS = {
+    _highs.HighsModelStatus.kOptimal: "optimal",
+    _highs.HighsModelStatus.kInfeasible: "infeasible",
+    _highs.HighsModelStatus.kUnbounded: "unbounded",
+}
+
+
+def _col_bounds(model: LpModel, cols) -> tuple[list, list]:
+    return (
+        [-_INF if model.lower[j] is None else float(model.lower[j]) for j in cols],
+        [_INF if model.upper[j] is None else float(model.upper[j]) for j in cols],
+    )
+
+
+def _check(status, what: str) -> None:
+    if status == _highs.HighsStatus.kError:
+        raise NumericalFailure(f"LP solver failed: HiGHS {what} returned an error")
+
+
+class _HighsMirror:
+    """A HiGHS copy of an LpModel, brought up to date by deltas.
+
+    ``n_cols``/``n_rows`` count what HiGHS holds.  Columns added since the
+    last sync carry their coefficients in already-mirrored rows in
+    ``col_coefs``; their entries in newer rows travel with those rows.
+    ``dirty`` holds the columns whose bounds changed.  HiGHS ends up storing
+    the matrix exactly as a fresh load of the model would, so a solve does
+    not depend on the order in which the model grew.
+    """
+
+    def __init__(self):
+        self.highs = _highs._Highs()
+        self.highs.setOptionValue("output_flag", False)
+        self.highs.setOptionValue("presolve", "on")
+        self.n_cols = 0
+        self.n_rows = 0
+        self.col_coefs: dict[int, dict] = {}
+        self.dirty: set[int] = set()
+
+    def sync(self, model: LpModel) -> None:
+        highs, old_rows = self.highs, self.n_rows
+        new_cols = range(self.n_cols, model.n_cols)
+        if new_cols:
+            starts, index, value = [], [], []
+            for j in new_cols:
+                starts.append(len(index))
+                for i, v in sorted(self.col_coefs.get(j, {}).items()):  # row order
+                    if i < old_rows:
+                        index.append(i)
+                        value.append(float(v))
+            _check(highs.addCols(
+                len(new_cols),
+                [float(model.objective[j]) for j in new_cols],
+                *_col_bounds(model, new_cols),
+                len(index), starts, index, value,
+            ), "addCols")
+        new_rows = range(old_rows, model.n_rows)
+        if new_rows:
+            lower, upper, starts, index, value = [], [], [], [], []
+            for i in new_rows:
+                rhs, sense = float(model.rhs[i]), model.senses[i]
+                lower.append(-_INF if sense == LE else rhs)
+                upper.append(_INF if sense == GE else rhs)
+                starts.append(len(index))
+                for j, v in model.row_coefs[i].items():
+                    index.append(j)
+                    value.append(float(v))
+            _check(highs.addRows(len(new_rows), lower, upper, len(index), starts, index, value),
+                   "addRows")
+        if self.dirty:
+            cols = sorted(self.dirty)
+            _check(highs.changeColsBounds(len(cols), cols, *_col_bounds(model, cols)),
+                   "changeColsBounds")
+        self.n_cols, self.n_rows = model.n_cols, model.n_rows
+        self.col_coefs.clear()
+        self.dirty.clear()
 
 
 def _solve_float(model: LpModel) -> LpSolution:
-    n = model.n_cols
-    c = np.array([float(v) for v in model.objective])
-    bounds = [
-        (None if lo is None else float(lo), None if hi is None else float(hi))
-        for lo, hi in zip(model.lower, model.upper)
-    ]
-    ub_rows, ub_rhs, ub_sign, eq_rows, eq_rhs = [], [], [], [], []
-    row_map: list[tuple[str, int]] = []
-    for i in range(model.n_rows):
-        coefs, sense, rhs = model.row_coefs[i], model.senses[i], float(model.rhs[i])
-        if sense == EQ:
-            row_map.append(("eq", len(eq_rows)))
-            eq_rows.append(coefs)
-            eq_rhs.append(rhs)
-        else:
-            sign = 1.0 if sense == LE else -1.0
-            row_map.append(("ub", len(ub_rows)))
-            ub_rows.append(coefs)
-            ub_rhs.append(sign * rhs)
-            ub_sign.append(sign)
-
-    def sparse(rows, signs=None):
-        data, indices, indptr = [], [], [0]
-        for k, coefs in enumerate(rows):
-            s = 1.0 if signs is None else signs[k]
-            for j, v in sorted(coefs.items()):
-                indices.append(j)
-                data.append(s * float(v))
-            indptr.append(len(data))
-        return csr_matrix((data, indices, indptr), shape=(len(rows), n))
-
-    kwargs = {}
-    if ub_rows:
-        kwargs["A_ub"] = sparse(ub_rows, ub_sign)
-        kwargs["b_ub"] = np.array(ub_rhs)
-    if eq_rows:
-        kwargs["A_eq"] = sparse(eq_rows)
-        kwargs["b_eq"] = np.array(eq_rhs)
-    res = linprog(c, bounds=bounds, method="highs", **kwargs)
-    if res.status == 2:
-        return LpSolution("infeasible")
-    if res.status == 3:
-        return LpSolution("unbounded")
-    if res.status != 0:
-        raise NumericalFailure(f"LP solver failed: {res.message}")
-    primal = {j: float(res.x[j]) for j in range(n)}
-    dual: dict[int, float] = {}
-    for i, (kind, k) in enumerate(row_map):
-        if kind == "eq":
-            dual[i] = float(res.eqlin.marginals[k])
-        else:
-            marg = float(res.ineqlin.marginals[k])
-            dual[i] = marg if model.senses[i] == LE else -marg
-    sol = LpSolution("optimal", primal, dual, float(res.fun))
-    _audit_weak_duality(model, sol, exact=False)
+    if model._mirror is None:
+        model._mirror = _HighsMirror()
+    model._mirror.sync(model)
+    sol = linprog(model._mirror.highs)
+    if sol.status == "optimal":
+        _audit_weak_duality(model, sol, exact=False)
     return sol
+
+
+# The name is the benchmark's span hook: perfbench times ``greente.lp.linprog`` as lp.highs.
+def linprog(highs) -> LpSolution:
+    """Re-solve a loaded HiGHS model cold and read back the answer."""
+    highs.clearSolver()  # no warm start: presolve + dual simplex every time
+    _check(highs.run(), "run")
+    model_status = highs.getModelStatus()
+    status = _STATUS.get(model_status)
+    if status is None:
+        raise NumericalFailure(f"LP solver failed: {highs.modelStatusToString(model_status)}")
+    if status != "optimal":
+        return LpSolution(status)
+    solution = highs.getSolution()
+    return LpSolution(
+        "optimal",
+        dict(enumerate(solution.col_value)),
+        dict(enumerate(solution.row_dual)),
+        highs.getObjectiveValue(),
+    )
 
 
 def _audit_weak_duality(model: LpModel, sol: LpSolution, exact: bool) -> None:

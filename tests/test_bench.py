@@ -78,7 +78,7 @@ def test_traffic_aware_rows_per_matrix_and_mlu_across_all():
 def test_forced_timeout_reports_status_and_bound():
     config = ExperimentConfig(
         algorithms=("mspnd",), rhos=(0.5,), mus=(1,), modes=(SIMPLEX,),
-        time_limit=0.001,
+        time_limit=1e-9,  # expires before the first B&B node
     )
     rows = run_experiment(config, [ring_instance(1)])
     assert rows[0].status == "timeout"

@@ -142,6 +142,18 @@ def test_bad_flag_exits_2(instance_files):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("command", ["solve", "oracle"])
+def test_nonpositive_mu_exits_2(instance_files, capsys, command):
+    graph, demands = instance_files
+    args = [command, "--graph", str(graph), "--demands", str(demands), "--mu", "0"]
+    if command == "solve":
+        args += ["--algorithm", "mcf"]
+    with pytest.raises(SystemExit) as err:
+        main(args)
+    assert err.value.code == 2
+    assert "--mu" in capsys.readouterr().err
+
+
 def test_malformed_graph_exits_2(instance_files, capsys):
     graph, demands = instance_files
     graph.write_text("NODES three\n")

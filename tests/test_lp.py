@@ -2,16 +2,22 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from greente import lp
 from greente.lp import (
     EQ,
     GE,
     LE,
     BadReference,
     LpModel,
+    NumericalFailure,
     export_lp_text,
     solve_lp,
 )
+from greente.mspnd import solve_mspnd
+from conftest import all_pairs_traffic, complete_digraph
 
 
 def test_lower_bounded_variable_and_dual():
@@ -163,3 +169,116 @@ def test_export_lp_text_mentions_rows_and_bounds():
     text = export_lp_text(m)
     assert "Minimize" in text and "row0" in text and ">= 1" in text
     assert "0 <= x <= 2" in text
+
+
+def test_float_statuses_and_dual_signs_through_one_mirror():
+    m = LpModel()
+    x = m.add_column(obj=1, lb=0, ub=10)
+    y = m.add_column(obj=3, lb=0, ub=10)
+    z = m.add_column(obj=1, lb=0, ub=10)
+    ge = m.add_row({x: 1, y: 1}, GE, 4)
+    le = m.add_row({x: 1}, LE, 1)
+    eq = m.add_row({y: 1, z: -1}, EQ, 0)
+    sol = solve_lp(m, "float")
+    mirror = m._mirror
+    assert sol.status == "optimal"
+    assert sol.objective == pytest.approx(13)
+    assert sol.dual[ge] == pytest.approx(4)
+    assert sol.dual[le] == pytest.approx(-3)
+    assert sol.dual[eq] == pytest.approx(-1)
+    assert sol.dual == pytest.approx(solve_lp(m, "exact").dual)
+    m.set_bounds(y, 0, 1)
+    assert solve_lp(m, "float").status == "infeasible"
+    m.set_bounds(y, 0, 10)
+    assert solve_lp(m, "float").objective == pytest.approx(13)
+    w = m.add_column(obj=-1, lb=0, ub=None)
+    assert solve_lp(m, "float").status == "unbounded"
+    m.set_bounds(w, None, 5)
+    assert solve_lp(m, "float").objective == pytest.approx(8)
+    assert m._mirror is mirror
+
+
+def test_coefficient_highs_rejects_raises_numerical_failure():
+    m = LpModel()
+    x = m.add_column(obj=1, lb=0, ub=3)
+    assert solve_lp(m, "float").status == "optimal"
+    m.add_row({x: 1e20}, GE, 1)
+    with pytest.raises(NumericalFailure, match="addRows"):
+        solve_lp(m, "float")
+
+
+def _fresh_copy(m):
+    copy = LpModel()
+    for j in range(m.n_cols):
+        copy.add_column(obj=m.objective[j], lb=m.lower[j], ub=m.upper[j])
+    for i in range(m.n_rows):
+        copy.add_row(m.row_coefs[i], m.senses[i], m.rhs[i])
+    return copy
+
+
+def _assert_mirror_matches(m):
+    live = solve_lp(m, "float")
+    fresh = solve_lp(_fresh_copy(m), "float")
+    exact = solve_lp(m, "exact")
+    assert live.status == fresh.status == exact.status
+    # the same vertex, whatever order the model grew in
+    assert live.primal == pytest.approx(fresh.primal, abs=1e-9)
+    if exact.status == "optimal":
+        tol = 1e-6 * (1 + abs(float(exact.objective)))
+        assert abs(live.objective - float(exact.objective)) <= tol
+        assert abs(fresh.objective - float(exact.objective)) <= tol
+
+
+_small = st.integers(-3, 3)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_mirror_never_drifts_from_the_model(data):
+    """Random boxed LPs grown step by step: after every column, row or bound
+    change the live HiGHS model solves like a fresh copy and like exact mode."""
+    m = LpModel()
+    for _ in range(data.draw(st.integers(1, 3))):
+        lb = data.draw(st.integers(-2, 1))
+        m.add_column(obj=data.draw(_small), lb=lb, ub=lb + data.draw(st.integers(0, 3)))
+    _assert_mirror_matches(m)
+    for _ in range(data.draw(st.integers(1, 8))):
+        op = data.draw(st.sampled_from(["column", "row", "bounds"]))
+        if op == "column":
+            rows = []
+            if m.n_rows:
+                rows = data.draw(st.lists(st.integers(0, m.n_rows - 1), unique=True))
+            lb = data.draw(st.integers(-2, 1))
+            m.add_column(obj=data.draw(_small), lb=lb, ub=lb + data.draw(st.integers(0, 3)),
+                         coefs={i: data.draw(_small) for i in rows})
+        elif op == "row":
+            cols = data.draw(st.lists(st.integers(0, m.n_cols - 1), min_size=1, unique=True))
+            m.add_row({j: data.draw(_small) for j in cols},
+                      data.draw(st.sampled_from([LE, GE, EQ])), data.draw(st.integers(-4, 4)))
+        else:  # fix one column, often at a value no row allows, then restore it
+            j = data.draw(st.integers(0, m.n_cols - 1))
+            saved = m.bounds(j)
+            v = data.draw(st.integers(-6, 6))
+            m.set_bounds(j, v, v)
+            _assert_mirror_matches(m)
+            m.set_bounds(j, *saved)
+        _assert_mirror_matches(m)
+
+
+def test_branch_and_price_solves_like_fresh_loads(monkeypatch):
+    """Pricing adds columns and rows and branching moves bounds, yet every
+    float solve of the live HiGHS model lands on the vertex a fresh load of
+    the same model finds."""
+    solve_float = lp._solve_float
+    solves = []
+
+    def checked(model):
+        live, fresh = solve_float(model), solve_float(_fresh_copy(model))
+        assert live.status == fresh.status
+        assert live.primal == pytest.approx(fresh.primal, abs=1e-9)
+        solves.append(live)
+        return live
+
+    monkeypatch.setattr(lp, "_solve_float", checked)
+    assert solve_mspnd(complete_digraph(5), all_pairs_traffic(5)).value == 5
+    assert len(solves) > 30
