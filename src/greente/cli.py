@@ -32,7 +32,7 @@ from .model import (
     full_activation,
     scale_traffic,
 )
-from .mspnd import brute_force_mspnd
+from .mspnd import NotRoutableInFull, TooLarge, brute_force_mspnd
 from .repetita import (
     DisconnectedDemand,
     ParseError,
@@ -249,7 +249,9 @@ def main(argv=None) -> int:
     except (ConfigError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ParseError, UnknownNode, DisconnectedDemand, NetworkError) as exc:
+    except (
+        ParseError, UnknownNode, DisconnectedDemand, NetworkError, TooLarge, NotRoutableInFull
+    ) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
 

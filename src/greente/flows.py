@@ -1,9 +1,12 @@
 """Max-flow with early termination and residual-graph cut extraction.
 
-Flows run on exact rational capacities because separation is called on
-fractional LP points.  Cut extraction returns the front cut (near the source)
-and the back cut (near the sink); both are full delta-out sets of a vertex
-bipartition, so the emitted constraints are valid for the cut family.
+Flows are exact: capacities run as given, ``int`` or
+:class:`fractions.Fraction` (a float becomes its exact Fraction), so
+separation on fractional LP points stays exact, and callers that scale
+capacities to integers get plain integer arithmetic.  Cut extraction returns
+the front cut (near the source) and the back cut (near the sink); both are
+full delta-out sets of a vertex bipartition, so the emitted constraints are
+valid for the cut family.
 """
 from __future__ import annotations
 
@@ -11,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import Network, as_fraction
+from .model import Network, Rational
 
 
 class NotMaximum(RuntimeError):
@@ -20,87 +23,91 @@ class NotMaximum(RuntimeError):
 
 @dataclass(frozen=True)
 class FlowResult:
-    flow: dict[int, Fraction]
-    value: Fraction
+    flow: dict[int, Rational]
+    value: Rational
     terminated_early: bool
 
 
 @dataclass(frozen=True)
 class Cut:
     arc_ids: frozenset[int]
-    capacity: Fraction
+    capacity: Rational
+
+
+def _exact(value) -> Rational:
+    """``value`` as given if exact; a float becomes its exact Fraction."""
+    return Fraction(value) if isinstance(value, float) else value
 
 
 class _Dinic:
+    """Dinic on the network's cached residual graph; only capacities are
+    per flow (``cap[2a]`` along arc ``a``, ``cap[2a + 1]`` against it)."""
+
     def __init__(self, net: Network, ecap):
-        self.net = net
-        n = net.n_vertices
-        self.to: list[int] = []
-        self.cap: list[Fraction] = []
-        self.adj: list[list[int]] = [[] for _ in range(n)]
-        self.arc_edge: list[int] = []
-        for arc in net.arcs:
-            c = as_fraction(ecap.get(arc.id, 0))
-            self.arc_edge.append(len(self.to))
-            self._add_edge(arc.tail, arc.head, c)
+        self.n = net.n_vertices
+        self.to, self.adj = net.residual_edges
+        self.cap: list[Rational] = [0] * (2 * net.n_arcs)
+        self.cap[::2] = [_exact(ecap.get(a, 0)) for a in range(net.n_arcs)]
 
-    def _add_edge(self, u: int, v: int, c: Fraction):
-        self.adj[u].append(len(self.to))
-        self.to.append(v)
-        self.cap.append(c)
-        self.adj[v].append(len(self.to))
-        self.to.append(u)
-        self.cap.append(Fraction(0))
-
-    def _bfs(self, s: int, t: int) -> bool:
-        self.level = [-1] * self.net.n_vertices
-        self.level[s] = 0
+    def _levels(self, s: int) -> list[int]:
+        """BFS distance from s over edges with residual capacity (-1: unreached)."""
+        to, adj, cap = self.to, self.adj, self.cap
+        level = [-1] * self.n
+        level[s] = 0
         q = deque([s])
         while q:
             v = q.popleft()
-            for eid in self.adj[v]:
-                if self.cap[eid] > 0 and self.level[self.to[eid]] < 0:
-                    self.level[self.to[eid]] = self.level[v] + 1
-                    q.append(self.to[eid])
-        return self.level[t] >= 0
+            for eid in adj[v]:
+                w = to[eid]
+                if cap[eid] > 0 and level[w] < 0:
+                    level[w] = level[v] + 1
+                    q.append(w)
+        return level
 
-    def _dfs(self, v: int, t: int, pushed: Fraction) -> Fraction:
-        if v == t:
-            return pushed
-        while self.it[v] < len(self.adj[v]):
-            eid = self.adj[v][self.it[v]]
-            w = self.to[eid]
-            if self.cap[eid] > 0 and self.level[w] == self.level[v] + 1:
-                got = self._dfs(w, t, min(pushed, self.cap[eid]))
-                if got > 0:
-                    self.cap[eid] -= got
-                    self.cap[eid ^ 1] += got
-                    return got
-            self.it[v] += 1
-        return Fraction(0)
+    def run(self, s: int, t: int, target) -> tuple[Rational, bool]:
+        """Augment along shortest paths until none is left or ``target`` is met.
 
-    def run(self, s: int, t: int, target) -> tuple[Fraction, bool]:
-        total = Fraction(0)
-        big = sum((c for c in self.cap if c > 0), Fraction(0)) + 1
-        while self._bfs(s, t):
-            self.it = [0] * self.net.n_vertices
+        Each augmentation is the first path of a depth-first search from s
+        in the level graph that resumes every vertex at its current edge
+        (``it``) and retreats past dead vertices.
+        """
+        to, adj, cap = self.to, self.adj, self.cap
+        total = 0
+        while True:
+            level = self._levels(s)
+            if level[t] < 0:
+                return total, False
+            it = [0] * self.n
+            path: list[int] = []  # edge ids from s to v
+            v = s
             while True:
-                got = self._dfs(s, t, big)
-                if got <= 0:
+                if v == t:
+                    got = min(cap[eid] for eid in path)
+                    for eid in path:
+                        cap[eid] -= got
+                        cap[eid ^ 1] += got
+                    total += got
+                    if target is not None and total >= target:
+                        return total, True
+                    path.clear()
+                    v = s
+                    continue
+                edges, i, nxt = adj[v], it[v], level[v] + 1
+                while i < len(edges) and not (cap[edges[i]] > 0 and level[to[edges[i]]] == nxt):
+                    i += 1
+                it[v] = i
+                if i < len(edges):
+                    path.append(edges[i])
+                    v = to[edges[i]]
+                elif path:  # v is dead: retreat and skip the edge into it
+                    v = to[path.pop() ^ 1]
+                    it[v] += 1
+                else:  # s is dead: the level graph is blocked
                     break
-                total += got
-                if target is not None and total >= target:
-                    return total, True
-        return total, False
 
-    def flows(self) -> dict[int, Fraction]:
-        out = {}
-        for arc in self.net.arcs:
-            eid = self.arc_edge[arc.id]
-            f = self.cap[eid ^ 1]  # reverse residual equals flow sent
-            if f > 0:
-                out[arc.id] = f
-        return out
+    def flows(self) -> dict[int, Rational]:
+        # the reverse residual of an arc's edge equals the flow sent along it
+        return {a: f for a, f in enumerate(self.cap[1::2]) if f > 0}
 
 
 def max_flow(net: Network, ecap, s: int, t: int, target=None) -> FlowResult:
@@ -112,7 +119,7 @@ def max_flow(net: Network, ecap, s: int, t: int, target=None) -> FlowResult:
     if s == t:
         raise ValueError("source equals sink")
     if target is not None:
-        target = as_fraction(target)
+        target = _exact(target)
     dinic = _Dinic(net, ecap)
     value, early = dinic.run(s, t, target)
     return FlowResult(dinic.flows(), value, early)
@@ -121,11 +128,11 @@ def max_flow(net: Network, ecap, s: int, t: int, target=None) -> FlowResult:
 def _residual_forward_reach(net: Network, ecap, flow, s: int) -> set[int]:
     marked = {s}
     stack = [s]
-    fl = lambda a: flow.get(a, Fraction(0))
+    fl = lambda a: flow.get(a, 0)
     while stack:
         v = stack.pop()
         for arc in net.out_arcs[v]:
-            cap = as_fraction(ecap.get(arc.id, 0))
+            cap = _exact(ecap.get(arc.id, 0))
             if cap - fl(arc.id) > 0 and arc.head not in marked:
                 marked.add(arc.head)
                 stack.append(arc.head)
@@ -140,11 +147,11 @@ def _residual_backward_reach(net: Network, ecap, flow, t: int) -> set[int]:
     """Vertices that can reach t in the residual graph."""
     marked = {t}
     stack = [t]
-    fl = lambda a: flow.get(a, Fraction(0))
+    fl = lambda a: flow.get(a, 0)
     while stack:
         v = stack.pop()
         for arc in net.in_arcs[v]:
-            cap = as_fraction(ecap.get(arc.id, 0))
+            cap = _exact(ecap.get(arc.id, 0))
             if cap - fl(arc.id) > 0 and arc.tail not in marked:
                 marked.add(arc.tail)
                 stack.append(arc.tail)
@@ -200,7 +207,7 @@ def extract_cut(
         cut = frozenset(
             a.id for a in net.arcs if a.tail in reach and a.head in marked
         )
-    capacity = sum((as_fraction(ecap.get(a, 0)) for a in cut), Fraction(0))
+    capacity = sum(_exact(ecap.get(a, 0)) for a in cut)
     return Cut(cut, capacity)
 
 
@@ -208,10 +215,10 @@ def full_capacities(net: Network) -> dict[int, Fraction]:
     return {arc.id: arc.fcap for arc in net.arcs}
 
 
-def all_pairs_maxflow(net: Network) -> dict[tuple[int, int], Fraction]:
+def all_pairs_maxflow(net: Network) -> dict[tuple[int, int], Rational]:
     """lambda_G(s,t) for every ordered vertex pair under full capacities."""
     fcap = full_capacities(net)
-    out: dict[tuple[int, int], Fraction] = {}
+    out: dict[tuple[int, int], Rational] = {}
     for s in range(net.n_vertices):
         for t in range(net.n_vertices):
             if s == t:

@@ -16,6 +16,7 @@ Dual sign convention: a >=-row of a minimization has a nonnegative dual, a
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
@@ -45,6 +46,17 @@ class BadReference(ValueError):
     pass
 
 
+def _check_bounds(lb, ub, col) -> None:
+    if lb is not None and ub is not None and lb > ub:
+        raise ValueError(f"inconsistent bounds [{lb},{ub}] on column {col}")
+
+
+def _check_finite(where, coefs) -> None:
+    for v in coefs:  # ints and rationals are finite; only a float can be nan or inf
+        if isinstance(v, float) and not math.isfinite(v):
+            raise ValueError(f"non-finite coefficient {v} in {where}")
+
+
 @dataclass
 class LpModel:
     """Minimization LP built incrementally from columns and rows."""
@@ -71,19 +83,20 @@ class LpModel:
     def add_column(self, obj=0, lb=0, ub=None, coefs: Mapping | None = None, name: str = "") -> int:
         """New column; ``coefs`` maps existing row ids to coefficients."""
         j = self.n_cols
+        _check_bounds(lb, ub, name or j)
+        kept = {}
+        for i, v in (coefs or {}).items():
+            if not 0 <= i < self.n_rows:
+                raise BadReference(f"row {i} does not exist")
+            if v != 0:
+                kept[i] = v
+        _check_finite(name or j, [obj, *kept.values()])
         self.objective.append(obj)
-        if lb is not None and ub is not None and lb > ub:
-            raise ValueError(f"inconsistent bounds [{lb},{ub}] on column {name or j}")
         self.lower.append(lb)
         self.upper.append(ub)
         self.col_names.append(name or f"c{j}")
-        kept = {}
-        if coefs:
-            for i, v in coefs.items():
-                if not 0 <= i < self.n_rows:
-                    raise BadReference(f"row {i} does not exist")
-                if v != 0:
-                    self.row_coefs[i][j] = kept[i] = v
+        for i, v in kept.items():
+            self.row_coefs[i][j] = v
         if self._mirror is not None:
             self._mirror.col_coefs[j] = kept
         return j
@@ -91,13 +104,14 @@ class LpModel:
     def add_row(self, coefs: Mapping, sense: str, rhs, name: str = "") -> int:
         if sense not in (LE, GE, EQ):
             raise ValueError(f"unknown sense {sense!r}")
+        i = self.n_rows
         clean = {}
         for j, v in coefs.items():
             if not 0 <= j < self.n_cols:
                 raise BadReference(f"column {j} does not exist")
             if v != 0:
                 clean[j] = v
-        i = self.n_rows
+        _check_finite(name or f"r{i}", clean.values())
         self.row_coefs.append(clean)
         self.senses.append(sense)
         self.rhs.append(rhs)
@@ -107,6 +121,7 @@ class LpModel:
     def set_bounds(self, col: int, lb, ub) -> None:
         if not 0 <= col < self.n_cols:
             raise BadReference(f"column {col} does not exist")
+        _check_bounds(lb, ub, self.col_names[col])
         self.lower[col] = lb
         self.upper[col] = ub
         if self._mirror is not None:

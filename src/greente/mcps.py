@@ -79,22 +79,6 @@ def precompute_lower_bounds(instance: McpsInstance):
     return lb, satisfied
 
 
-def _perturbed_caps(net: Network, ecap, target: Fraction):
-    """Scale to integers and add 1 per arc so min cuts break ties by cardinality.
-
-    Equivalence with the unperturbed test is exact: the perturbed flow meets
-    the scaled target iff the unperturbed flow meets ``target``.
-    """
-    denoms = [as_fraction(v).denominator for v in ecap.values()]
-    denoms.append(target.denominator)
-    common = math.lcm(*denoms) if denoms else 1
-    scale = (net.n_arcs + 1) * common
-    pcap = {a: as_fraction(v) * scale + 1 for a, v in ecap.items()}
-    for arc in net.arcs:
-        pcap.setdefault(arc.id, Fraction(1))
-    return pcap, target * scale
-
-
 def separate_cuts(
     instance: McpsInstance, xhat, pending_pairs
 ) -> list[CutConstraint]:
@@ -102,22 +86,35 @@ def separate_cuts(
 
     Empty result certifies that every pending pair meets its target, hence
     (with the preprocessing bounds) every constraint of the full family holds.
+
+    Each pair's flow runs on integer capacities: the point's capacities and
+    the pair's target are scaled by ``(n_arcs + 1)`` times the lcm of their
+    denominators, and every arc gains 1 so that min cuts break ties by
+    cardinality.  The test is exact: the perturbed flow meets the scaled
+    target iff the unperturbed flow meets ``target``.
     """
     net, rho = instance.net, instance.rho
-    ecap = {a.id: a.ccap * as_fraction(xhat.get(a.id, 0)) for a in net.arcs}
+    ecap = [a.ccap * as_fraction(xhat.get(a.id, 0)) for a in net.arcs]
+    base = math.lcm(*(c.denominator for c in ecap))
+    pcaps: dict[int, dict[int, int]] = {}  # by scale; pairs mostly share one
     cuts: list[CutConstraint] = []
     for pair in sorted(pending_pairs):
         target = rho * instance.lam[pair]
-        pcap, ptarget = _perturbed_caps(net, ecap, target)
+        scale = (net.n_arcs + 1) * math.lcm(base, target.denominator)
+        if scale not in pcaps:
+            pcaps[scale] = {
+                a: c.numerator * (scale // c.denominator) + 1 for a, c in enumerate(ecap)
+            }
+        pcap = pcaps[scale]
+        ptarget = target.numerator * (scale // target.denominator)
         result = max_flow(net, pcap, pair[0], pair[1], target=ptarget)
         if result.value >= ptarget:
             continue
         front = extract_cut(net, pcap, result, pair[0], pair[1], "front")
         back = extract_cut(net, pcap, result, pair[0], pair[1], "back")
-        rhs = rho * instance.lam[pair]
-        cuts.append(CutConstraint(pair, front.arc_ids, rhs))
+        cuts.append(CutConstraint(pair, front.arc_ids, target))
         if back.arc_ids != front.arc_ids:
-            cuts.append(CutConstraint(pair, back.arc_ids, rhs))
+            cuts.append(CutConstraint(pair, back.arc_ids, target))
     return cuts
 
 

@@ -92,6 +92,20 @@ class Network:
         return tuple(tuple(b) for b in buckets)
 
     @cached_property
+    def residual_edges(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+        """Static residual graph for max-flow: the head of each residual edge
+        (edge ``2a`` runs along arc ``a``, edge ``2a + 1`` against it) and
+        each vertex's residual edge ids, in arc order."""
+        heads: list[int] = []
+        adj: list[list[int]] = [[] for _ in range(self.n_vertices)]
+        for arc in self.arcs:
+            adj[arc.tail].append(len(heads))
+            heads.append(arc.head)
+            adj[arc.head].append(len(heads))
+            heads.append(arc.tail)
+        return tuple(heads), tuple(tuple(edges) for edges in adj)
+
+    @cached_property
     def arc_by_pair(self) -> dict[tuple[int, int], Arc]:
         return {(a.tail, a.head): a for a in self.arcs}
 

@@ -2,8 +2,10 @@ import json
 
 import pytest
 
+import greente.cli
 from greente.bench import ALGORITHMS, ExperimentConfig, RepetitaInstance, run_experiment
 from greente.cli import main
+from greente.mspnd import NotRoutableInFull
 from greente.repetita import parse_repetita_demands, parse_repetita_graph
 
 GRAPH = """\
@@ -191,3 +193,24 @@ def test_evaluate_rejects_bad_activation_csv(tmp_path, instance_files, capsys, c
     assert main(["evaluate", "--graph", str(graph), "--demands", str(demands),
                  "--chi", str(chi)]) == 2
     assert "activation csv" in capsys.readouterr().err
+
+
+def test_oracle_on_too_large_instance_exits_2(instance_files, capsys):
+    graph, demands = instance_files
+    # 301 counts on each of 3 arcs is 2.7e7 activation vectors
+    assert main(["oracle", "--graph", str(graph), "--demands", str(demands),
+                 "--mu", "300"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and err.count("\n") == 1
+
+
+def test_oracle_on_unroutable_instance_exits_2(instance_files, capsys, monkeypatch):
+    # preprocessing scales traffic to utilization 1 at full activation and rho
+    # stays below 1, so no file reaches this error; raise it from the oracle
+    def unroutable(net, traffic):
+        raise NotRoutableInFull("no feasible activation exists")
+
+    monkeypatch.setattr(greente.cli, "brute_force_mspnd", unroutable)
+    graph, demands = instance_files
+    assert main(["oracle", "--graph", str(graph), "--demands", str(demands)]) == 2
+    assert capsys.readouterr().err == "input error: no feasible activation exists\n"

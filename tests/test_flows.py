@@ -3,10 +3,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from greente import all_pairs_maxflow, build_network, extract_cut, max_flow
 from greente.flows import NotMaximum, full_capacities
-from conftest import random_net
+from conftest import digraphs, random_net
 
 
 def unit_caps(net):
@@ -131,3 +133,47 @@ def test_flow_respects_capacities_and_conservation():
 
 def test_full_capacities_uses_mu_times_ccap(triangle):
     assert full_capacities(triangle) == {0: 3, 1: 3, 2: 3}
+
+
+def test_residual_edges_follow_the_arcs(diamond, triangle):
+    for net in (diamond, triangle, build_network([(0, 1, 1, 1, 1), (1, 0, 2, 1, 1)])):
+        heads, adj = net.residual_edges
+        assert len(heads) == 2 * net.n_arcs
+        for arc in net.arcs:
+            assert (heads[2 * arc.id], heads[2 * arc.id + 1]) == (arc.head, arc.tail)
+        for v in range(net.n_vertices):
+            assert adj[v] == tuple(sorted(
+                [2 * a.id for a in net.out_arcs[v]] + [2 * a.id + 1 for a in net.in_arcs[v]]
+            ))
+
+
+@st.composite
+def flow_problems(draw):
+    net = draw(digraphs())
+    caps = {a.id: draw(st.integers(0, 9)) for a in net.arcs}
+    s, t = draw(st.lists(st.integers(0, net.n_vertices - 1), min_size=2, max_size=2, unique=True))
+    target = draw(st.none() | st.integers(0, 20))
+    return net, caps, s, t, target
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(flow_problems())
+def test_int_and_fraction_capacities_flow_alike(problem):
+    """The same numbers as int or as Fraction give the same flow, augmentation
+    for augmentation, and a maximum flow equals both extracted cuts."""
+    net, caps, s, t, target = problem
+    fcaps = {a: Fraction(c) for a, c in caps.items()}
+    for goal in (None, target):
+        whole = max_flow(net, caps, s, t, target=goal)
+        frac = max_flow(net, fcaps, s, t, target=None if goal is None else Fraction(goal))
+        assert (whole.value, whole.flow, whole.terminated_early) == (
+            frac.value, frac.flow, frac.terminated_early
+        )
+        assert type(whole.value) is int
+        assert all(type(f) is int for f in whole.flow.values())
+    full = max_flow(net, caps, s, t)
+    full_frac = max_flow(net, fcaps, s, t)
+    for side in ("front", "back"):
+        cut = extract_cut(net, caps, full, s, t, side)
+        assert cut == extract_cut(net, fcaps, full_frac, s, t, side)
+        assert cut.capacity == full.value

@@ -207,6 +207,38 @@ def test_coefficient_highs_rejects_raises_numerical_failure():
         solve_lp(m, "float")
 
 
+def test_crossed_bounds_are_rejected_and_leave_the_model_as_it_was():
+    m = LpModel()
+    x = m.add_column(obj=1, lb=0, ub=1, name="x")
+    m.add_row({x: 1}, GE, 1)
+    assert solve_lp(m, "float").status == "optimal"  # the live model exists
+    with pytest.raises(ValueError, match="inconsistent bounds"):
+        m.set_bounds(x, 2, 1)
+    with pytest.raises(ValueError, match="inconsistent bounds"):
+        m.add_column(obj=1, lb=2, ub=1)
+    assert m.n_cols == 1 and m.bounds(x) == (0, 1)
+    for mode in ("exact", "float"):
+        sol = solve_lp(m, mode)
+        assert sol.status == "optimal"
+        assert float(sol.primal[x]) == pytest.approx(1)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_coefficients_are_rejected(bad):
+    m = LpModel()
+    x = m.add_column(obj=1, lb=0, ub=3)
+    r = m.add_row({x: 1}, GE, 1)
+    with pytest.raises(ValueError, match="non-finite"):
+        m.add_row({x: bad}, GE, 1)
+    with pytest.raises(ValueError, match="non-finite"):
+        m.add_column(obj=1, lb=0, ub=1, coefs={r: bad})
+    with pytest.raises(ValueError, match="non-finite"):
+        m.add_column(obj=bad, lb=0, ub=1)
+    assert (m.n_cols, m.n_rows, m.row_coefs) == (1, 1, [{x: 1}])
+    for mode in ("exact", "float"):
+        assert float(solve_lp(m, mode).objective) == pytest.approx(1)
+
+
 def _fresh_copy(m):
     copy = LpModel()
     for j in range(m.n_cols):

@@ -1,18 +1,22 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from greente import Activation, build_network, full_activation
+from greente import Activation, build_network, extract_cut, full_activation, max_flow
 from greente.mcps import (
+    CutConstraint,
     audit_retention,
     make_instance,
     precompute_lower_bounds,
     separate_cuts,
     solve_mcps,
 )
-from conftest import random_net
+from conftest import digraphs, random_net
 
 
 def brute_force_mcps_value(net, rho):
@@ -184,3 +188,45 @@ def test_solver_matches_enumeration_on_denser_duplex_graphs():
         assert res.status == "optimal"
         assert res.value == brute_force_mcps_value(net, rho)
         done += 1
+
+
+def _perturbed_caps(net, ecap, target):
+    """Reference: per-pair scaling on Fractions, as separation first did it."""
+    denoms = [Fraction(v).denominator for v in ecap.values()]
+    denoms.append(target.denominator)
+    scale = (net.n_arcs + 1) * math.lcm(*denoms)
+    pcap = {a: Fraction(v) * scale + 1 for a, v in ecap.items()}
+    for arc in net.arcs:
+        pcap.setdefault(arc.id, Fraction(1))
+    return pcap, target * scale
+
+
+def reference_separate_cuts(instance, xhat, pending_pairs):
+    net, rho = instance.net, instance.rho
+    ecap = {a.id: a.ccap * Fraction(xhat.get(a.id, 0)) for a in net.arcs}
+    cuts = []
+    for pair in sorted(pending_pairs):
+        target = rho * instance.lam[pair]
+        pcap, ptarget = _perturbed_caps(net, ecap, target)
+        result = max_flow(net, pcap, pair[0], pair[1], target=ptarget)
+        if result.value >= ptarget:
+            continue
+        front = extract_cut(net, pcap, result, pair[0], pair[1], "front")
+        back = extract_cut(net, pcap, result, pair[0], pair[1], "back")
+        cuts.append(CutConstraint(pair, front.arc_ids, target))
+        if back.arc_ids != front.arc_ids:
+            cuts.append(CutConstraint(pair, back.arc_ids, target))
+    return cuts
+
+
+# LP points: exact fractions, and floats with long binary expansions
+_coordinates = st.fractions(0, 1, max_denominator=12) | st.floats(0, 1)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(digraphs(n_max=5, arcs_max=10), st.sampled_from([3, 5, 7]), st.data())
+def test_integer_separation_matches_fraction_reference(net, tenths, data):
+    inst = make_instance(net, Fraction(tenths, 10))
+    pending = [p for p, lam in inst.lam.items() if lam > 0]
+    xhat = {a.id: data.draw(_coordinates) * a.mu for a in net.arcs}
+    assert separate_cuts(inst, xhat, pending) == reference_separate_cuts(inst, xhat, pending)
