@@ -3,10 +3,11 @@
 Flows are exact: capacities run as given, ``int`` or
 :class:`fractions.Fraction` (a float becomes its exact Fraction), so
 separation on fractional LP points stays exact, and callers that scale
-capacities to integers get plain integer arithmetic.  Cut extraction returns
-the front cut (near the source) and the back cut (near the sink); both are
-full delta-out sets of a vertex bipartition, so the emitted constraints are
-valid for the cut family.
+capacities to integers get plain integer arithmetic.  Cut extraction walks
+the same cached residual graph as Dinic and returns the front cut (near the
+source) or the back cut (near the sink, the front cut of the reversed graph);
+both are full delta-out sets of a vertex bipartition, so the emitted
+constraints are valid for the cut family.
 """
 from __future__ import annotations
 
@@ -125,41 +126,19 @@ def max_flow(net: Network, ecap, s: int, t: int, target=None) -> FlowResult:
     return FlowResult(dinic.flows(), value, early)
 
 
-def _residual_forward_reach(net: Network, ecap, flow, s: int) -> set[int]:
-    marked = {s}
-    stack = [s]
-    fl = lambda a: flow.get(a, 0)
+def _reach(net: Network, start: int, usable, blocked) -> set[int]:
+    """Vertices reached from ``start`` over the residual edges ``e`` with
+    ``usable[e]``, never entering ``blocked``."""
+    heads, adj = net.residual_edges
+    seen = {start} - blocked
+    stack = list(seen)
     while stack:
-        v = stack.pop()
-        for arc in net.out_arcs[v]:
-            cap = _exact(ecap.get(arc.id, 0))
-            if cap - fl(arc.id) > 0 and arc.head not in marked:
-                marked.add(arc.head)
-                stack.append(arc.head)
-        for arc in net.in_arcs[v]:
-            if fl(arc.id) > 0 and arc.tail not in marked:
-                marked.add(arc.tail)
-                stack.append(arc.tail)
-    return marked
-
-
-def _residual_backward_reach(net: Network, ecap, flow, t: int) -> set[int]:
-    """Vertices that can reach t in the residual graph."""
-    marked = {t}
-    stack = [t]
-    fl = lambda a: flow.get(a, 0)
-    while stack:
-        v = stack.pop()
-        for arc in net.in_arcs[v]:
-            cap = _exact(ecap.get(arc.id, 0))
-            if cap - fl(arc.id) > 0 and arc.tail not in marked:
-                marked.add(arc.tail)
-                stack.append(arc.tail)
-        for arc in net.out_arcs[v]:
-            if fl(arc.id) > 0 and arc.head not in marked:
-                marked.add(arc.head)
-                stack.append(arc.head)
-    return marked
+        for eid in adj[stack.pop()]:
+            w = heads[eid]
+            if usable[eid] and w not in seen and w not in blocked:
+                seen.add(w)
+                stack.append(w)
+    return seen
 
 
 def extract_cut(
@@ -167,48 +146,36 @@ def extract_cut(
 ) -> Cut:
     """Front or back minimum cut from the residual graph of a maximum flow.
 
-    Front: mark residual-reachable vertices from s, then collect arcs uv with
-    u marked and v on a backwards original-graph walk from t through unmarked
-    vertices only.  Back is the same with the roles of s and t swapped and the
-    searches run in the opposite directions.  Either arc set is the full
+    Front: mark the vertices residual-reachable from s, walk the original
+    graph backwards from t through unmarked vertices, and collect the arcs
+    from marked to walked vertices.  The back cut of ``(G, s, t)`` is the
+    front cut of ``(reverse G, t, s)``: on the residual edges that swaps the
+    usable flags of ``2a`` and ``2a + 1``, and the original-graph walk
+    follows ``2a`` instead of ``2a + 1``.  Either arc set is the full
     boundary of a bipartition, and its capacity equals the max-flow value.
     """
     if flow_result.terminated_early:
         raise NotMaximum("flow was early-terminated; rerun without a target")
     if side not in ("front", "back"):
         raise ValueError("side must be 'front' or 'back'")
-    flow = flow_result.flow
-    if side == "front":
-        marked = _residual_forward_reach(net, ecap, flow, s)
-        # backwards DFS from t in the original graph through unmarked vertices
-        reach = {t} - marked
-        stack = list(reach)
-        while stack:
-            v = stack.pop()
-            for arc in net.in_arcs[v]:
-                u = arc.tail
-                if u not in marked and u not in reach:
-                    reach.add(u)
-                    stack.append(u)
-        cut = frozenset(
-            a.id for a in net.arcs if a.tail in marked and a.head in reach
-        )
-    else:
-        marked = _residual_backward_reach(net, ecap, flow, t)
-        reach = {s} - marked
-        stack = list(reach)
-        while stack:
-            v = stack.pop()
-            for arc in net.out_arcs[v]:
-                w = arc.head
-                if w not in marked and w not in reach:
-                    reach.add(w)
-                    stack.append(w)
-        cut = frozenset(
-            a.id for a in net.arcs if a.tail in reach and a.head in marked
-        )
-    capacity = sum(_exact(ecap.get(a, 0)) for a in cut)
-    return Cut(cut, capacity)
+    back = int(side == "back")
+    if back:
+        s, t = t, s
+    m = net.n_arcs
+    flow = [flow_result.flow.get(a, 0) for a in range(m)]
+    # edge 2a + back runs along arc a of the walked graph (reversed for back);
+    # Python compares a float capacity with an exact flow exactly
+    residual = [False] * (2 * m)
+    residual[back::2] = [ecap.get(a, 0) > f for a, f in enumerate(flow)]
+    residual[1 - back::2] = [f > 0 for f in flow]
+    marked = _reach(net, s, residual, set())
+    walked = _reach(net, t, (back, 1 - back) * m, marked)
+    heads = net.residual_edges[0]
+    cut = frozenset(
+        eid >> 1 for eid in range(back, 2 * m, 2)
+        if heads[eid ^ 1] in marked and heads[eid] in walked
+    )
+    return Cut(cut, sum(_exact(ecap.get(a, 0)) for a in cut))
 
 
 def full_capacities(net: Network) -> dict[int, Fraction]:

@@ -60,12 +60,11 @@ class TooLarge(RuntimeError):
 
 @dataclass
 class DualPrices:
-    """Named duals of the four row families feeding the pricing bound."""
+    """Named duals of the three row families feeding the pricing bound."""
 
     alpha: dict[tuple[int, int], object]
     beta: dict[tuple[tuple[int, int], int], object]
     gamma: dict[int, object]
-    delta: dict[tuple[tuple[int, int], tuple[int, ...]], object]
 
 
 @dataclass
@@ -86,7 +85,6 @@ class PricingState:
 class _PathEntry:
     column: int
     short_row: int
-    path: Path
 
 
 class _PairData:
@@ -211,7 +209,7 @@ def add_path_column(model: MspndModel, pair: tuple[int, int], path: Path) -> int
         short_coefs, GE, -path.hops,
         name=f"sp_{pair[0]}_{pair[1]}_{len(pd.entries)}",
     )
-    pd.entries[path.arcs] = _PathEntry(column, short_row, path)
+    pd.entries[path.arcs] = _PathEntry(column, short_row)
     insort(pd.order, (key, path.arcs))
 
     if model.strengthening and path.hops >= 2:
@@ -234,7 +232,7 @@ def extract_duals(model: MspndModel, sol: LpSolution) -> DualPrices:
     """Named duals; tiny negatives from floating solves clamp to zero."""
     exact = isinstance(sol.objective, (int, Fraction))
     clamp = (lambda v: v) if exact else (lambda v: v if v > 0 else 0.0)
-    alpha, beta, gamma, delta = {}, {}, {}, {}
+    alpha, beta, gamma = {}, {}, {}
     for arc_id, row in enumerate(model.cap_row):
         gamma[arc_id] = clamp(sol.dual.get(row, 0))
     for pair, pd in model.pairs.items():
@@ -242,9 +240,7 @@ def extract_duals(model: MspndModel, sol: LpSolution) -> DualPrices:
             alpha[pair] = clamp(sol.dual.get(pd.conn_row, 0))
         for aid, row in pd.eb_row.items():
             beta[(pair, aid)] = clamp(sol.dual.get(row, 0))
-        for arcs, entry in pd.entries.items():
-            delta[(pair, arcs)] = clamp(sol.dual.get(entry.short_row, 0))
-    return DualPrices(alpha, beta, gamma, delta)
+    return DualPrices(alpha, beta, gamma)
 
 
 def compute_dcost(duals: DualPrices, pair: tuple[int, int], arc_id: int, demand):
@@ -416,17 +412,15 @@ def _complete_spr_paths(model: MspndModel, sol: LpSolution) -> list[int]:
 def root_lp_value(net: Network, traffic: TrafficMatrix, strengthening: bool, mode: str = "exact"):
     """Root relaxation value once pricing is exhausted (no branching)."""
     model = build_root_model(net, traffic, strengthening)
-    while True:
-        sol = solve_lp(model.lp, mode)
-        if sol.status == "infeasible":
-            if _feasibility_price(model, mode):
-                continue
-            raise NotRoutableInFull("relaxation infeasible: no activation can route the demands")
-        if sol.status != "optimal":
-            raise RuntimeError(f"root relaxation is {sol.status}")
-        if _price_round(model, sol):
-            continue
-        return sol.objective
+    config = BnbConfig(
+        mode=mode,
+        price=lambda _, sol: _price_round(model, sol),
+        infeasibility_price=lambda _: _feasibility_price(model, mode),
+    )
+    result = branch_and_bound(model.lp, [], config)
+    if result.incumbent is None:
+        raise NotRoutableInFull("relaxation infeasible: no activation can route the demands")
+    return result.incumbent.objective
 
 
 def solve_f_mspnd(net: Network, traffic: TrafficMatrix) -> Activation:

@@ -200,15 +200,7 @@ def spr_route(net: Network, activation: Activation, traffic: TrafficMatrix) -> R
 
 def is_spr_routable(net: Network, activation: Activation, traffic: TrafficMatrix) -> bool:
     """True iff routing succeeds and every arc load fits ccap(a) * chi(a)."""
-    try:
-        routed = spr_route(net, activation, traffic)
-    except Disconnected:
-        return False
-    for aid, ld in routed.load.items():
-        arc = net.arcs[aid]
-        if ld > arc.ccap * activation.counts[aid]:
-            return False
-    return True
+    return mlu(net, activation, traffic) <= 1
 
 
 def mlu(net: Network, activation: Activation, traffic: TrafficMatrix):

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from greente import all_pairs_maxflow, build_network, extract_cut, max_flow
-from greente.flows import NotMaximum, full_capacities
+from greente import SIMPLEX, all_pairs_maxflow, build_network, extract_cut, max_flow
+from greente.flows import Cut, NotMaximum, full_capacities
 from conftest import digraphs, random_net
 
 
@@ -76,6 +76,16 @@ def test_two_hop_front_and_back_cuts():
     flow = max_flow(net, caps, 0, 2)
     assert extract_cut(net, caps, flow, 0, 2, "front").arc_ids == frozenset({0})
     assert extract_cut(net, caps, flow, 0, 2, "back").arc_ids == frozenset({1})
+
+
+def test_cuts_leave_out_arcs_off_every_s_t_route():
+    """Zero-capacity arcs 0->3 (into a dead end) and 4->2 (from a vertex s
+    cannot reach) leave the cut sides but lie on no s-t route."""
+    net = build_network([(0, 1, 1, 1, 1), (1, 2, 1, 1, 1), (0, 3, 1, 1, 1), (4, 2, 1, 1, 1)])
+    caps = {0: 1, 1: 1, 2: 0, 3: 0}
+    flow = max_flow(net, caps, 0, 2)
+    assert extract_cut(net, caps, flow, 0, 2, "front") == Cut(frozenset({0}), 1)
+    assert extract_cut(net, caps, flow, 0, 2, "back") == Cut(frozenset({1}), 1)
 
 
 def test_diamond_front_cut_is_source_side(diamond):
@@ -177,3 +187,22 @@ def test_int_and_fraction_capacities_flow_alike(problem):
         cut = extract_cut(net, caps, full, s, t, side)
         assert cut == extract_cut(net, fcaps, full_frac, s, t, side)
         assert cut.capacity == full.value
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(flow_problems())
+def test_back_cut_is_the_front_cut_of_the_reversed_graph(problem):
+    """The residual-reachable side of a maximum flow does not depend on which
+    maximum flow was found, so each cut of (G, s, t) is the other cut of
+    (reverse G, t, s), even where Dinic finds a different flow there."""
+    net, caps, s, t, _ = problem
+    rev = build_network(
+        [(a.head, a.tail, a.ccap, a.length, a.mu) for a in net.arcs],
+        SIMPLEX, vertices=range(net.n_vertices),
+    )
+    flow = max_flow(net, caps, s, t)
+    rev_flow = max_flow(rev, caps, t, s)
+    for side, mirror in (("back", "front"), ("front", "back")):
+        assert extract_cut(net, caps, flow, s, t, side) == extract_cut(
+            rev, caps, rev_flow, t, s, mirror
+        )

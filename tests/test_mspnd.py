@@ -75,17 +75,17 @@ def test_root_model_rejects_disconnected_pair(single_arc):
 
 def test_compute_dcost_formula():
     pair = (0, 1)
-    duals = DualPrices(alpha={}, beta={(pair, 7): 0.5}, gamma={7: 0.1}, delta={})
+    duals = DualPrices(alpha={}, beta={(pair, 7): 0.5}, gamma={7: 0.1})
     assert compute_dcost(duals, pair, 7, 2) == pytest.approx(0.7)
-    assert compute_dcost(DualPrices({}, {}, {}, {}), pair, 7, 2) == 0
-    duals = DualPrices(alpha={}, beta={}, gamma={7: 1}, delta={})
+    assert compute_dcost(DualPrices({}, {}, {}), pair, 7, 2) == 0
+    duals = DualPrices(alpha={}, beta={}, gamma={7: 1})
     assert compute_dcost(duals, pair, 7, 3) == 3
 
 
 def test_pricing_returns_nothing_when_all_paths_known(single_arc):
     traffic = TrafficMatrix({(0, 1): 1})
     model = build_root_model(single_arc, traffic, strengthening=False)
-    duals = DualPrices(alpha={(0, 1): Fraction(5)}, beta={}, gamma={}, delta={})
+    duals = DualPrices(alpha={(0, 1): Fraction(5)}, beta={}, gamma={})
     state = PricingState()
     assert price_paths(model, duals, (0, 1), state) is None
     assert state.last_failed
@@ -97,7 +97,7 @@ def test_pricing_finds_second_diamond_path(diamond):
     pair = (0, 3)
     model.ensure_pair(pair)
     add_path_column(model, pair, make_path(diamond, (0, 2)))
-    duals = DualPrices(alpha={pair: Fraction(1)}, beta={}, gamma={}, delta={})
+    duals = DualPrices(alpha={pair: Fraction(1)}, beta={}, gamma={})
     found = price_paths(model, duals, pair, PricingState())
     assert found is not None and found.arcs == (1, 3)
 
@@ -108,7 +108,7 @@ def test_pricing_respects_strict_bound(diamond):
     pair = (0, 3)
     model.ensure_pair(pair)
     add_path_column(model, pair, make_path(diamond, (0, 2)))
-    duals = DualPrices(alpha={pair: Fraction(0)}, beta={}, gamma={}, delta={})
+    duals = DualPrices(alpha={pair: Fraction(0)}, beta={}, gamma={})
     assert price_paths(model, duals, pair, PricingState()) is None
 
 
@@ -119,12 +119,12 @@ def test_pricing_skip_test_short_circuits(diamond):
     model.ensure_pair(pair)
     for arcs in ((0, 2), (1, 3)):
         add_path_column(model, pair, make_path(diamond, arcs))
-    duals = DualPrices(alpha={pair: Fraction(2)}, beta={}, gamma={}, delta={})
+    duals = DualPrices(alpha={pair: Fraction(2)}, beta={}, gamma={})
     state = PricingState()
     assert price_paths(model, duals, pair, state) is None
     snapshot = (state.alpha_prev, dict(state.dcost_prev))
     # same costs, smaller bound: the stored evidence rules a search out
-    weaker = DualPrices(alpha={pair: Fraction(1)}, beta={}, gamma={}, delta={})
+    weaker = DualPrices(alpha={pair: Fraction(1)}, beta={}, gamma={})
     assert price_paths(model, weaker, pair, state) is None
     assert (state.alpha_prev, dict(state.dcost_prev)) == snapshot
 
