@@ -3,7 +3,8 @@
 At every node the price callback runs until it adds no more columns, then the
 separation callback until it adds no more rows, before any branching.  Rows
 and columns added by callbacks must be globally valid: they stay in the
-shared model for the rest of the search.
+shared model for the rest of the search.  Pricing also runs on infeasible
+relaxations, against their Farkas ray, since columns can restore feasibility.
 """
 from __future__ import annotations
 
@@ -25,15 +26,12 @@ class BnbConfig:
     time_limit: float | None = None
     mode: str = "float"
     objective_integral: bool = False
+    # price sees optimal and infeasible relaxations, separate only optimal ones
     price: Callable[[LpModel, LpSolution], list[int]] | None = None
     separate: Callable[[LpModel, LpSolution], list[int]] | None = None
     accept_incumbent: Callable[[LpSolution], bool] | None = None
     branch_select: Callable[[LpSolution, list[int]], int] | None = None
     initial_incumbent: tuple[object, dict] | None = None  # (value, primal)
-    # called when a node relaxation is infeasible; returning new column ids
-    # re-solves instead of pruning (restricted masters can be infeasible even
-    # though the full column set is not)
-    infeasibility_price: Callable[[LpModel], list[int]] | None = None
 
 
 @dataclass
@@ -103,17 +101,15 @@ def branch_and_bound(model: LpModel, integer_columns, config: BnbConfig) -> BnbR
             aborted = False
             while True:
                 sol = solve_lp(model, config.mode)
-                if sol.status == "infeasible" and config.infeasibility_price is not None:
-                    if config.infeasibility_price(model):
-                        continue
-                if sol.status != "optimal":
+                if sol.status == "unbounded":
                     break
-                if deadline is not None and time.perf_counter() > deadline:
+                optimal = sol.status == "optimal"
+                if optimal and deadline is not None and time.perf_counter() > deadline:
                     aborted = True
                     break
                 if config.price is not None and config.price(model, sol):
                     continue
-                if config.separate is not None and config.separate(model, sol):
+                if optimal and config.separate is not None and config.separate(model, sol):
                     continue
                 break
             if aborted:

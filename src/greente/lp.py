@@ -12,7 +12,9 @@ Two interchangeable backends sit behind one model type:
   so every solve runs the same algorithm on the same data.
 
 Dual sign convention: a >=-row of a minimization has a nonnegative dual, a
-<=-row a nonpositive one.  Every solve is audited for weak duality.
+<=-row a nonpositive one.  An infeasible solve carries a Farkas ray in
+``dual``, in the same convention.  Every solve is audited -- weak duality at
+an optimum, a proof of infeasibility from the ray -- or raises NumericalFailure.
 """
 from __future__ import annotations
 
@@ -135,11 +137,8 @@ class LpModel:
 class LpSolution:
     status: str  # optimal | infeasible | unbounded
     primal: dict[int, object] = field(default_factory=dict)
-    dual: dict[int, object] = field(default_factory=dict)
+    dual: dict[int, object] = field(default_factory=dict)  # row duals; a Farkas ray if infeasible
     objective: object = None
-
-    def col_value(self, j: int):
-        return self.primal.get(j, 0)
 
 
 def export_lp_text(model: LpModel) -> str:
@@ -249,7 +248,7 @@ class _ExactSimplex:
         if res == "unbounded":  # pragma: no cover - phase 1 is bounded below
             raise NumericalFailure("phase 1 reported unbounded")
         if sum((self.xb[i] for i in range(m) if self.basis[i] >= self.art0), _Q(0)) > 0:
-            return "infeasible", [], [], None
+            return "infeasible", [], self._duals(phase1), None
         for i in range(m):  # artificials pinned at zero for phase 2
             self.ub[self.art0 + i] = _Q(0)
         res = self._iterate(self.cost, phase=2)
@@ -390,12 +389,12 @@ def _to_fraction(v) -> Fraction:
 
 def _solve_exact(model: LpModel) -> LpSolution:
     status, primal, y, obj = _ExactSimplex(model).solve()
-    if status != "optimal":
+    if status == "unbounded":
         return LpSolution(status)
     primal_f = {j: _to_fraction(v) for j, v in enumerate(primal)}
     dual_f = {i: _to_fraction(v) for i, v in enumerate(y)}
-    sol = LpSolution("optimal", primal_f, dual_f, _to_fraction(obj))
-    _audit_weak_duality(model, sol, exact=True)
+    sol = LpSolution(status, primal_f, dual_f, None if obj is None else _to_fraction(obj))
+    _audit(model, sol, exact=True)
     return sol
 
 
@@ -487,9 +486,21 @@ def _solve_float(model: LpModel) -> LpSolution:
         model._mirror = _HighsMirror()
     model._mirror.sync(model)
     sol = linprog(model._mirror.highs)
-    if sol.status == "optimal":
-        _audit_weak_duality(model, sol, exact=False)
+    if sol.status == "infeasible" and not sol.dual:
+        sol.dual = _empty_row_ray(model)
+    if sol.status != "unbounded":
+        _audit(model, sol, exact=False)
     return sol
+
+
+def _empty_row_ray(model: LpModel) -> dict:
+    """HiGHS can find no ray when an empty row alone makes the LP infeasible;
+    that row's unit vector, signed like its right-hand side, is one."""
+    for i, coefs in enumerate(model.row_coefs):
+        rhs, sense = model.rhs[i], model.senses[i]
+        if not coefs and rhs != 0 and (sense == EQ or (rhs > 0) == (sense == GE)):
+            return {i: 1.0 if rhs > 0 else -1.0}
+    return {}
 
 
 # The name is the benchmark's span hook: perfbench times ``greente.lp.linprog`` as lp.highs.
@@ -501,6 +512,13 @@ def linprog(highs) -> LpSolution:
     status = _STATUS.get(model_status)
     if status is None:
         raise NumericalFailure(f"LP solver failed: {highs.modelStatusToString(model_status)}")
+    if status == "infeasible":
+        ray_status, has_ray, ray = highs.getDualRay()
+        _check(ray_status, "getDualRay")
+        ray = [float(v) for v in ray] if has_ray else []
+        scale = max(map(abs, ray), default=0.0)
+        # max-norm 1: the ray's scale is arbitrary, and its users compare against absolute tolerances
+        return LpSolution(status, dual={i: v / scale for i, v in enumerate(ray)} if scale else {})
     if status != "optimal":
         return LpSolution(status)
     solution = highs.getSolution()
@@ -512,41 +530,52 @@ def linprog(highs) -> LpSolution:
     )
 
 
-def _audit_weak_duality(model: LpModel, sol: LpSolution, exact: bool) -> None:
-    """dual objective <= primal objective for a minimization, every solve."""
-    if exact:
-        zero, tol = Fraction(0), Fraction(0)
-    else:
-        zero, tol = 0.0, 1e-7
+def _dual_bound(model: LpModel, dual: dict, costs, exact: bool) -> tuple[object, bool]:
+    """Bounded-variable dual objective y.b + sum_j d_j * (l_j if d_j > 0 else u_j)
+    with d = costs - A^T y.  A term whose bound is infinite is left out, so the
+    second value says whether none was: only then is the first a true bound."""
+    q = Fraction if exact else float
+    zero = q(0)
     dual_obj = zero
+    rc = [q(c) for c in costs]
     for i in range(model.n_rows):
-        y = sol.dual.get(i, zero)
-        if y:
-            dual_obj += y * (Fraction(model.rhs[i]) if exact else float(model.rhs[i]))
-    rc = {j: (Fraction(model.objective[j]) if exact else float(model.objective[j])) for j in range(model.n_cols)}
-    for i in range(model.n_rows):
-        y = sol.dual.get(i, zero)
+        y = dual.get(i, zero)
         if not y:
             continue
+        dual_obj += y * q(model.rhs[i])
         for j, a in model.row_coefs[i].items():
-            rc[j] -= y * (Fraction(a) if exact else float(a))
-    for j, r in rc.items():
-        if not exact and abs(r) <= 1e-7:
+            rc[j] -= y * q(a)
+    finite = True
+    for j, r in enumerate(rc):
+        if r == zero or (not exact and abs(r) <= 1e-7):
             continue
-        if r > zero:
-            lo = model.lower[j]
-            if lo is not None:
-                dual_obj += r * (Fraction(lo) if exact else float(lo))
-        elif r < zero:
-            hi = model.upper[j]
-            if hi is not None:
-                dual_obj += r * (Fraction(hi) if exact else float(hi))
-    primal_obj = sol.objective
-    slack = tol * (1 + abs(primal_obj)) if not exact else 0
-    if dual_obj > primal_obj + slack:
-        raise NumericalFailure(
-            f"weak duality violated: dual {dual_obj} > primal {primal_obj}"
-        )
+        bound = model.lower[j] if r > zero else model.upper[j]
+        if bound is None:
+            finite = False
+        else:
+            dual_obj += r * q(bound)
+    return dual_obj, finite
+
+
+def _audit(model: LpModel, sol: LpSolution, exact: bool) -> None:
+    """An optimum obeys weak duality; an infeasible solve's ray proves it."""
+    tol = 0 if exact else 1e-7
+    if sol.status == "optimal":
+        dual_obj, _ = _dual_bound(model, sol.dual, model.objective, exact)
+        if dual_obj > sol.objective + tol * (1 + abs(sol.objective)):
+            raise NumericalFailure(
+                f"weak duality violated: dual {dual_obj} > primal {sol.objective}"
+            )
+        return
+    # a sign-feasible ray with a positive bound under zero costs: every feasible
+    # point would have objective 0, below that bound
+    for i, y in sol.dual.items():
+        sense = model.senses[i]
+        if (sense == GE and y < -tol) or (sense == LE and y > tol):
+            raise NumericalFailure(f"infeasibility not proven: ray has the wrong sign on row {i}")
+    dual_obj, finite = _dual_bound(model, sol.dual, [0] * model.n_cols, exact)
+    if not (finite and dual_obj > tol):
+        raise NumericalFailure(f"infeasibility not proven: Farkas bound {dual_obj}")
 
 
 def solve_lp(model: LpModel, mode: str = "float") -> LpSolution:

@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .bnb import BnbConfig, branch_and_bound
-from .lp import GE, EQ, INT_TOL, LpModel, LpSolution, frac_dist, solve_lp
+from .lp import GE, EQ, INT_TOL, LpModel, LpSolution, frac_dist
+from .lp import solve_lp  # noqa: F401 -- unused here; perfbench/layers.py wraps mspnd.solve_lp
 from .model import (
     Activation,
     Network,
@@ -229,8 +230,9 @@ def add_path_column(model: MspndModel, pair: tuple[int, int], path: Path) -> int
 
 
 def extract_duals(model: MspndModel, sol: LpSolution) -> DualPrices:
-    """Named duals; tiny negatives from floating solves clamp to zero."""
-    exact = isinstance(sol.objective, (int, Fraction))
+    """Named duals, or the named entries of an infeasible master's Farkas ray;
+    tiny negatives from floating solves clamp to zero."""
+    exact = not isinstance(next(iter(sol.dual.values()), 0), float)
     clamp = (lambda v: v) if exact else (lambda v: v if v > 0 else 0.0)
     alpha, beta, gamma = {}, {}, {}
     for arc_id, row in enumerate(model.cap_row):
@@ -360,37 +362,13 @@ def _price_against(model: MspndModel, duals: DualPrices) -> list[int]:
 
 
 def _price_round(model: MspndModel, sol: LpSolution) -> list[int]:
+    """Price against an optimal master's duals or an infeasible one's Farkas ray.
+
+    Path columns cost 0 with bounds [0, inf), so both ask for a path whose dual
+    cost is below its pair's alpha.  The entries pricing ignores (ordering rows
+    of shorter paths) only raise a column's reduced cost: finding nothing keeps
+    the duals optimal, or the ray a proof that the full master is infeasible."""
     return _price_against(model, extract_duals(model, sol))
-
-
-def _feasibility_price(model: MspndModel, mode: str) -> list[int]:
-    """Phase-one pricing for an infeasible restricted master.
-
-    A master restricted to too few path columns can be infeasible even though
-    the full column set is not (capacity rows cap how much selection mass the
-    known paths can carry).  Relax every connectivity row with a unit-cost
-    slack, minimize the total slack, and price new paths against those duals;
-    an empty return certifies that the relaxation itself is infeasible.
-    """
-    lp = model.lp
-    phase = LpModel(name="feas")
-    for j in range(lp.n_cols):
-        phase.add_column(obj=0, lb=lp.lower[j], ub=lp.upper[j])
-    for i in range(lp.n_rows):
-        phase.add_row(dict(lp.row_coefs[i]), lp.senses[i], lp.rhs[i])
-    for pair in model.terminal_pairs:
-        phase.add_column(obj=1, lb=0, ub=1, coefs={model.pairs[pair].conn_row: 1})
-    sol = solve_lp(phase, mode)
-    if sol.status != "optimal":
-        return []
-    tol = 0 if isinstance(sol.objective, (int, Fraction)) else 1e-9
-    if sol.objective <= tol:
-        return []
-    return _price_against(model, extract_duals(model, sol))
-
-
-def _integral_on(sol: LpSolution, columns) -> bool:
-    return all(frac_dist(sol.primal[j]) <= INT_TOL for j in columns)
 
 
 def _complete_spr_paths(model: MspndModel, sol: LpSolution) -> list[int]:
@@ -410,13 +388,10 @@ def _complete_spr_paths(model: MspndModel, sol: LpSolution) -> list[int]:
 
 
 def root_lp_value(net: Network, traffic: TrafficMatrix, strengthening: bool, mode: str = "exact"):
-    """Root relaxation value once pricing is exhausted (no branching)."""
+    """Root relaxation value once pricing is exhausted (no branching); an
+    infeasible restricted master is priced against its Farkas ray."""
     model = build_root_model(net, traffic, strengthening)
-    config = BnbConfig(
-        mode=mode,
-        price=lambda _, sol: _price_round(model, sol),
-        infeasibility_price=lambda _: _feasibility_price(model, mode),
-    )
+    config = BnbConfig(mode=mode, price=lambda _, sol: _price_round(model, sol))
     result = branch_and_bound(model.lp, [], config)
     if result.incumbent is None:
         raise NotRoutableInFull("relaxation infeasible: no activation can route the demands")
@@ -466,13 +441,12 @@ def solve_mspnd(
     x_set = set(model.x_col)
     y_set = set(model.y_col)
 
-    def price(lp_model, sol):
+    def price(lp_model, sol):  # optimal or infeasible; SPR completion needs a primal
         added = _price_round(model, sol)
-        if added:
-            return added
-        if _integral_on(sol, int_cols):
-            return _complete_spr_paths(model, sol)
-        return []
+        if not added and sol.status == "optimal":
+            if all(frac_dist(sol.primal[j]) <= INT_TOL for j in int_cols):
+                added = _complete_spr_paths(model, sol)
+        return added
 
     def accept(sol):
         return is_spr_routable(net, decode_activation(sol.primal, model.x_col), traffic)
@@ -501,7 +475,6 @@ def solve_mspnd(
         accept_incumbent=accept,
         branch_select=branch_select,
         initial_incumbent=initial,
-        infeasibility_price=lambda lp_model: _feasibility_price(model, mode),
     )
     result = branch_and_bound(model.lp, int_cols, config)
     if result.incumbent is None:

@@ -129,14 +129,15 @@ def random_net(rng: random.Random, n_max=6, arcs_max=8, mu_max=2, duplex_prob=0.
 
 
 @st.composite
-def digraphs(draw, n_max=6, arcs_max=12, mu_max=2):
+def digraphs(draw, n_max=6, arcs_max=12, mu_max=2, len_max=1):
     """Hypothesis strategy: a simplex digraph on 2..n_max vertices with any
-    arc set (isolated vertices included), small ccap and mu."""
+    arc set (isolated vertices included), small ccap, length and mu."""
     n = draw(st.integers(2, n_max))
     pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
     chosen = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=arcs_max, unique=True))
     specs = [
-        (u, v, draw(st.integers(1, 3)), 1, draw(st.integers(1, mu_max))) for u, v in chosen
+        (u, v, draw(st.integers(1, 3)), draw(st.integers(1, len_max)), draw(st.integers(1, mu_max)))
+        for u, v in chosen
     ]
     return build_network(specs, SIMPLEX, vertices=range(n))
 

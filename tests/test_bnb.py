@@ -163,3 +163,33 @@ def test_price_callback_runs_before_separation():
     branch_and_bound(m, [x], BnbConfig(price=price, separate=separate))
     assert calls and calls[0] == "price"
     assert "separate" in calls
+
+
+def _infeasible_until_priced(offer):
+    """min x s.t. x >= 2 with x <= 1: infeasible until ``price`` adds a column
+    y (cost 3) into the row; with ``offer`` off, it never does."""
+    m = LpModel()
+    x = m.add_column(obj=1, lb=0, ub=1)
+    r = m.add_row({x: 1}, GE, 2)
+    seen = []
+
+    def price(model, sol):
+        seen.append(sol)
+        if offer and model.n_cols == 1:
+            return [model.add_column(obj=3, lb=0, ub=5, coefs={r: 1})]
+        return []
+
+    return branch_and_bound(m, [x], BnbConfig(price=price)), seen
+
+
+def test_price_runs_on_an_infeasible_relaxation_and_restores_it():
+    res, seen = _infeasible_until_priced(offer=True)
+    assert seen[0].status == "infeasible" and seen[0].dual
+    assert res.status == "optimal"
+    assert float(res.incumbent.objective) == pytest.approx(4)
+
+
+def test_infeasible_relaxation_with_nothing_to_price_is_pruned():
+    res, seen = _infeasible_until_priced(offer=False)
+    assert [sol.status for sol in seen] == ["infeasible"]
+    assert res.status == "infeasible" and res.incumbent is None

@@ -198,6 +198,72 @@ def test_float_statuses_and_dual_signs_through_one_mirror():
     assert m._mirror is mirror
 
 
+class _NoRayHighs:
+    """Just enough of a HiGHS object for ``lp.linprog``: infeasible, no usable ray."""
+
+    def __init__(self, ray):
+        self.ray = ray
+
+    def clearSolver(self):
+        pass
+
+    def run(self):
+        return lp._highs.HighsStatus.kOk
+
+    def getModelStatus(self):
+        return lp._highs.HighsModelStatus.kInfeasible
+
+    def getDualRay(self):
+        return lp._highs.HighsStatus.kOk, bool(self.ray), self.ray
+
+
+@pytest.mark.parametrize("ray", [[], [0.0]])
+def test_infeasible_without_a_dual_ray_raises_numerical_failure(monkeypatch, ray):
+    m = LpModel()
+    x = m.add_column(obj=1, lb=0, ub=1)
+    m.add_row({x: 1}, GE, 5)
+    real = lp.linprog
+    monkeypatch.setattr(lp, "linprog", lambda highs: real(_NoRayHighs(ray)))
+    with pytest.raises(NumericalFailure, match="infeasibility not proven"):
+        solve_lp(m, "float")
+
+
+@pytest.mark.parametrize("sense, rhs, ray", [(GE, 2, 1), (LE, -1, -1), (EQ, -3, -1), (EQ, 1, 1)])
+def test_an_empty_infeasible_row_is_its_own_ray(sense, rhs, ray):
+    # HiGHS finds no ray here: the one column is fixed and the one row is empty
+    m = LpModel()
+    m.add_column(obj=0, lb=0, ub=0)
+    m.add_row({}, sense, rhs)
+    for mode in ("float", "exact"):
+        sol = solve_lp(m, mode)
+        assert sol.status == "infeasible"
+        assert sol.dual == {0: ray} and _proves_infeasible(m, sol.dual)
+
+
+@pytest.mark.parametrize("ub, rhs, ray", [
+    (10, 5, {0: 1.0}),     # feasible model: the bound 5 - 10 is not positive
+    (10, -5, {0: -1.0}),   # bound 5 > 0, but a >=-row with a negative entry
+    (None, 5, {0: 1.0}),   # d_x = -1 meets x's infinite upper bound
+])
+def test_infeasible_ray_that_fails_the_audit_raises(monkeypatch, ub, rhs, ray):
+    m = LpModel()
+    x = m.add_column(obj=1, lb=0, ub=ub)
+    m.add_row({x: 1}, GE, rhs)
+    monkeypatch.setattr(lp, "linprog", lambda highs: lp.LpSolution("infeasible", dual=ray))
+    with pytest.raises(NumericalFailure, match="infeasibility not proven"):
+        solve_lp(m, "float")
+
+
+def test_float_ray_is_scaled_to_max_norm_one():
+    m = LpModel()
+    x = m.add_column(obj=1, lb=0, ub=1)
+    y = m.add_column(obj=1, lb=0, ub=1)
+    m.add_row({x: 1000, y: 1000}, GE, 5000)  # HiGHS's own ray here is 0.001
+    sol = solve_lp(m, "float")
+    assert sol.status == "infeasible"
+    assert sol.dual == {0: 1.0}
+
+
 def test_coefficient_highs_rejects_raises_numerical_failure():
     m = LpModel()
     x = m.add_column(obj=1, lb=0, ub=3)
@@ -248,6 +314,27 @@ def _fresh_copy(m):
     return copy
 
 
+def _proves_infeasible(m, ray):
+    """Reference bounded-Farkas check in exact arithmetic: a sign-feasible ray
+    y with y.b + sum_j min(d_j * l_j, d_j * u_j) > 0, where d = -A^T y, leaves
+    no feasible point.  Float roundoff of the wrong sign (<= 1e-9) is dropped,
+    which keeps the check a proof."""
+    y = {}
+    for i, v in ray.items():
+        wrong = (m.senses[i] == GE and v < 0) or (m.senses[i] == LE and v > 0)
+        assert not wrong or abs(v) <= 1e-9
+        if v and not wrong:
+            y[i] = Fraction(v)
+    d = [Fraction(0)] * m.n_cols
+    for i, v in y.items():
+        for j, a in m.row_coefs[i].items():
+            d[j] -= v * Fraction(a)
+    value = sum((v * Fraction(m.rhs[i]) for i, v in y.items()), Fraction(0))
+    for j, dj in enumerate(d):  # columns in these tests are boxed
+        value += min(dj * Fraction(m.lower[j]), dj * Fraction(m.upper[j]))
+    return value > 0
+
+
 def _assert_mirror_matches(m):
     live = solve_lp(m, "float")
     fresh = solve_lp(_fresh_copy(m), "float")
@@ -259,6 +346,11 @@ def _assert_mirror_matches(m):
         tol = 1e-6 * (1 + abs(float(exact.objective)))
         assert abs(live.objective - float(exact.objective)) <= tol
         assert abs(fresh.objective - float(exact.objective)) <= tol
+    elif exact.status == "infeasible":
+        for sol in (live, fresh, exact):
+            assert _proves_infeasible(m, sol.dual)
+        for sol in (live, fresh):  # float rays come scaled to max-norm 1
+            assert max(abs(v) for v in sol.dual.values()) == 1
 
 
 _small = st.integers(-3, 3)

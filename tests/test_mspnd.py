@@ -340,10 +340,9 @@ def test_priced_paths_are_new_and_within_the_dual_bound():
     assert solve_mspnd(net, traffic).value == 2
 
 
-def test_infeasible_restricted_master_recovers_via_feasibility_pricing():
-    # five thin two-hop routes (seeded) cannot carry the demand even
-    # fractionally; only the longer fat route can, and it must be priced in
-    # from an infeasible restricted master
+def thin_routes_net():
+    """Five thin two-hop routes (the seeds) that cannot carry 10 units even
+    fractionally, plus a longer fat route that can."""
     specs = []
     for i in range(5):
         mid = 2 + i
@@ -351,14 +350,32 @@ def test_infeasible_restricted_master_recovers_via_feasibility_pricing():
         specs.append((mid, 1, 1, 1, 1))
     specs.append((0, 7, 10, 1, 1))        # fat, len 1 + 2 = 3
     specs.append((7, 1, 10, 2, 1))
-    net = build_network(specs)
-    traffic = TrafficMatrix({(0, 1): 10})
+    return build_network(specs), TrafficMatrix({(0, 1): 10})
+
+
+def test_infeasible_restricted_master_recovers_via_feasibility_pricing():
+    # the fat route must be priced in from an infeasible restricted master
+    net, traffic = thin_routes_net()
     res = solve_mspnd(net, traffic)
     assert res.status == "optimal"
     assert res.value == 2
     assert res.activation.counts[10] == 1 and res.activation.counts[11] == 1
     assert res.value == brute_force_mspnd(net, traffic).value
     assert root_lp_value(net, traffic, strengthening=False, mode="exact") == 2
+
+
+def test_exact_farkas_ray_prices_the_fat_route_in_exact_arithmetic():
+    from greente.mspnd import extract_duals, price_paths
+
+    net, traffic = thin_routes_net()
+    model = build_root_model(net, traffic, strengthening=False)
+    sol = solve_lp(model.lp, "exact")
+    assert sol.status == "infeasible" and sol.objective is None
+    duals = extract_duals(model, sol)
+    values = [*duals.alpha.values(), *duals.beta.values(), *duals.gamma.values()]
+    assert all(isinstance(v, (int, Fraction)) for v in values)
+    pd = model.pairs[(0, 1)]
+    assert price_paths(model, duals, (0, 1), pd.state).arcs == (10, 11)
 
 
 def test_solver_agrees_with_oracle_beyond_full_routability():

@@ -3,6 +3,8 @@ from fractions import Fraction
 from math import inf
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from greente import (
     Activation,
@@ -16,7 +18,7 @@ from greente import (
     spr_route,
 )
 from greente.routing import Disconnected, EndpointMismatch, Path, make_path
-from conftest import enumerate_paths, random_net, random_routable_instance
+from conftest import digraphs, enumerate_paths, random_net, random_routable_instance
 
 
 def test_order_compares_length_first():
@@ -103,27 +105,26 @@ def test_mlu_values(single_arc, triangle):
     assert mlu(single_arc, Activation((0,)), TrafficMatrix({(0, 1): 1})) == inf
 
 
-def test_shortest_path_prefix_and_suffix_property():
-    rng = random.Random(9)
-    for _ in range(40):
-        net = random_net(rng, n_max=6, arcs_max=10)
-        counts = tuple(rng.randint(0, a.mu) for a in net.arcs)
-        act = Activation(counts) if net.duplex_mode == "simplex" else None
-        if act is None:
-            continue
-        for s in range(net.n_vertices):
-            for t in range(net.n_vertices):
-                if s == t:
-                    continue
-                p = shortest_path_unique(net, act, s, t)
-                if p is None:
-                    continue
-                verts = p.vertices(net)
-                for i in range(1, len(verts) - 1):
-                    prefix = shortest_path_unique(net, act, s, verts[i])
-                    assert prefix is not None and prefix.arcs == p.arcs[:i]
-                    suffix = shortest_path_unique(net, act, verts[i], t)
-                    assert suffix is not None and suffix.arcs == p.arcs[i:]
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_shortest_path_prefix_and_suffix_property(data):
+    """Every prefix and suffix of an order-minimal path is order-minimal
+    between its own endpoints, under any activation."""
+    net = data.draw(digraphs(n_max=6, arcs_max=10, len_max=2))
+    act = Activation(tuple(data.draw(st.integers(0, a.mu)) for a in net.arcs))
+    for s in range(net.n_vertices):
+        for t in range(net.n_vertices):
+            if s == t:
+                continue
+            p = shortest_path_unique(net, act, s, t)
+            if p is None:
+                continue
+            verts = p.vertices(net)
+            for i in range(1, len(verts) - 1):
+                prefix = shortest_path_unique(net, act, s, verts[i])
+                assert prefix is not None and prefix.arcs == p.arcs[:i]
+                suffix = shortest_path_unique(net, act, verts[i], t)
+                assert suffix is not None and suffix.arcs == p.arcs[i:]
 
 
 def test_route_load_matches_path_decomposition():
