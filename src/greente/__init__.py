@@ -44,7 +44,6 @@ from .mspnd import (
     add_path_column,
     brute_force_mspnd,
     build_root_model,
-    compute_dcost,
     price_paths,
     root_lp_value,
     solve_f_mspnd,
@@ -85,7 +84,6 @@ __all__ = [
     "build_network",
     "build_root_model",
     "build_toca_lp",
-    "compute_dcost",
     "emit_report",
     "export_lp_text",
     "extract_cut",

@@ -87,7 +87,7 @@ class ExperimentConfig:
         for mode in self.modes:
             if mode not in MODES:
                 raise ConfigError(f"unknown mode {mode!r}")
-        if self.time_limit <= 0:
+        if not self.time_limit > 0:  # also true for nan
             raise ConfigError("time limit must be positive")
 
 

@@ -25,7 +25,6 @@ class IncumbentRejected(RuntimeError):
 class BnbConfig:
     time_limit: float | None = None
     mode: str = "float"
-    objective_integral: bool = False
     # price sees optimal and infeasible relaxations, separate only optimal ones
     price: Callable[[LpModel, LpSolution], list[int]] | None = None
     separate: Callable[[LpModel, LpSolution], list[int]] | None = None
@@ -56,13 +55,22 @@ def branch_and_bound(model: LpModel, integer_columns, config: BnbConfig) -> BnbR
         incumbent = LpSolution("optimal", dict(primal), {}, value)
         incumbent_value = float(value)
 
+    integer_set = set(integer_columns)
+
+    def integral_objective() -> bool:
+        """Every costed column is an integer column with an integer cost; read
+        at prune time, since pricing may add costed continuous columns."""
+        return all(
+            c == 0 or (j in integer_set and c % 1 == 0) for j, c in enumerate(model.objective)
+        )
+
     def prunable(bound) -> bool:
         if incumbent is None:
             return False
         b = float(bound)
         if math.isinf(b):
             return b > 0
-        if config.objective_integral:
+        if integral_objective():
             return math.ceil(b - INT_TOL) >= incumbent_value - 1e-9
         return b >= incumbent_value - 1e-9 * (1 + abs(incumbent_value))
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -51,6 +52,13 @@ def _positive_int(text: str) -> int:
     value = int(text)  # argparse reports a ValueError as an invalid value
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not 0 < value < math.inf:  # also false for nan
+        raise argparse.ArgumentTypeError(f"must be positive and finite, not {text}")
     return value
 
 
@@ -106,6 +114,8 @@ def _read_activation_csv(text: str, net: Network) -> Activation:
 
 
 def _parse_rho(value: float) -> Fraction:
+    if not math.isfinite(value):
+        raise ConfigError("--rho must lie strictly between 0 and 1")
     rho = Fraction(value).limit_denominator(10**6)
     if not 0 < rho < 1:
         raise ConfigError("--rho must lie strictly between 0 and 1")
@@ -141,8 +151,9 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    spec = json.loads(Path(args.config).read_text())
+    text = Path(args.config).read_text()
     try:
+        spec = json.loads(text)
         instances = []
         for inst in spec["instances"]:
             precursor = parse_repetita_graph(Path(inst["graph"]).read_text())
@@ -213,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_instance_args(p, multi_demands=False)
     p.add_argument("--algorithm", choices=ALGORITHMS, required=True)
     p.add_argument("--rho", type=float, default=0.5)
-    p.add_argument("--time-limit", type=float, default=600.0)
+    p.add_argument("--time-limit", type=_positive_float, default=600.0)
     p.add_argument("--strengthening", choices=("on", "off"), default="on")
     p.add_argument("--out", default=None, help="activation csv destination ('-' = stdout)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")

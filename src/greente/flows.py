@@ -182,13 +182,16 @@ def full_capacities(net: Network) -> dict[int, Fraction]:
     return {arc.id: arc.fcap for arc in net.arcs}
 
 
-def all_pairs_maxflow(net: Network) -> dict[tuple[int, int], Rational]:
-    """lambda_G(s,t) for every ordered vertex pair under full capacities."""
-    fcap = full_capacities(net)
-    out: dict[tuple[int, int], Rational] = {}
-    for s in range(net.n_vertices):
-        for t in range(net.n_vertices):
-            if s == t:
-                continue
-            out[(s, t)] = max_flow(net, fcap, s, t).value
-    return out
+def all_pairs_maxflow(net: Network) -> dict[tuple[int, int], Fraction]:
+    """lambda_G(s,t) for every ordered vertex pair under full capacities.
+
+    The flows run on integers, the capacities scaled by ``net.ccap_scale``;
+    dividing the values back keeps them exact."""
+    scale = net.ccap_scale
+    icap = {arc.id: int(arc.fcap * scale) for arc in net.arcs}
+    return {
+        (s, t): Fraction(max_flow(net, icap, s, t).value, scale)
+        for s in range(net.n_vertices)
+        for t in range(net.n_vertices)
+        if s != t
+    }

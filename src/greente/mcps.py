@@ -4,7 +4,8 @@ The cut family is exponential, so constraints are separated lazily: for each
 pending pair an early-terminating max-flow certifies the retention target or
 yields two violated cuts (front and back).  Cut selection prefers fewer arcs
 through an integer-arithmetic capacity perturbation that never reorders cuts
-of different unperturbed capacity.
+of different unperturbed capacity.  Preprocessing and the retention audit run
+their max-flows on integers too, in units of ``1 / net.ccap_scale``.
 """
 from __future__ import annotations
 
@@ -50,30 +51,43 @@ def _relevant_pairs(instance: McpsInstance) -> list[tuple[int, int]]:
     return sorted(pair for pair, lam in instance.lam.items() if lam > 0)
 
 
+def _connection_caps(net: Network) -> list[int]:
+    """Each arc's ccap in units of ``1 / net.ccap_scale``, an integer."""
+    return [int(arc.ccap * net.ccap_scale) for arc in net.arcs]
+
+
+def _scaled_target(instance: McpsInstance, pair: tuple[int, int]) -> int:
+    """``rho * lambda(pair)`` in units of ``1 / net.ccap_scale``, rounded up:
+    an integer flow meets it iff the unscaled flow meets the unscaled target."""
+    return math.ceil(instance.rho * instance.lam[pair] * instance.net.ccap_scale)
+
+
 def precompute_lower_bounds(instance: McpsInstance):
     """Per-arc minimum retained connections, plus pairs already covered by them.
 
     For arc a = st the bound is the smallest chi(a), all other arcs fully
     active, that keeps the s-t max-flow at or above rho * lambda(s,t); pairs
     whose target is met with every arc at its bound never enter separation.
+    The flows run on integer capacities (see ``_connection_caps``).
     """
-    net, rho = instance.net, instance.rho
+    net = instance.net
+    unit = _connection_caps(net)
+    ecap = {a.id: unit[a.id] * a.mu for a in net.arcs}
     lb: dict[int, int] = {}
     for arc in net.arcs:
-        pair = (arc.tail, arc.head)
-        target = rho * instance.lam[pair]
+        target = _scaled_target(instance, (arc.tail, arc.head))
         bound = arc.mu
         for k in range(arc.mu + 1):
-            ecap = {a.id: a.fcap for a in net.arcs}
-            ecap[arc.id] = arc.ccap * k
+            ecap[arc.id] = unit[arc.id] * k
             if max_flow(net, ecap, arc.tail, arc.head, target=target).value >= target:
                 bound = k
                 break
+        ecap[arc.id] = unit[arc.id] * arc.mu
         lb[arc.id] = bound
-    ecap_lb = {a.id: a.ccap * lb[a.id] for a in net.arcs}
+    ecap_lb = {a.id: unit[a.id] * lb[a.id] for a in net.arcs}
     satisfied = set()
     for pair in _relevant_pairs(instance):
-        target = rho * instance.lam[pair]
+        target = _scaled_target(instance, pair)
         if max_flow(net, ecap_lb, pair[0], pair[1], target=target).value >= target:
             satisfied.add(pair)
     return lb, satisfied
@@ -121,9 +135,10 @@ def separate_cuts(
 def audit_retention(instance: McpsInstance, activation: Activation) -> bool:
     """Independent all-pairs check lambda_H(s,t) >= rho * lambda_G(s,t)."""
     net = instance.net
-    ecap = {a.id: a.ccap * activation.counts[a.id] for a in net.arcs}
+    unit = _connection_caps(net)
+    ecap = {a.id: unit[a.id] * activation.counts[a.id] for a in net.arcs}
     for pair in _relevant_pairs(instance):
-        target = instance.rho * instance.lam[pair]
+        target = _scaled_target(instance, pair)
         if max_flow(net, ecap, pair[0], pair[1], target=target).value < target:
             return False
     return True
@@ -168,7 +183,6 @@ def solve_mcps(net: Network, rho, time_limit: float | None = None, mode: str = "
     config = BnbConfig(
         mode=mode,
         time_limit=time_limit,
-        objective_integral=True,
         separate=separate,
         accept_incumbent=accept,
         initial_incumbent=(

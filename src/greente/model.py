@@ -7,6 +7,7 @@ deterministic.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -104,6 +105,11 @@ class Network:
             adj[arc.head].append(len(heads))
             heads.append(arc.tail)
         return tuple(heads), tuple(tuple(edges) for edges in adj)
+
+    @cached_property
+    def ccap_scale(self) -> int:
+        """Lcm of the ccap denominators: every ccap times it is an integer."""
+        return math.lcm(*(arc.ccap.denominator for arc in self.arcs))
 
     @cached_property
     def arc_by_pair(self) -> dict[tuple[int, int], Arc]:

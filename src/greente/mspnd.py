@@ -2,10 +2,13 @@
 
 The path-based ILP keeps integer per-arc activation counts, binary arc
 indicators, and one nonnegative column per candidate routing path.  Path
-columns are priced on demand by a constrained-shortest-path label search;
-optional subpath rows (a chosen path forces its prefixes and suffixes to be
-chosen between their endpoints too) tighten the relaxation.  The trivial
-fixed-routing solver and a brute-force oracle live here as well.
+columns are priced on demand: each round reads every terminal pair's
+connectivity dual (its bound) and per-arc dual costs straight from the LP
+solution, and a constrained-shortest-path label search looks for a new path
+below that bound.  Optional subpath rows (a chosen path forces its prefixes
+and suffixes to be chosen between their endpoints too) tighten the
+relaxation.  The trivial fixed-routing solver and a brute-force oracle live
+here as well.
 
 All rows are oriented so that their duals are nonnegative at an optimum,
 which the pricing bound relies on.
@@ -15,7 +18,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from bisect import insort
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .bnb import BnbConfig, branch_and_bound
@@ -60,29 +63,6 @@ class TooLarge(RuntimeError):
 
 
 @dataclass
-class DualPrices:
-    """Named duals of the three row families feeding the pricing bound."""
-
-    alpha: dict[tuple[int, int], object]
-    beta: dict[tuple[tuple[int, int], int], object]
-    gamma: dict[int, object]
-
-
-@dataclass
-class PricingState:
-    """Evidence from the previous pricing attempt for one terminal pair.
-
-    After a failed search every out-of-model path had dual cost at least the
-    old bound; per-arc costs dropped by at most ``drop`` in total since, so no
-    path can beat a new bound that sits at least ``drop`` lower.
-    """
-
-    alpha_prev: object = None
-    dcost_prev: dict[int, object] = field(default_factory=dict)
-    last_failed: bool = False
-
-
-@dataclass
 class _PathEntry:
     column: int
     short_row: int
@@ -97,7 +77,6 @@ class _PairData:
         self.eb_row: dict[int, int] = {}
         self.entries: dict[tuple[int, ...], _PathEntry] = {}
         self.order: list[tuple[tuple, tuple[int, ...]]] = []  # (order key, arcs)
-        self.state = PricingState()
 
 
 class MspndModel:
@@ -112,8 +91,11 @@ class MspndModel:
         self.y_col: list[int] = []
         self.cap_row: list[int] = []
         self.pairs: dict[tuple[int, int], _PairData] = {}
-        self.one_shortest = _is_one_shortest(net)
-        self._len_cache: dict[int, list[float]] = {}
+        counts = full_activation(net).counts
+        # full-network shortest lengths from every vertex, dist[u][v]
+        self.dist = [shortest_lengths_from(net, counts, u) for u in range(net.n_vertices)]
+        # no arc has a strictly shorter parallel route
+        self.one_shortest = all(self.dist[a.tail][a.head] == a.length for a in net.arcs)
         for arc in net.arcs:
             self.x_col.append(self.lp.add_column(obj=1, lb=0, ub=arc.mu, name=f"x_{arc.id}"))
             self.y_col.append(self.lp.add_column(obj=0, lb=0, ub=1, name=f"y_{arc.id}"))
@@ -141,14 +123,6 @@ class MspndModel:
             pd = _PairData(pair[0], pair[1], demand, conn)
             self.pairs[pair] = pd
         return pd
-
-
-def _is_one_shortest(net: Network) -> bool:
-    """True when no arc has a strictly shorter parallel route."""
-    counts = full_activation(net).counts
-    tails = {arc.tail for arc in net.arcs}
-    dist = {u: shortest_lengths_from(net, counts, u) for u in tails}
-    return all(dist[arc.tail][arc.head] == arc.length for arc in net.arcs)
 
 
 def build_root_model(net: Network, traffic: TrafficMatrix, strengthening: bool = True) -> MspndModel:
@@ -229,27 +203,6 @@ def add_path_column(model: MspndModel, pair: tuple[int, int], path: Path) -> int
     return column
 
 
-def extract_duals(model: MspndModel, sol: LpSolution) -> DualPrices:
-    """Named duals, or the named entries of an infeasible master's Farkas ray;
-    tiny negatives from floating solves clamp to zero."""
-    exact = not isinstance(next(iter(sol.dual.values()), 0), float)
-    clamp = (lambda v: v) if exact else (lambda v: v if v > 0 else 0.0)
-    alpha, beta, gamma = {}, {}, {}
-    for arc_id, row in enumerate(model.cap_row):
-        gamma[arc_id] = clamp(sol.dual.get(row, 0))
-    for pair, pd in model.pairs.items():
-        if pd.conn_row is not None:
-            alpha[pair] = clamp(sol.dual.get(pd.conn_row, 0))
-        for aid, row in pd.eb_row.items():
-            beta[(pair, aid)] = clamp(sol.dual.get(row, 0))
-    return DualPrices(alpha, beta, gamma)
-
-
-def compute_dcost(duals: DualPrices, pair: tuple[int, int], arc_id: int, demand):
-    """Per-arc dual cost beta[pair, arc] + demand * gamma[arc]."""
-    return duals.beta.get((pair, arc_id), 0) + demand * duals.gamma.get(arc_id, 0)
-
-
 def _reverse_dcost_to(net: Network, dcost, t: int) -> dict[int, object]:
     """Cheapest dual cost from each vertex into t (missing = cannot reach t)."""
     best: dict[int, object] = {t: 0}
@@ -267,7 +220,7 @@ def _reverse_dcost_to(net: Network, dcost, t: int) -> dict[int, object]:
     return best
 
 
-def _label_scan(net, pd, dcost, bound, cost_to_t, len_from_s, dominate: bool) -> Path | None:
+def _label_scan(model: MspndModel, pd, dcost, bound, cost_to_t, dominate: bool) -> Path | None:
     """Label-setting keyed by (len - len(s,v), len(s,v), dual cost, hops, arcs).
 
     Dijkstra-length labels pop first, so paths short in total length surface
@@ -275,7 +228,8 @@ def _label_scan(net, pd, dcost, bound, cost_to_t, len_from_s, dominate: bool) ->
     its vertex is discarded (cycles always are); otherwise elementarity is
     enforced through the visited-vertex mask.
     """
-    s, t = pd.s, pd.t
+    net, s, t = model.net, pd.s, pd.t
+    len_from_s = model.dist[s]
     heap = [(0, 0, 0, 0, (), 0, s, 1 << s)]
     frontier: dict[int, list] = {s: [(0, 0)]}
     while heap:
@@ -306,69 +260,64 @@ def _label_scan(net, pd, dcost, bound, cost_to_t, len_from_s, dominate: bool) ->
     return None
 
 
-def price_paths(
-    model: MspndModel, duals: DualPrices, pair: tuple[int, int], state: PricingState
-) -> Path | None:
-    """Length-shortest new path whose dual cost stays below the pair's bound.
+def price_paths(model: MspndModel, pair: tuple[int, int], bound, dcost) -> Path | None:
+    """A new elementary path for ``pair`` whose dual cost (``dcost`` per arc
+    id) stays below ``bound``, or None when no such path exists.
 
     A first pass discards dominated labels (which also rules out cycles); if
     it only rediscovers known paths, a second pass reruns the search without
-    domination and with explicit vertex checks, which is complete.
+    domination and with explicit vertex checks, which is complete.  Labels pop
+    in length order, but the first pass can drop a new path whose label a
+    known path dominates and return a longer one, so the result is not always
+    the length-shortest new path.
     """
-    net = model.net
+    if bound <= 0:
+        return None
     pd = model.pairs[pair]
-    alpha = duals.alpha.get(pair, 0)
-    dcost = {a.id: compute_dcost(duals, pair, a.id, pd.demand) for a in net.arcs}
-    if state.last_failed and state.alpha_prev is not None:
-        drop = sum(
-            max(0, state.dcost_prev.get(a.id, 0) - dcost[a.id]) for a in net.arcs
-        )
-        if alpha <= state.alpha_prev - drop:
-            return None
-    eps = 0 if isinstance(alpha, (int, Fraction)) else 1e-9
-
-    def record(found: Path | None) -> Path | None:
-        state.alpha_prev = alpha
-        state.dcost_prev = dcost
-        state.last_failed = found is None
-        return found
-
-    if alpha <= eps:
-        return record(None)
-    cost_to_t = _reverse_dcost_to(net, dcost, pd.t)
-    len_from_s = model._len_cache.get(pd.s)
-    if len_from_s is None:
-        len_from_s = shortest_lengths_from(net, full_activation(net).counts, pd.s)
-        model._len_cache[pd.s] = len_from_s
-    found = _label_scan(net, pd, dcost, alpha - eps, cost_to_t, len_from_s, True)
-    if found is None:
-        found = _label_scan(net, pd, dcost, alpha - eps, cost_to_t, len_from_s, False)
-    return record(found)
-
-
-def _price_against(model: MspndModel, duals: DualPrices) -> list[int]:
-    """One new path per terminal pair against the same duals, merged by pair id."""
-    found: list[tuple[tuple[int, int], Path]] = []
-    for pair in model.terminal_pairs:
-        pd = model.pairs[pair]
-        path = price_paths(model, duals, pair, pd.state)
-        if path is not None:
-            found.append((pair, path))
-    added = []
-    for pair, path in found:
-        if path.arcs not in model.pairs[pair].entries:
-            added.append(add_path_column(model, pair, path))
-    return added
+    cost_to_t = _reverse_dcost_to(model.net, dcost, pd.t)
+    return (
+        _label_scan(model, pd, dcost, bound, cost_to_t, True)
+        or _label_scan(model, pd, dcost, bound, cost_to_t, False)
+    )
 
 
 def _price_round(model: MspndModel, sol: LpSolution) -> list[int]:
-    """Price against an optimal master's duals or an infeasible one's Farkas ray.
+    """One new path per terminal pair against an optimal master's duals or an
+    infeasible one's Farkas ray, added once every pair is priced.
 
-    Path columns cost 0 with bounds [0, inf), so both ask for a path whose dual
-    cost is below its pair's alpha.  The entries pricing ignores (ordering rows
-    of shorter paths) only raise a column's reduced cost: finding nothing keeps
-    the duals optimal, or the ray a proof that the full master is infeasible."""
-    return _price_against(model, extract_duals(model, sol))
+    A pair's bound is its connectivity dual alpha; an arc costs its
+    edge-buying dual plus demand times its capacity dual.  Path columns cost
+    0 with bounds [0, inf), so both statuses ask for a path cheaper than
+    alpha.  The entries pricing ignores (ordering rows of shorter paths) only
+    raise a column's reduced cost: finding nothing keeps the duals optimal,
+    or the ray a proof that the full master is infeasible.  Float duals clamp
+    tiny negatives to zero and must beat alpha by 1e-9.
+    """
+    dual = sol.dual
+    exact = not isinstance(next(iter(dual.values()), 0), float)
+    eps = 0 if exact else 1e-9
+
+    def y(row):
+        v = dual.get(row, 0)
+        return v if exact or v > 0 else 0.0
+
+    gamma = [y(row) for row in model.cap_row]
+    found = []
+    for pair in model.terminal_pairs:
+        pd = model.pairs[pair]
+        dcost = [
+            (y(pd.eb_row[a]) if a in pd.eb_row else 0) + pd.demand * g
+            for a, g in enumerate(gamma)
+        ]
+        path = price_paths(model, pair, y(pd.conn_row) - eps, dcost)
+        if path is not None:
+            found.append((pair, path))
+    # a subpath column of an earlier pair's path may already hold a later path
+    return [
+        add_path_column(model, pair, path)
+        for pair, path in found
+        if path.arcs not in model.pairs[pair].entries
+    ]
 
 
 def _complete_spr_paths(model: MspndModel, sol: LpSolution) -> list[int]:
@@ -470,7 +419,6 @@ def solve_mspnd(
     config = BnbConfig(
         mode=mode,
         time_limit=time_limit,
-        objective_integral=True,
         price=price,
         accept_incumbent=accept,
         branch_select=branch_select,

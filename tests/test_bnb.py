@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -119,9 +120,7 @@ def test_initial_incumbent_prunes_to_optimality():
     m = LpModel()
     x = m.add_column(obj=1, lb=0, ub=5)
     m.add_row({x: 1}, GE, 3)
-    res = branch_and_bound(
-        m, [x], BnbConfig(objective_integral=True, initial_incumbent=(3, {x: 3}))
-    )
+    res = branch_and_bound(m, [x], BnbConfig(initial_incumbent=(3, {x: 3})))
     assert res.status == "optimal"
     assert float(res.bound) == pytest.approx(3)
 
@@ -193,3 +192,22 @@ def test_infeasible_relaxation_with_nothing_to_price_is_pruned():
     res, seen = _infeasible_until_priced(offer=False)
     assert [sol.status for sol in seen] == ["infeasible"]
     assert res.status == "infeasible" and res.incumbent is None
+
+
+def test_priced_continuous_cost_stops_integral_rounding():
+    """min x s.t. x >= 1.7, x integer; price adds y (cost 1/2, at most 1) into
+    the row.  The objective stops being integral once y is in: rounding the
+    root bound 1.2 up to 2 would prune against the incumbent 2 and miss the
+    optimum 1.35 (x = 1, y = 0.7)."""
+    m = LpModel()
+    x = m.add_column(obj=1, lb=0, ub=3)
+    r = m.add_row({x: 1}, GE, Fraction(17, 10))
+
+    def price(model, sol):
+        if model.n_cols == 1:
+            return [model.add_column(obj=Fraction(1, 2), lb=0, ub=1, coefs={r: 1})]
+        return []
+
+    res = branch_and_bound(m, [x], BnbConfig(price=price, initial_incumbent=(2, {x: 2})))
+    assert res.status == "optimal"
+    assert float(res.incumbent.objective) == pytest.approx(1.35)

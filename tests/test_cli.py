@@ -214,3 +214,42 @@ def test_oracle_on_unroutable_instance_exits_2(instance_files, capsys, monkeypat
     graph, demands = instance_files
     assert main(["oracle", "--graph", str(graph), "--demands", str(demands)]) == 2
     assert capsys.readouterr().err == "input error: no feasible activation exists\n"
+
+
+@pytest.mark.parametrize("rho", ["nan", "inf"])
+@pytest.mark.parametrize("command", ["solve", "evaluate", "oracle"])
+def test_non_finite_rho_exits_2(tmp_path, instance_files, capsys, command, rho):
+    graph, demands = instance_files
+    args = [command, "--graph", str(graph), "--demands", str(demands), "--rho", rho]
+    if command == "solve":
+        args += ["--algorithm", "mcf"]
+    if command == "evaluate":
+        chi = tmp_path / "chi.csv"
+        chi.write_text("arc_id,chi\n0,1\n1,1\n2,1\n")
+        args += ["--chi", str(chi)]
+    assert main(args) == 2
+    assert capsys.readouterr().err.startswith("config error: --rho")
+
+
+@pytest.mark.parametrize("limit", ["nan", "-5", "0", "inf"])
+def test_bad_time_limit_exits_2(instance_files, capsys, limit):
+    graph, demands = instance_files
+    with pytest.raises(SystemExit) as err:
+        main(["solve", "--algorithm", "mcf", "--graph", str(graph),
+              "--demands", str(demands), "--time-limit", limit])
+    assert err.value.code == 2
+    assert "--time-limit" in capsys.readouterr().err
+
+
+def test_bench_nan_time_limit_in_config_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "nan.json"
+    cfg.write_text('{"instances": [], "time_limit": NaN}')
+    assert main(["bench", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+
+
+def test_bench_malformed_json_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "broken.json"
+    cfg.write_text('{"instances": [')
+    assert main(["bench", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("config error:")

@@ -230,3 +230,50 @@ def test_integer_separation_matches_fraction_reference(net, tenths, data):
     pending = [p for p, lam in inst.lam.items() if lam > 0]
     xhat = {a.id: data.draw(_coordinates) * a.mu for a in net.arcs}
     assert separate_cuts(inst, xhat, pending) == reference_separate_cuts(inst, xhat, pending)
+
+
+def reference_preprocessing(net, rho):
+    """Reference: lambda, lower bounds and satisfied pairs from max-flows on
+    the unscaled Fraction capacities, as preprocessing first computed them."""
+    fcap = {a.id: a.fcap for a in net.arcs}
+    n = net.n_vertices
+    lam = {(s, t): max_flow(net, fcap, s, t).value for s in range(n) for t in range(n) if s != t}
+    lb = {}
+    for arc in net.arcs:
+        target = rho * lam[(arc.tail, arc.head)]
+        lb[arc.id] = next(
+            k for k in range(arc.mu + 1)
+            if max_flow(net, {**fcap, arc.id: arc.ccap * k}, arc.tail, arc.head).value >= target
+        )
+    lb_cap = {a.id: a.ccap * lb[a.id] for a in net.arcs}
+    satisfied = {
+        pair for pair, value in lam.items()
+        if value > 0 and max_flow(net, lb_cap, *pair).value >= rho * value
+    }
+    return lam, lb, satisfied
+
+
+def reference_audit(net, rho, lam, counts):
+    ecap = {a.id: a.ccap * counts[a.id] for a in net.arcs}
+    return all(
+        max_flow(net, ecap, *pair).value >= rho * value
+        for pair, value in lam.items() if value > 0
+    )
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(digraphs(n_max=5, arcs_max=10, mu_max=3), st.sampled_from([3, 5, 7]), st.data())
+def test_integer_preprocessing_matches_fraction_reference(base, tenths, data):
+    # fractional ccaps, so that the integer flows run on scaled capacities
+    ccaps = st.fractions(Fraction(1, 6), 3, max_denominator=6)
+    net = build_network(
+        [(a.tail, a.head, data.draw(ccaps), a.length, a.mu) for a in base.arcs],
+        vertices=range(base.n_vertices),
+    )
+    rho = Fraction(tenths, 10)
+    inst = make_instance(net, rho)
+    lam, lb, satisfied = reference_preprocessing(net, rho)
+    assert inst.lam == lam
+    assert precompute_lower_bounds(inst) == (lb, satisfied)
+    counts = tuple(data.draw(st.integers(0, a.mu)) for a in net.arcs)
+    assert audit_retention(inst, Activation(counts)) == reference_audit(net, rho, lam, counts)

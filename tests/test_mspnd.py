@@ -2,25 +2,26 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from greente import (
     TrafficMatrix,
     build_network,
     is_spr_routable,
 )
+from greente import mspnd
 from greente.lp import solve_lp
 from greente.mspnd import (
     DisconnectedPair,
-    DualPrices,
     DuplicatePath,
     MspndModel,
     NotRoutableInFull,
-    PricingState,
     TooLarge,
+    _price_round,
     add_path_column,
     build_root_model,
     brute_force_mspnd,
-    compute_dcost,
     price_paths,
     root_lp_value,
     solve_f_mspnd,
@@ -30,6 +31,7 @@ from greente.routing import make_path
 from conftest import (
     all_pairs_traffic,
     complete_digraph,
+    digraphs,
     enumerate_paths,
     random_routable_instance,
 )
@@ -73,22 +75,10 @@ def test_root_model_rejects_disconnected_pair(single_arc):
         build_root_model(single_arc, TrafficMatrix({(1, 0): 1}))
 
 
-def test_compute_dcost_formula():
-    pair = (0, 1)
-    duals = DualPrices(alpha={}, beta={(pair, 7): 0.5}, gamma={7: 0.1})
-    assert compute_dcost(duals, pair, 7, 2) == pytest.approx(0.7)
-    assert compute_dcost(DualPrices({}, {}, {}), pair, 7, 2) == 0
-    duals = DualPrices(alpha={}, beta={}, gamma={7: 1})
-    assert compute_dcost(duals, pair, 7, 3) == 3
-
-
 def test_pricing_returns_nothing_when_all_paths_known(single_arc):
     traffic = TrafficMatrix({(0, 1): 1})
     model = build_root_model(single_arc, traffic, strengthening=False)
-    duals = DualPrices(alpha={(0, 1): Fraction(5)}, beta={}, gamma={})
-    state = PricingState()
-    assert price_paths(model, duals, (0, 1), state) is None
-    assert state.last_failed
+    assert price_paths(model, (0, 1), Fraction(5), [0]) is None
 
 
 def test_pricing_finds_second_diamond_path(diamond):
@@ -97,8 +87,7 @@ def test_pricing_finds_second_diamond_path(diamond):
     pair = (0, 3)
     model.ensure_pair(pair)
     add_path_column(model, pair, make_path(diamond, (0, 2)))
-    duals = DualPrices(alpha={pair: Fraction(1)}, beta={}, gamma={})
-    found = price_paths(model, duals, pair, PricingState())
+    found = price_paths(model, pair, Fraction(1), [0] * diamond.n_arcs)
     assert found is not None and found.arcs == (1, 3)
 
 
@@ -108,25 +97,33 @@ def test_pricing_respects_strict_bound(diamond):
     pair = (0, 3)
     model.ensure_pair(pair)
     add_path_column(model, pair, make_path(diamond, (0, 2)))
-    duals = DualPrices(alpha={pair: Fraction(0)}, beta={}, gamma={})
-    assert price_paths(model, duals, pair, PricingState()) is None
+    assert price_paths(model, pair, Fraction(0), [0] * diamond.n_arcs) is None
 
 
-def test_pricing_skip_test_short_circuits(diamond):
-    traffic = TrafficMatrix({(0, 3): 1})
-    model = MspndModel(diamond, traffic, strengthening=False)
-    pair = (0, 3)
-    model.ensure_pair(pair)
-    for arcs in ((0, 2), (1, 3)):
-        add_path_column(model, pair, make_path(diamond, arcs))
-    duals = DualPrices(alpha={pair: Fraction(2)}, beta={}, gamma={})
-    state = PricingState()
-    assert price_paths(model, duals, pair, state) is None
-    snapshot = (state.alpha_prev, dict(state.dcost_prev))
-    # same costs, smaller bound: the stored evidence rules a search out
-    weaker = DualPrices(alpha={pair: Fraction(1)}, beta={}, gamma={})
-    assert price_paths(model, weaker, pair, state) is None
-    assert (state.alpha_prev, dict(state.dcost_prev)) == snapshot
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(digraphs(n_max=5, arcs_max=10, len_max=2), st.data())
+def test_pricing_is_complete(net, data):
+    """A path comes back exactly when some new elementary path costs less
+    than the bound, and it is such a path."""
+    pairs = [(u, v) for u in range(net.n_vertices) for v in range(net.n_vertices) if u != v]
+    s, t = data.draw(st.sampled_from(
+        [p for p in pairs if enumerate_paths(net, *p)] or pairs  # prefer connected pairs
+    ))
+    model = MspndModel(net, TrafficMatrix({(s, t): 1}), strengthening=False)
+    model.ensure_pair((s, t))
+    paths = enumerate_paths(net, s, t)
+    known = {arcs for arcs in paths if data.draw(st.booleans())}
+    for arcs in known:
+        add_path_column(model, (s, t), make_path(net, arcs))
+    costs = [data.draw(st.fractions(0, 2, max_denominator=4)) for _ in net.arcs]
+    bound = data.draw(st.fractions(0, 5, max_denominator=4))
+    found = price_paths(model, (s, t), bound, costs)
+    cheap_new = [
+        arcs for arcs in paths if arcs not in known and sum(costs[a] for a in arcs) < bound
+    ]
+    assert (found is not None) == bool(cheap_new)
+    if found is not None:
+        assert found.arcs in cheap_new  # new, elementary, s to t and under the bound
 
 
 def test_duplicate_path_rejected(single_arc):
@@ -236,8 +233,6 @@ def test_path_choices_become_binary_once_activation_is_fixed():
             chi = res.activation.counts[a.id]
             model.lp.set_bounds(model.x_col[a.id], chi, chi)
             model.lp.set_bounds(model.y_col[a.id], int(chi > 0), int(chi > 0))
-        from greente.mspnd import _price_round
-
         while True:
             sol = solve_lp(model.lp, "exact")
             assert sol.status == "optimal"
@@ -318,22 +313,42 @@ def wide_pair_net():
     return build_network(specs)
 
 
-def test_priced_paths_are_new_and_within_the_dual_bound():
-    from greente.mspnd import extract_duals, price_paths, compute_dcost
+def _spy_on_pricing(monkeypatch):
+    """Record each price_paths call of a pricing round as (pair, bound, dcost, path)."""
+    calls = []
 
+    def spy(model, pair, bound, dcost):
+        found = price_paths(model, pair, bound, dcost)
+        calls.append((pair, bound, dcost, found))
+        return found
+
+    monkeypatch.setattr(mspnd, "price_paths", spy)
+    return calls
+
+
+def test_priced_paths_are_new_and_within_the_dual_bound(monkeypatch):
     net = wide_pair_net()
     traffic = TrafficMatrix({(0, 1): 2})
     model = build_root_model(net, traffic, strengthening=False)
     sol = solve_lp(model.lp, "exact")
-    duals = extract_duals(model, sol)
     pair = (0, 1)
     pd = model.pairs[pair]
     before = set(pd.entries)
-    path = price_paths(model, duals, pair, pd.state)
+    calls = _spy_on_pricing(monkeypatch)
+    added = _price_round(model, sol)
+    [(priced_pair, bound, dcost, path)] = calls
+    assert priced_pair == pair and bound == sol.dual.get(pd.conn_row, 0)
     assert path is not None and path.arcs == (10, 11)
     assert path.arcs not in before
-    total = sum(compute_dcost(duals, pair, aid, pd.demand) for aid in path.arcs)
-    assert total < duals.alpha[pair]
+    assert added == [pd.entries[path.arcs].column]
+
+    # per-arc dual cost: edge-buying dual plus demand times capacity dual
+    def arc_cost(a):
+        eb = sol.dual.get(pd.eb_row[a], 0) if a in pd.eb_row else 0
+        return eb + pd.demand * sol.dual.get(model.cap_row[a], 0)
+
+    assert dcost == [arc_cost(a) for a in range(net.n_arcs)]
+    assert sum(arc_cost(a) for a in path.arcs) < bound
     # pricing closes the gap between the restricted master and the full value
     assert float(sol.objective) > 2
     assert root_lp_value(net, traffic, strengthening=False, mode="exact") == 2
@@ -364,18 +379,17 @@ def test_infeasible_restricted_master_recovers_via_feasibility_pricing():
     assert root_lp_value(net, traffic, strengthening=False, mode="exact") == 2
 
 
-def test_exact_farkas_ray_prices_the_fat_route_in_exact_arithmetic():
-    from greente.mspnd import extract_duals, price_paths
-
+def test_exact_farkas_ray_prices_the_fat_route_in_exact_arithmetic(monkeypatch):
     net, traffic = thin_routes_net()
     model = build_root_model(net, traffic, strengthening=False)
     sol = solve_lp(model.lp, "exact")
     assert sol.status == "infeasible" and sol.objective is None
-    duals = extract_duals(model, sol)
-    values = [*duals.alpha.values(), *duals.beta.values(), *duals.gamma.values()]
-    assert all(isinstance(v, (int, Fraction)) for v in values)
-    pd = model.pairs[(0, 1)]
-    assert price_paths(model, duals, (0, 1), pd.state).arcs == (10, 11)
+    calls = _spy_on_pricing(monkeypatch)
+    _price_round(model, sol)
+    [(_, bound, dcost, path)] = calls
+    assert all(isinstance(v, (int, Fraction)) for v in [bound, *dcost])
+    assert path.arcs == (10, 11)
+    assert (10, 11) in model.pairs[(0, 1)].entries
 
 
 def test_solver_agrees_with_oracle_beyond_full_routability():
