@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import astuple, dataclass, fields
 from fractions import Fraction
 from typing import Callable
 
@@ -47,14 +47,18 @@ ALGORITHMS = tuple(SOLVERS)
 TRAFFIC_AWARE = tuple(name for name, solver in SOLVERS.items() if solver.traffic_aware)
 MODES = (SIMPLEX, FULL_DUPLEX)
 
-CSV_HEADER = (
-    "instance,matrix,algorithm,rho,mu,mode,status,"
-    "active_connections,deactivated_fraction,runtime_seconds,mlu,bound"
-)
-
 
 class ConfigError(ValueError):
     pass
+
+
+def as_rho(value) -> Fraction:
+    """rho as every solver takes it: the nearest fraction with denominator at
+    most 10**6, which must lie strictly between 0 and 1."""
+    rho = Fraction(value).limit_denominator(10**6) if math.isfinite(value) else None
+    if rho is None or not 0 < rho < 1:
+        raise ConfigError(f"rho {value} outside (0,1)")
+    return rho
 
 
 @dataclass(frozen=True)
@@ -79,8 +83,7 @@ class ExperimentConfig:
             if alg not in ALGORITHMS:
                 raise ConfigError(f"unknown algorithm {alg!r}")
         for rho in self.rhos:
-            if not 0 < rho < 1:
-                raise ConfigError(f"rho {rho} outside (0,1)")
+            as_rho(rho)
         for mu in self.mus:
             if mu < 1:
                 raise ConfigError(f"mu {mu} must be >= 1")
@@ -114,6 +117,9 @@ class ReportRow:
         return (self.instance, self.matrix, self.algorithm, self.rho, self.mu, self.mode)
 
 
+CSV_HEADER = ",".join(f.name for f in fields(ReportRow))
+
+
 def make_row(
     instance, matrix, algorithm, rho, mu, mode, status,
     activation=None, full_value=None, runtime=0.0, mlus=(), bound=None,
@@ -133,9 +139,23 @@ def make_row(
         active_connections=active,
         deactivated_fraction=frac,
         runtime_seconds=_round6(runtime),
-        mlu=tuple(math.inf if math.isinf(float(v)) else _round6(v) for v in mlus),
-        bound=None if bound is None else (float(bound) if math.isinf(bound) else _round6(bound)),
+        mlu=tuple(_round6(v) for v in mlus),  # round keeps an infinity as it is
+        bound=None if bound is None else _round6(bound),
     )
+
+
+def solve_row(key, net, rho, traffic, scaled, time_limit, strengthening) -> tuple[Result, ReportRow]:
+    """Run the algorithm ``key[2]`` and time it, then evaluate its activation
+    against every matrix in ``scaled``.  ``key`` is the row's first six fields
+    (see :meth:`ReportRow.sort_key`); ``rho`` is the exact value to solve at."""
+    start = time.perf_counter()
+    res = SOLVERS[key[2]].run(net, rho, traffic, time_limit, strengthening)
+    runtime = time.perf_counter() - start
+    row = make_row(
+        *key, res.status, activation=res.activation, full_value=full_activation(net).value,
+        runtime=runtime, mlus=[mlu(net, res.activation, t) for t in scaled], bound=res.bound,
+    )
+    return res, row
 
 
 def run_experiment(config: ExperimentConfig, instances) -> list[ReportRow]:
@@ -151,98 +171,68 @@ def run_experiment(config: ExperimentConfig, instances) -> list[ReportRow]:
 
 
 def _run_cell(config, inst, mode, mu, rho) -> list[ReportRow]:
-    rows: list[ReportRow] = []
-    rho_frac = rho if isinstance(rho, Fraction) else Fraction(rho).limit_denominator(10**6)
     try:
         prepped = [
             preprocess(inst.precursor, raw, mode, config.length_mode, mu)
             for raw in inst.matrices
         ]
     except Exception as exc:
-        for alg in config.algorithms:
-            rows.append(
-                make_row(inst.instance_id, "-", alg, rho, mu, mode,
-                         f"error:{type(exc).__name__}")
-            )
-        return rows
+        return [
+            make_row(inst.instance_id, "-", alg, rho, mu, mode, f"error:{type(exc).__name__}")
+            for alg in config.algorithms
+        ]
     net = prepped[0][0]
+    rho_frac = as_rho(rho)
     scaled = [scale_traffic(traffic, rho_frac) for _, traffic in prepped]
-    full_value = full_activation(net).value
+    rows = []
     for alg in config.algorithms:
-        if SOLVERS[alg].traffic_aware:
-            for k in range(len(scaled)):
-                rows.append(
-                    _run_one(config, inst, net, alg, rho, rho_frac, mu, mode,
-                             str(k), scaled[k], scaled, full_value)
-                )
-        else:
-            rows.append(
-                _run_one(config, inst, net, alg, rho, rho_frac, mu, mode,
-                         "-", None, scaled, full_value)
-            )
+        runs = enumerate(scaled) if SOLVERS[alg].traffic_aware else [("-", None)]
+        for matrix, traffic in runs:
+            key = (inst.instance_id, str(matrix), alg, rho, mu, mode)
+            rows.append(_run_one(config, key, net, rho_frac, traffic, scaled))
     return rows
 
 
-def _run_one(config, inst, net, alg, rho, rho_frac, mu, mode, matrix_id, traffic, scaled, full_value):
+def _run_one(config, key, net, rho, traffic, scaled) -> ReportRow:
     start = time.perf_counter()
     try:
-        res = SOLVERS[alg].run(net, rho_frac, traffic, config.time_limit, config.strengthening)
+        return solve_row(key, net, rho, traffic, scaled, config.time_limit, config.strengthening)[1]
     except Exception as exc:
-        return make_row(
-            inst.instance_id, matrix_id, alg, rho, mu, mode,
-            f"error:{type(exc).__name__}", runtime=time.perf_counter() - start,
-        )
-    runtime = time.perf_counter() - start
-    mlus = [mlu(net, res.activation, t) for t in scaled]
-    return make_row(
-        inst.instance_id, matrix_id, alg, rho, mu, mode, res.status,
-        activation=res.activation, full_value=full_value,
-        runtime=runtime, mlus=mlus, bound=res.bound,
-    )
+        return make_row(*key, f"error:{type(exc).__name__}", runtime=time.perf_counter() - start)
 
 
 def _render(value) -> str:
     if value is None:
         return ""
+    if isinstance(value, tuple):
+        return ";".join(map(_render, value))
     if isinstance(value, float):
         return str(value) if math.isinf(value) else f"{value:.6f}"
     return str(value)
 
 
-def emit_report(rows, fmt: str = "csv") -> str:
-    """Report text; csv keeps the fixed header, json renders an object array."""
+def _jsonable(value):
+    if isinstance(value, tuple):
+        return [_jsonable(v) for v in value]
+    return str(value) if isinstance(value, float) and math.isinf(value) else value
+
+
+def emit_table(columns, records, fmt: str = "csv") -> str:
+    """Records (one value per column) as csv under a header line, or as a json
+    array of objects; an infinity renders as ``inf``."""
     if fmt == "csv":
-        lines = [CSV_HEADER]
-        for row in rows:
-            lines.append(
-                ",".join(
-                    [
-                        row.instance,
-                        row.matrix,
-                        row.algorithm,
-                        f"{row.rho:.6f}",
-                        str(row.mu),
-                        row.mode,
-                        row.status,
-                        _render(row.active_connections),
-                        _render(row.deactivated_fraction),
-                        _render(row.runtime_seconds),
-                        ";".join(_render(v) for v in row.mlu),
-                        _render(row.bound),
-                    ]
-                )
-            )
+        lines = [",".join(columns)]
+        lines.extend(",".join(map(_render, record)) for record in records)
         return "\n".join(lines) + "\n"
     if fmt == "json":
-        payload = []
-        for row in rows:
-            d = asdict(row)
-            d["mlu"] = ["inf" if math.isinf(v) else v for v in row.mlu]
-            if d["bound"] is not None and math.isinf(d["bound"]):
-                d["bound"] = str(d["bound"])
-            payload.append(d)
+        payload = [{c: _jsonable(v) for c, v in zip(columns, record)} for record in records]
         return json.dumps(payload, indent=2) + "\n"
     raise ConfigError(f"unknown report format {fmt!r}")
+
+
+def emit_report(rows, fmt: str = "csv") -> str:
+    """Report text, one row per run: csv under ``CSV_HEADER``, or json."""
+    return emit_table(CSV_HEADER.split(","), map(astuple, rows), fmt)
 
 
 def parse_report_json(text: str) -> list[ReportRow]:

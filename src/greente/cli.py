@@ -10,29 +10,21 @@ import argparse
 import json
 import math
 import sys
-import time
 from fractions import Fraction
 from pathlib import Path
 
 from .bench import (
     ALGORITHMS,
-    SOLVERS,
     ConfigError,
     ExperimentConfig,
     RepetitaInstance,
+    as_rho,
     emit_report,
-    make_row,
+    emit_table,
     run_experiment,
+    solve_row,
 )
-from .model import (
-    Activation,
-    FULL_DUPLEX,
-    SIMPLEX,
-    Network,
-    NetworkError,
-    full_activation,
-    scale_traffic,
-)
+from .model import Activation, FULL_DUPLEX, SIMPLEX, Network, NetworkError, scale_traffic
 from .mspnd import NotRoutableInFull, TooLarge, brute_force_mspnd
 from .repetita import (
     DisconnectedDemand,
@@ -114,12 +106,29 @@ def _read_activation_csv(text: str, net: Network) -> Activation:
 
 
 def _parse_rho(value: float) -> Fraction:
-    if not math.isfinite(value):
-        raise ConfigError("--rho must lie strictly between 0 and 1")
-    rho = Fraction(value).limit_denominator(10**6)
-    if not 0 < rho < 1:
-        raise ConfigError("--rho must lie strictly between 0 and 1")
-    return rho
+    try:
+        return as_rho(value)
+    except ConfigError as exc:
+        raise ConfigError(f"--{exc}") from None
+
+
+def _strengthening(value) -> bool:
+    if not isinstance(value, bool):
+        raise TypeError(f"strengthening must be a JSON true or false, not {value!r}")
+    return value
+
+
+# bench config key -> (ExperimentConfig field, conversion); a key the config
+# leaves out keeps the field's default
+CONFIG_KEYS = {
+    "algorithms": ("algorithms", tuple),
+    "rho": ("rhos", tuple),
+    "mu": ("mus", tuple),
+    "modes": ("modes", lambda names: tuple(MODE_NAMES[m] for m in names)),
+    "time_limit": ("time_limit", float),
+    "lengths": ("length_mode", LENGTH_NAMES.__getitem__),
+    "strengthening": ("strengthening", _strengthening),
+}
 
 
 def _write(text: str, out: str | None) -> None:
@@ -133,19 +142,12 @@ def _cmd_solve(args) -> int:
     rho = _parse_rho(args.rho)
     net, traffic = _load_preprocessed(args, args.demands)
     scaled = scale_traffic(traffic, rho)
-    start = time.perf_counter()
-    res = SOLVERS[args.algorithm].run(
-        net, rho, scaled, args.time_limit, args.strengthening == "on"
+    key = (Path(args.graph).stem, "0", args.algorithm, rho, args.mu, MODE_NAMES[args.mode])
+    res, row = solve_row(
+        key, net, rho, scaled, [scaled], args.time_limit, args.strengthening == "on"
     )
-    runtime = time.perf_counter() - start
     _write(_activation_csv(res.activation), args.out)
     if args.out not in (None, "-"):
-        row = make_row(
-            Path(args.graph).stem, "0", args.algorithm, float(rho), args.mu,
-            MODE_NAMES[args.mode], res.status, activation=res.activation,
-            full_value=full_activation(net).value, runtime=runtime,
-            mlus=[mlu(net, res.activation, scaled)], bound=res.bound,
-        )
         sys.stdout.write(emit_report([row], args.format))
     return 0
 
@@ -164,15 +166,10 @@ def _cmd_bench(args) -> int:
             instances.append(
                 RepetitaInstance(str(inst.get("id", Path(inst["graph"]).stem)), precursor, matrices)
             )
-        config = ExperimentConfig(
-            algorithms=tuple(spec.get("algorithms", ALGORITHMS)),
-            rhos=tuple(spec.get("rho", (0.3, 0.5, 0.7))),
-            mus=tuple(spec.get("mu", (1,))),
-            modes=tuple(MODE_NAMES[m] for m in spec.get("modes", ("simplex",))),
-            time_limit=float(spec.get("time_limit", 600.0)),
-            length_mode=LENGTH_NAMES[spec.get("lengths", "given")],
-            strengthening=bool(spec.get("strengthening", True)),
-        )
+        config = ExperimentConfig(**{
+            field: convert(spec[key])
+            for key, (field, convert) in CONFIG_KEYS.items() if key in spec
+        })
         config.validate()
     except (KeyError, ValueError, TypeError) as exc:
         raise ConfigError(f"bad bench config: {exc}") from exc
@@ -186,22 +183,11 @@ def _cmd_evaluate(args) -> int:
     loaded = [_load_preprocessed(args, demand_path) for demand_path in args.demands]
     net = loaded[0][0]  # the network does not depend on the demand file
     activation = _read_activation_csv(Path(args.chi).read_text(), net)
-    results = [
-        (str(k), float(mlu(net, activation, scale_traffic(traffic, rho))))
+    records = [
+        (str(k), round(float(mlu(net, activation, scale_traffic(traffic, rho))), 6))
         for k, (_, traffic) in enumerate(loaded)
     ]
-    if args.format == "json":
-        payload = [
-            {"matrix": k, "mlu": "inf" if v == float("inf") else round(v, 6)}
-            for k, v in results
-        ]
-        _write(json.dumps(payload, indent=2) + "\n", args.out)
-    else:
-        lines = ["matrix,mlu"]
-        lines.extend(
-            f"{k},{'inf' if v == float('inf') else format(v, '.6f')}" for k, v in results
-        )
-        _write("\n".join(lines) + "\n", args.out)
+    _write(emit_table(("matrix", "mlu"), records, args.format), args.out)
     return 0
 
 

@@ -269,10 +269,9 @@ def price_paths(model: MspndModel, pair: tuple[int, int], bound, dcost) -> Path 
     domination and with explicit vertex checks, which is complete.  Labels pop
     in length order, but the first pass can drop a new path whose label a
     known path dominates and return a longer one, so the result is not always
-    the length-shortest new path.
+    the length-shortest new path.  With nonnegative costs a bound <= 0
+    finds nothing, so callers skip such pairs.
     """
-    if bound <= 0:
-        return None
     pd = model.pairs[pair]
     cost_to_t = _reverse_dcost_to(model.net, dcost, pd.t)
     return (
@@ -305,11 +304,14 @@ def _price_round(model: MspndModel, sol: LpSolution) -> list[int]:
     found = []
     for pair in model.terminal_pairs:
         pd = model.pairs[pair]
+        bound = y(pd.conn_row) - eps
+        if bound <= 0:  # path costs are nonnegative, so none is cheaper
+            continue
         dcost = [
             (y(pd.eb_row[a]) if a in pd.eb_row else 0) + pd.demand * g
             for a, g in enumerate(gamma)
         ]
-        path = price_paths(model, pair, y(pd.conn_row) - eps, dcost)
+        path = price_paths(model, pair, bound, dcost)
         if path is not None:
             found.append((pair, path))
     # a subpath column of an earlier pair's path may already hold a later path

@@ -1,5 +1,9 @@
 """REPETITA topology/demand ingestion and instance preprocessing.
 
+Each file is a sequence of blocks, and every count is strict: a block holds
+exactly its declared number of lines, each with exactly its listed fields,
+and nothing but blank lines may follow the last block.
+
 Graph files::
 
     NODES <n>
@@ -62,98 +66,73 @@ class GraphPrecursor:
     edges: tuple[tuple[str, int, int, int, Fraction], ...]  # label, src, dst, weight, bw
 
 
-def _content_lines(text: str):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if line:
-            yield lineno, line
+def _read_blocks(text: str, *layouts: tuple[str, str]) -> list[list[tuple[int, list[str]]]]:
+    """Each ``(keyword, columns)`` block in turn: a ``<KEYWORD> <count>``
+    header, one column-header line, then exactly ``count`` lines of the fields
+    ``columns`` names.  Blank lines are skipped; any content after the last
+    block is an error.  Returns each block's (line number, fields) rows."""
+    lines = ((n, raw.split()) for n, raw in enumerate(text.splitlines(), start=1) if raw.strip())
 
-
-def parse_repetita_graph(text: str) -> GraphPrecursor:
-    lines = _content_lines(text)
-
-    def next_line(what: str):
+    def next_line(what: str) -> tuple[int, list[str]]:
         try:
             return next(lines)
         except StopIteration:
             raise ParseError(f"unexpected end of file, expected {what}", 0) from None
 
-    lineno, line = next_line("NODES header")
-    parts = line.split()
-    if len(parts) != 2 or parts[0].upper() != "NODES":
-        raise ParseError("expected 'NODES <count>'", lineno)
-    try:
-        n_nodes = int(parts[1])
-    except ValueError:
-        raise ParseError("node count is not an integer", lineno) from None
-    next_line("node column header")  # column header line
-    nodes = []
-    for _ in range(n_nodes):
-        lineno, line = next_line("node line")
-        fields = line.split()
-        if len(fields) != 3:
-            raise ParseError("expected '<label> <x> <y>'", lineno)
-        nodes.append(fields[0])
-    lineno, line = next_line("EDGES header")
-    parts = line.split()
-    if len(parts) != 2 or parts[0].upper() != "EDGES":
-        raise ParseError("expected 'EDGES <count>'", lineno)
-    try:
-        n_edges = int(parts[1])
-    except ValueError:
-        raise ParseError("edge count is not an integer", lineno) from None
-    next_line("edge column header")
-    edges = []
-    for _ in range(n_edges):
-        lineno, line = next_line("edge line")
-        fields = line.split()
-        if len(fields) != 6:
-            raise ParseError("expected '<label> <src> <dest> <weight> <bw> <delay>'", lineno)
-        label = fields[0]
+    blocks = []
+    for keyword, columns in layouts:
+        lineno, parts = next_line(f"{keyword} header")
+        if len(parts) != 2 or parts[0].upper() != keyword:
+            raise ParseError(f"expected '{keyword} <count>'", lineno)
         try:
-            src, dst = int(fields[1]), int(fields[2])
-            weight = int(fields[3])
-            bw = Fraction(fields[4])
+            count = int(parts[1])
         except ValueError:
+            raise ParseError(f"{keyword} count is not an integer", lineno) from None
+        if count < 0:
+            raise ParseError(f"{keyword} count is negative", lineno)
+        next_line(f"{keyword} column header")
+        rows = []
+        for _ in range(count):
+            lineno, fields = next_line(f"{count} {keyword} lines")
+            if len(fields) != len(columns.split()):
+                raise ParseError(f"expected '{columns}'", lineno)
+            rows.append((lineno, fields))
+        blocks.append(rows)
+    for lineno, _ in lines:
+        raise ParseError(f"content after the {layouts[-1][0]} block", lineno)
+    return blocks
+
+
+def parse_repetita_graph(text: str) -> GraphPrecursor:
+    node_rows, edge_rows = _read_blocks(
+        text,
+        ("NODES", "<label> <x> <y>"),
+        ("EDGES", "<label> <src> <dest> <weight> <bw> <delay>"),
+    )
+    n_nodes, edges = len(node_rows), []
+    for lineno, (label, src, dst, weight, bw, _) in edge_rows:
+        try:
+            src, dst, weight, bw = int(src), int(dst), int(weight), Fraction(bw)
+        except (ValueError, ZeroDivisionError):  # Fraction("1/0") divides by zero
             raise ParseError("malformed edge fields", lineno) from None
-        if not 0 <= src < n_nodes or not 0 <= dst < n_nodes:
+        if not (0 <= src < n_nodes and 0 <= dst < n_nodes):
             raise ParseError(f"edge endpoint out of range on edge {label}", lineno)
         edges.append((label, src, dst, weight, bw))
-    return GraphPrecursor(tuple(nodes), tuple(edges))
+    return GraphPrecursor(tuple(fields[0] for _, fields in node_rows), tuple(edges))
 
 
 def parse_repetita_demands(text: str, num_nodes: int | None = None) -> TrafficMatrix:
-    """Demands summed per ordered pair; zero-volume lines drop out."""
-    lines = _content_lines(text)
-    try:
-        lineno, line = next(lines)
-    except StopIteration:
-        raise ParseError("empty demand file", 0) from None
-    parts = line.split()
-    if len(parts) != 2 or parts[0].upper() != "DEMANDS":
-        raise ParseError("expected 'DEMANDS <count>'", lineno)
-    try:
-        count = int(parts[1])
-    except ValueError:
-        raise ParseError("demand count is not an integer", lineno) from None
-    try:
-        next(lines)
-    except StopIteration:
-        raise ParseError("missing demand column header", lineno) from None
+    """Demands summed per ordered pair; zero-volume and self-pair lines drop
+    out, a negative volume is an error."""
+    [rows] = _read_blocks(text, ("DEMANDS", "<label> <src> <dest> <bw>"))
     demands: dict[tuple[int, int], Fraction] = {}
-    for _ in range(count):
+    for lineno, (_, src, dst, bw) in rows:
         try:
-            lineno, line = next(lines)
-        except StopIteration:
-            raise ParseError("unexpected end of file in demand list", 0) from None
-        fields = line.split()
-        if len(fields) != 4:
-            raise ParseError("expected '<label> <src> <dest> <bw>'", lineno)
-        try:
-            src, dst = int(fields[1]), int(fields[2])
-            bw = Fraction(fields[3])
-        except ValueError:
+            src, dst, bw = int(src), int(dst), Fraction(bw)
+        except (ValueError, ZeroDivisionError):
             raise ParseError("malformed demand fields", lineno) from None
+        if bw < 0:
+            raise ParseError(f"negative demand volume {bw}", lineno)
         if num_nodes is not None and not (0 <= src < num_nodes and 0 <= dst < num_nodes):
             raise UnknownNode(f"demand endpoint {src}->{dst} outside the topology")
         if src != dst and bw > 0:

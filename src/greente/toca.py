@@ -23,9 +23,7 @@ class InfeasibleAfterFix(RuntimeError):
 @dataclass
 class TocaLp:
     model: LpModel
-    x_col: dict[int, int]                      # arc -> activation column
-    flow_col: dict[tuple[int, int], int]       # (commodity arc, edge arc) -> column
-    rho: Fraction
+    x_col: dict[int, int]  # arc -> activation column
 
 
 def build_toca_lp(net: Network, rho) -> TocaLp:
@@ -39,7 +37,6 @@ def build_toca_lp(net: Network, rho) -> TocaLp:
         a.id: model.add_row({x_col[a.id]: a.ccap}, GE, 0, name=f"cap_{a.id}")
         for a in net.arcs
     }
-    flow_col: dict[tuple[int, int], int] = {}
     for com in net.arcs:
         demand = rho * com.fcap
         cons_row = {}
@@ -47,7 +44,7 @@ def build_toca_lp(net: Network, rho) -> TocaLp:
             b = demand if v == com.tail else (-demand if v == com.head else Fraction(0))
             cons_row[v] = model.add_row({}, EQ, b, name=f"ns_{com.id}_{v}")
         for edge in net.arcs:
-            j = model.add_column(
+            model.add_column(
                 obj=0, lb=0, ub=None,
                 coefs={
                     cons_row[edge.tail]: 1,
@@ -56,10 +53,9 @@ def build_toca_lp(net: Network, rho) -> TocaLp:
                 },
                 name=f"f_{com.id}_{edge.id}",
             )
-            flow_col[(com.id, edge.id)] = j
     for a, rev in net.duplex_pairs:
         model.add_row({x_col[a]: 1, x_col[rev]: -1}, EQ, 0, name=f"dx_{a}")
-    return TocaLp(model, x_col, flow_col, rho)
+    return TocaLp(model, x_col)
 
 
 def _ceil_tol(v: float, mu: int) -> int:

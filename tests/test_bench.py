@@ -145,6 +145,10 @@ def test_csv_report_is_deterministic_modulo_runtime():
 
 
 def test_csv_header_and_empty_report():
+    assert CSV_HEADER == (
+        "instance,matrix,algorithm,rho,mu,mode,status,"
+        "active_connections,deactivated_fraction,runtime_seconds,mlu,bound"
+    )
     assert emit_report([], "csv") == CSV_HEADER + "\n"
 
 

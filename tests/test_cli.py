@@ -1,9 +1,17 @@
+import dataclasses
 import json
 
 import pytest
 
 import greente.cli
-from greente.bench import ALGORITHMS, ExperimentConfig, RepetitaInstance, run_experiment
+from greente.bench import (
+    ALGORITHMS,
+    TRAFFIC_AWARE,
+    ExperimentConfig,
+    RepetitaInstance,
+    parse_report_json,
+    run_experiment,
+)
 from greente.cli import main
 from greente.mspnd import NotRoutableInFull
 from greente.repetita import parse_repetita_demands, parse_repetita_graph
@@ -77,11 +85,13 @@ def test_oracle_agrees_with_exact_solver(tmp_path, instance_files):
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
-def test_solve_matches_bench_cell(tmp_path, instance_files, algorithm):
+def test_solve_matches_bench_cell(tmp_path, instance_files, capsys, algorithm):
     graph, demands = instance_files
     out = tmp_path / "chi.csv"
     assert main(["solve", "--algorithm", algorithm, "--graph", str(graph),
-                 "--demands", str(demands), "--rho", "0.5", "--out", str(out)]) == 0
+                 "--demands", str(demands), "--rho", "0.5", "--out", str(out),
+                 "--format", "json"]) == 0
+    [solved] = parse_report_json(capsys.readouterr().out)
     precursor = parse_repetita_graph(graph.read_text())
     matrix = parse_repetita_demands(demands.read_text(), num_nodes=len(precursor.nodes))
     rows = run_experiment(
@@ -90,6 +100,11 @@ def test_solve_matches_bench_cell(tmp_path, instance_files, algorithm):
     )
     assert [row.status for row in rows] == ["optimal"]
     assert total(out) == rows[0].active_connections
+    # solve names its one matrix "0"; bench marks an oblivious run's matrix "-"
+    assert solved.matrix == "0"
+    assert rows[0].matrix == ("0" if algorithm in TRAFFIC_AWARE else "-")
+    assert dataclasses.replace(solved, matrix=rows[0].matrix, runtime_seconds=0.0) \
+        == dataclasses.replace(rows[0], runtime_seconds=0.0)
 
 
 def test_evaluate_reports_mlu(tmp_path, instance_files, capsys):
@@ -124,6 +139,26 @@ def test_bench_runs_config(tmp_path, instance_files, capsys):
     text = out.read_text()
     assert text.startswith("instance,matrix,algorithm")
     assert "tiny" in text
+
+
+def test_bench_config_defaults_are_experiment_config_defaults(tmp_path, instance_files, monkeypatch):
+    graph, demands = instance_files
+    configs = []
+    monkeypatch.setattr(
+        greente.cli, "run_experiment", lambda config, instances: configs.append(config) or []
+    )
+    cfg = tmp_path / "bench.json"
+    cfg.write_text(json.dumps({"instances": [{"graph": str(graph), "demands": [str(demands)]}]}))
+    assert main(["bench", "--config", str(cfg)]) == 0
+    assert configs == [ExperimentConfig()]
+
+
+@pytest.mark.parametrize("value", ["off", 0, None])
+def test_bench_strengthening_must_be_a_json_boolean(tmp_path, capsys, value):
+    cfg = tmp_path / "bench.json"
+    cfg.write_text(json.dumps({"instances": [], "strengthening": value}))
+    assert main(["bench", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
 
 
 def test_bench_bad_config_exits_2(tmp_path):

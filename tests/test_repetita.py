@@ -90,6 +90,9 @@ def test_parse_demands_unknown_node():
 def test_parse_demands_malformed():
     with pytest.raises(ParseError):
         parse_repetita_demands("DEMAND 1\nheader\nd0 0 1 3\n")
+    with pytest.raises(ParseError) as err:
+        parse_repetita_demands("DEMANDS 1\nheader\nd0 0 1 1/0\n")
+    assert err.value.line == 3
 
 
 def test_preprocess_scales_to_unit_utilization():
@@ -146,3 +149,32 @@ def test_preprocess_parallel_merge_splits_capacity_over_connections():
     net, _ = preprocess(g, t, SIMPLEX, "asGiven", 5)
     arc = net.arcs[0]
     assert arc.fcap == 10 and arc.ccap == 2 and arc.mu == 5 and arc.length == 2
+
+
+
+@pytest.mark.parametrize("text, line", [
+    (TWO_NODE_GRAPH + "edge_1 1 0 3 10 5\n", 9),
+    (TWO_NODE_GRAPH + "\nNODES 1\n", 10),
+], ids=["edge-line-beyond-count", "extra-block"])
+def test_parse_graph_rejects_content_after_the_last_block(text, line):
+    with pytest.raises(ParseError) as err:
+        parse_repetita_graph(text)
+    assert err.value.line == line
+
+
+def test_parse_demands_count_is_strict():
+    with pytest.raises(ParseError):
+        parse_repetita_demands("DEMANDS 2\nheader\nd0 0 1 3\n", num_nodes=2)
+    with pytest.raises(ParseError):
+        parse_repetita_demands("DEMANDS -1\nheader\n", num_nodes=2)
+    with pytest.raises(ParseError) as err:
+        parse_repetita_demands("DEMANDS 1\nheader\nd0 0 1 3\nd1 1 0 2\n", num_nodes=2)
+    assert err.value.line == 4
+
+
+def test_parse_demands_rejects_negative_volume_but_drops_zero_and_self_pairs():
+    t = parse_repetita_demands("DEMANDS 3\nheader\nd0 0 1 0\nd1 1 1 5\nd2 1 0 2\n", num_nodes=2)
+    assert t.terminals == ((1, 0),) and t.demand(1, 0) == 2
+    with pytest.raises(ParseError) as err:
+        parse_repetita_demands("DEMANDS 2\nheader\nd0 0 1 3\n\nd1 1 0 -4\n", num_nodes=2)
+    assert err.value.line == 5
