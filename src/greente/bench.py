@@ -85,8 +85,8 @@ class ExperimentConfig:
         for rho in self.rhos:
             as_rho(rho)
         for mu in self.mus:
-            if mu < 1:
-                raise ConfigError(f"mu {mu} must be >= 1")
+            if isinstance(mu, bool) or not isinstance(mu, int) or mu < 1:
+                raise ConfigError(f"mu {mu!r} must be an integer >= 1")
         for mode in self.modes:
             if mode not in MODES:
                 raise ConfigError(f"unknown mode {mode!r}")

@@ -5,6 +5,9 @@ separation callback until it adds no more rows, before any branching.  Rows
 and columns added by callbacks must be globally valid: they stay in the
 shared model for the rest of the search.  Pricing also runs on infeasible
 relaxations, against their Farkas ray, since columns can restore feasibility.
+The heuristic callback sees every optimal relaxation, before pricing; a
+feasible point it returns that beats the incumbent replaces it, so the node's
+prune check already uses it.
 """
 from __future__ import annotations
 
@@ -28,6 +31,8 @@ class BnbConfig:
     # price sees optimal and infeasible relaxations, separate only optimal ones
     price: Callable[[LpModel, LpSolution], list[int]] | None = None
     separate: Callable[[LpModel, LpSolution], list[int]] | None = None
+    # a feasible (value, primal) read off an optimal relaxation, or None
+    heuristic: Callable[[LpSolution], tuple[object, dict] | None] | None = None
     accept_incumbent: Callable[[LpSolution], bool] | None = None
     branch_select: Callable[[LpSolution, list[int]], int] | None = None
     initial_incumbent: tuple[object, dict] | None = None  # (value, primal)
@@ -50,10 +55,16 @@ def branch_and_bound(model: LpModel, integer_columns, config: BnbConfig) -> BnbR
 
     incumbent: LpSolution | None = None
     incumbent_value = math.inf
+
+    def offer(value, primal, dual=None) -> None:
+        """Keep (value, primal) as the incumbent if it is strictly better."""
+        nonlocal incumbent, incumbent_value
+        if float(value) < incumbent_value - 1e-12:
+            incumbent = LpSolution("optimal", dict(primal), dict(dual or {}), value)
+            incumbent_value = float(value)
+
     if config.initial_incumbent is not None:
-        value, primal = config.initial_incumbent
-        incumbent = LpSolution("optimal", dict(primal), {}, value)
-        incumbent_value = float(value)
+        offer(*config.initial_incumbent)
 
     integer_set = set(integer_columns)
 
@@ -115,6 +126,10 @@ def branch_and_bound(model: LpModel, integer_columns, config: BnbConfig) -> BnbR
                 if optimal and deadline is not None and time.perf_counter() > deadline:
                     aborted = True
                     break
+                if optimal and config.heuristic is not None:
+                    found = config.heuristic(sol)
+                    if found is not None:
+                        offer(*found)
                 if config.price is not None and config.price(model, sol):
                     continue
                 if optimal and config.separate is not None and config.separate(model, sol):
@@ -143,11 +158,7 @@ def branch_and_bound(model: LpModel, integer_columns, config: BnbConfig) -> BnbR
                     raise IncumbentRejected(
                         "integral node rejected with no remaining refinement"
                     )
-                if float(sol.objective) < incumbent_value - 1e-12:
-                    incumbent = LpSolution(
-                        "optimal", dict(sol.primal), dict(sol.dual), sol.objective
-                    )
-                    incumbent_value = float(sol.objective)
+                offer(sol.objective, sol.primal, sol.dual)
                 record_bound()
                 continue
             if config.branch_select is not None:

@@ -15,6 +15,7 @@ from pathlib import Path
 
 from .bench import (
     ALGORITHMS,
+    TRAFFIC_AWARE,
     ConfigError,
     ExperimentConfig,
     RepetitaInstance,
@@ -142,7 +143,8 @@ def _cmd_solve(args) -> int:
     rho = _parse_rho(args.rho)
     net, traffic = _load_preprocessed(args, args.demands)
     scaled = scale_traffic(traffic, rho)
-    key = (Path(args.graph).stem, "0", args.algorithm, rho, args.mu, MODE_NAMES[args.mode])
+    matrix = "0" if args.algorithm in TRAFFIC_AWARE else "-"  # as bench names it
+    key = (Path(args.graph).stem, matrix, args.algorithm, rho, args.mu, MODE_NAMES[args.mode])
     res, row = solve_row(
         key, net, rho, scaled, [scaled], args.time_limit, args.strengthening == "on"
     )

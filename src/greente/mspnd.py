@@ -338,6 +338,81 @@ def _complete_spr_paths(model: MspndModel, sol: LpSolution) -> list[int]:
     return added
 
 
+def _lp_drop(model: MspndModel, sol: LpSolution) -> tuple[int, dict] | None:
+    """LP-guided drop heuristic: from full activation, lower each arc's count
+    while the network stays SPR-routable, visiting arcs in ascending LP ``x``
+    order (ties by arc id) and lowering duplex partners together.  Returns
+    ``(value, primal)``, or None when full activation does not route:
+    routability is not monotone in the counts, so the start must be checked.
+
+    Each trial is checked exactly and incrementally.  A drop that leaves an
+    arc active changes no path, so only that arc's capacity can break.  A drop
+    to zero re-routes only the pairs whose path used the arc: an order-minimal
+    path stays order-minimal when arcs it does not use go away.
+    """
+    net, traffic = model.net, model.traffic
+    full = full_activation(net)
+    try:
+        routed = spr_route(net, full, traffic)
+    except Disconnected:
+        return None
+    path_of, load = dict(routed.path_of), dict(routed.load)
+    counts = list(full.counts)
+
+    def over(loads) -> bool:
+        return any(ld > net.arcs[b].ccap * counts[b] for b, ld in loads.items())
+
+    def drop_to_zero(group) -> bool:
+        """Re-route the pairs that used ``group`` (now at count 0) and keep
+        their new paths and loads if they fit."""
+        active = Activation(tuple(counts))
+        moved, changed = {}, {}
+        for pair, path in path_of.items():
+            if group.isdisjoint(path.arcs):
+                continue
+            new = shortest_path_unique(net, active, *pair)
+            if new is None:
+                return False
+            moved[pair] = new
+            d = traffic.demand(*pair)
+            for b in path.arcs:
+                changed[b] = changed.get(b, load[b]) - d
+            for b in new.arcs:
+                changed[b] = changed.get(b, load.get(b, 0)) + d
+        if over(changed):
+            return False
+        path_of.update(moved)
+        load.update(changed)
+        return True
+
+    if over(load):
+        return None
+    partner = {}
+    for a, rev in net.duplex_pairs:
+        partner[a], partner[rev] = rev, a
+    x = sol.primal
+    for a in sorted(range(net.n_arcs), key=lambda a: (x[model.x_col[a]], a)):
+        group = {a, partner.get(a, a)}
+        while counts[a] > 0:
+            for b in group:
+                counts[b] -= 1
+            if counts[a] > 0 and not over({b: load.get(b, 0) for b in group}):
+                continue
+            if counts[a] == 0 and drop_to_zero(group):
+                continue
+            for b in group:
+                counts[b] += 1
+            break
+    return sum(counts), _activation_primal(model, counts)
+
+
+def _activation_primal(model: MspndModel, counts) -> dict:
+    """The x and y columns of an activation, as a B&B primal point."""
+    primal = {model.x_col[a]: chi for a, chi in enumerate(counts)}
+    primal.update({model.y_col[a]: int(chi > 0) for a, chi in enumerate(counts)})
+    return primal
+
+
 def root_lp_value(net: Network, traffic: TrafficMatrix, strengthening: bool, mode: str = "exact"):
     """Root relaxation value once pricing is exhausted (no branching); an
     infeasible restricted master is priced against its Farkas ray."""
@@ -413,14 +488,11 @@ def solve_mspnd(
     except NotRoutableInFull:
         warm = None  # the fixed-routing bound only exists for full-routable traffic
     if warm is not None:
-        warm_primal = {model.x_col[a.id]: warm.counts[a.id] for a in net.arcs}
-        warm_primal.update(
-            {model.y_col[a.id]: (1 if warm.counts[a.id] > 0 else 0) for a in net.arcs}
-        )
-        initial = (warm.value, warm_primal)
+        initial = (warm.value, _activation_primal(model, warm.counts))
     config = BnbConfig(
         mode=mode,
         time_limit=time_limit,
+        heuristic=lambda sol: _lp_drop(model, sol),
         price=price,
         accept_incumbent=accept,
         branch_select=branch_select,
@@ -433,6 +505,8 @@ def solve_mspnd(
         raise RuntimeError("time limit reached before any feasible activation was found")
     activation = decode_activation(result.incumbent.primal, model.x_col)
     activation.validate(net)
+    if not is_spr_routable(net, activation, traffic):
+        raise RuntimeError("the final activation does not route its traffic")
     status = "optimal" if result.status == "optimal" else "timeout"
     return Result(activation, status, float(result.bound))
 

@@ -178,7 +178,7 @@ def preprocess(
     for (src, dst), (weight, bw) in sorted(merged.items()):
         if length_mode == "unit":
             length = 1
-        elif length_mode == "inverseCapacity":
+        elif length_mode == "inverseCapacity" and bw > 0:  # build_network rejects bw <= 0
             length = int(-(-max_fcap // bw))  # ceil(C_max / fcap), positive integer
         else:
             length = weight

@@ -164,7 +164,7 @@ def test_price_callback_runs_before_separation():
     assert "separate" in calls
 
 
-def _infeasible_until_priced(offer):
+def _infeasible_until_priced(offer, heuristic=None):
     """min x s.t. x >= 2 with x <= 1: infeasible until ``price`` adds a column
     y (cost 3) into the row; with ``offer`` off, it never does."""
     m = LpModel()
@@ -178,7 +178,7 @@ def _infeasible_until_priced(offer):
             return [model.add_column(obj=3, lb=0, ub=5, coefs={r: 1})]
         return []
 
-    return branch_and_bound(m, [x], BnbConfig(price=price)), seen
+    return branch_and_bound(m, [x], BnbConfig(price=price, heuristic=heuristic)), seen
 
 
 def test_price_runs_on_an_infeasible_relaxation_and_restores_it():
@@ -211,3 +211,49 @@ def test_priced_continuous_cost_stops_integral_rounding():
     res = branch_and_bound(m, [x], BnbConfig(price=price, initial_incumbent=(2, {x: 2})))
     assert res.status == "optimal"
     assert float(res.incumbent.objective) == pytest.approx(1.35)
+
+
+def _half_model():
+    """min x + y s.t. 2x + 2y >= 3 over integers in [0, 2]: the root LP is
+    1.5, so without help the search branches before it finds the optimum 2."""
+    m = LpModel()
+    x = m.add_column(obj=1, lb=0, ub=2)
+    y = m.add_column(obj=1, lb=0, ub=2)
+    m.add_row({x: 2, y: 2}, GE, 3)
+    return m, x, y
+
+
+def test_heuristic_at_the_root_closes_the_search_in_one_node():
+    m, x, y = _half_model()
+    assert branch_and_bound(m, [x, y], BnbConfig()).nodes > 1
+    res = branch_and_bound(m, [x, y], BnbConfig(heuristic=lambda sol: (2, {x: 1, y: 1})))
+    assert res.status == "optimal" and res.nodes == 1
+    assert res.incumbent.primal == {x: 1, y: 1}
+
+
+@pytest.mark.parametrize("offered", [2, 3])
+def test_heuristic_value_no_better_than_the_incumbent_is_ignored(offered):
+    m, x, y = _half_model()
+    calls = []
+
+    def heuristic(sol):
+        calls.append(sol.status)
+        return offered, {x: 1, y: 1}
+
+    res = branch_and_bound(
+        m, [x, y], BnbConfig(heuristic=heuristic, initial_incumbent=(2, {x: 2, y: 0}))
+    )
+    assert calls and res.status == "optimal"
+    assert res.incumbent.primal == {x: 2, y: 0}
+
+
+def test_heuristic_never_sees_an_infeasible_relaxation():
+    statuses = []
+
+    def heuristic(sol):
+        statuses.append(sol.status)
+        return None
+
+    res, seen = _infeasible_until_priced(offer=True, heuristic=heuristic)
+    assert seen[0].status == "infeasible" and res.status == "optimal"
+    assert statuses and set(statuses) == {"optimal"}

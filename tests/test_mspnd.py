@@ -11,7 +11,7 @@ from greente import (
     is_spr_routable,
 )
 from greente import mspnd
-from greente.lp import solve_lp
+from greente.lp import LpSolution, solve_lp
 from greente.mspnd import (
     DisconnectedPair,
     DuplicatePath,
@@ -27,6 +27,7 @@ from greente.mspnd import (
     solve_f_mspnd,
     solve_mspnd,
 )
+from greente.model import Activation, full_activation
 from greente.routing import make_path
 from conftest import (
     all_pairs_traffic,
@@ -465,3 +466,73 @@ def test_grid_networks_with_many_alternative_routes():
         assert got == expected
         outcomes["solved" if expected is not None else "infeasible"] += 1
     assert outcomes["solved"] > 0
+
+
+def _reference_drop(net, traffic, order):
+    """The LP-order drop with a full SPR check at every step."""
+    counts = list(full_activation(net).counts)
+    if not is_spr_routable(net, Activation(tuple(counts)), traffic):
+        return None
+    partner = {}
+    for a, rev in net.duplex_pairs:
+        partner[a], partner[rev] = rev, a
+    for a in order:
+        group = {a, partner.get(a, a)}
+        while counts[a] > 0:
+            trial = list(counts)
+            for b in group:
+                trial[b] -= 1
+            if not is_spr_routable(net, Activation(tuple(trial)), traffic):
+                break
+            counts = trial
+    return counts
+
+
+def _fake_lp_point(model, rng):
+    """An optimal-looking LP point with many ties among the x values."""
+    primal = {col: rng.choice([0, 0.25, 0.5, 1.0]) for col in model.x_col}
+    return LpSolution("optimal", primal, {}, 0.0)
+
+
+def test_lp_drop_matches_a_drop_that_checks_routability_at_every_step():
+    rng = random.Random(4242)
+    duplex = dropped = partial = 0
+    for _ in range(150):
+        net, traffic = random_routable_instance(rng, n_max=6, arcs_max=10, mu_max=3, pairs_max=4)
+        model = MspndModel(net, traffic, strengthening=False)
+        sol = _fake_lp_point(model, rng)
+        order = sorted(range(net.n_arcs), key=lambda a: (sol.primal[model.x_col[a]], a))
+        expected = _reference_drop(net, traffic, order)
+        value, primal = mspnd._lp_drop(model, sol)
+        counts = [primal[model.x_col[a]] for a in range(net.n_arcs)]
+        assert counts == expected
+        assert value == sum(counts)
+        assert all(primal[model.y_col[a]] == (chi > 0) for a, chi in enumerate(counts))
+        duplex += bool(net.duplex_pairs)
+        dropped += value < full_activation(net).value
+        partial += any(0 < chi < arc.mu for chi, arc in zip(counts, net.arcs))
+    assert duplex > 20 and dropped > 100 and partial > 50
+
+
+def test_lp_drop_needs_a_routable_full_activation(single_arc):
+    # full activation sends s->v over the thin direct arc, which overloads;
+    # only without it does the fat detour carry the demand
+    net = build_network([(0, 2, 1, 1, 1), (0, 1, 3, 1, 1), (1, 2, 3, 1, 1)])
+    traffic = TrafficMatrix({(0, 2): 2})
+    model = MspndModel(net, traffic, strengthening=False)
+    assert mspnd._lp_drop(model, _fake_lp_point(model, random.Random(1))) is None
+    assert solve_mspnd(net, traffic).value == brute_force_mspnd(net, traffic).value == 2
+    disconnected = TrafficMatrix({(1, 0): 1})
+    model = MspndModel(single_arc, disconnected, strengthening=False)
+    assert mspnd._lp_drop(model, _fake_lp_point(model, random.Random(1))) is None
+
+
+def test_an_unroutable_heuristic_incumbent_is_caught(monkeypatch):
+    # the final activation is re-verified, so a faulty hook cannot pass
+    # off an all-off network as optimal
+    def all_off(model, sol):
+        return 0, mspnd._activation_primal(model, [0] * model.net.n_arcs)
+
+    monkeypatch.setattr(mspnd, "_lp_drop", all_off)
+    with pytest.raises(RuntimeError, match="does not route"):
+        solve_mspnd(complete_digraph(3), all_pairs_traffic(3))
