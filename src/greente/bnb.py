@@ -1,11 +1,13 @@
 """Exact branch-and-bound driver over an LpModel with callback hooks.
 
-At every node the price callback runs until it adds no more columns, then the
-separation callback until it adds no more rows, before any branching.  Rows
-and columns added by callbacks must be globally valid: they stay in the
-shared model for the rest of the search.  Pricing also runs on infeasible
-relaxations, against their Farkas ray, since columns can restore feasibility.
-The heuristic callback sees every optimal relaxation, before pricing; a
+At every node one refine callback runs until it adds nothing, before any
+branching: it prices in columns, separates rows, or both.  What it adds must
+be globally valid, since it stays in the shared model for the rest of the
+search.  It sees infeasible relaxations too, with their Farkas ray, since
+columns can restore feasibility.  The root starts at the zero-dual bound
+(every column at the bound its cost prefers), so a search cut off before its
+first solve still reports a finite bound; columns refine adds must not lower it.
+The heuristic callback sees every optimal relaxation, before refine; a
 feasible point it returns that beats the incumbent replaces it, so the node's
 prune check already uses it.
 """
@@ -17,7 +19,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .lp import INT_TOL, LpModel, LpSolution, frac_dist, solve_lp
+from .lp import INT_TOL, LpModel, LpSolution, _dual_bound, frac_dist, solve_lp
 
 
 class IncumbentRejected(RuntimeError):
@@ -28,9 +30,8 @@ class IncumbentRejected(RuntimeError):
 class BnbConfig:
     time_limit: float | None = None
     mode: str = "float"
-    # price sees optimal and infeasible relaxations, separate only optimal ones
-    price: Callable[[LpModel, LpSolution], list[int]] | None = None
-    separate: Callable[[LpModel, LpSolution], list[int]] | None = None
+    # sees optimal and infeasible relaxations; returns the columns or rows it added
+    refine: Callable[[LpModel, LpSolution], list[int]] | None = None
     # a feasible (value, primal) read off an optimal relaxation, or None
     heuristic: Callable[[LpSolution], tuple[object, dict] | None] | None = None
     accept_incumbent: Callable[[LpSolution], bool] | None = None
@@ -40,7 +41,7 @@ class BnbConfig:
 
 @dataclass
 class BnbResult:
-    status: str  # optimal | feasibleTimeout | infeasible | timeout
+    status: str  # optimal | infeasible | timeout
     incumbent: LpSolution | None
     bound: object
     nodes: int = 0
@@ -87,7 +88,8 @@ def branch_and_bound(model: LpModel, integer_columns, config: BnbConfig) -> BnbR
 
     # nodes: (bound estimate, seq, {col: (lb, ub)})
     seq = 0
-    open_nodes: list[tuple[float, int, dict]] = [(-math.inf, seq, {})]
+    root, finite = _dual_bound(model, {}, model.objective, config.mode == "exact")
+    open_nodes: list[tuple[float, int, dict]] = [(float(root) if finite else -math.inf, seq, {})]
     nodes_done = 0
     history: list[float] = []
     last_bound = -math.inf
@@ -108,7 +110,7 @@ def branch_and_bound(model: LpModel, integer_columns, config: BnbConfig) -> BnbR
 
     while open_nodes:
         if deadline is not None and time.perf_counter() > deadline:
-            return finish("feasibleTimeout" if incumbent is not None else "timeout")
+            return finish("timeout")
         bound_est, _, overrides = heapq.heappop(open_nodes)
         if prunable(bound_est):
             continue
@@ -130,15 +132,13 @@ def branch_and_bound(model: LpModel, integer_columns, config: BnbConfig) -> BnbR
                     found = config.heuristic(sol)
                     if found is not None:
                         offer(*found)
-                if config.price is not None and config.price(model, sol):
-                    continue
-                if optimal and config.separate is not None and config.separate(model, sol):
+                if config.refine is not None and config.refine(model, sol):
                     continue
                 break
             if aborted:
                 seq += 1
                 heapq.heappush(open_nodes, (bound_est, seq, overrides))
-                return finish("feasibleTimeout" if incumbent is not None else "timeout")
+                return finish("timeout")
             nodes_done += 1
             if sol.status == "unbounded":
                 raise RuntimeError("node relaxation is unbounded")

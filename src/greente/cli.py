@@ -161,9 +161,12 @@ def _cmd_bench(args) -> int:
         instances = []
         for inst in spec["instances"]:
             precursor = parse_repetita_graph(Path(inst["graph"]).read_text())
+            demands = inst["demands"]
+            if not isinstance(demands, list) or not demands:
+                raise ConfigError(f"demands must be a non-empty list of files, got {demands!r}")
             matrices = tuple(
                 parse_repetita_demands(Path(p).read_text(), num_nodes=len(precursor.nodes))
-                for p in inst["demands"]
+                for p in demands
             )
             instances.append(
                 RepetitaInstance(str(inst.get("id", Path(inst["graph"]).stem)), precursor, matrices)

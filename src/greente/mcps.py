@@ -164,6 +164,8 @@ def solve_mcps(net: Network, rho, time_limit: float | None = None, mode: str = "
     added_cuts: set[tuple[tuple[int, int], frozenset[int]]] = set()
 
     def separate(lp_model, sol):
+        if sol.status != "optimal":
+            return []
         xhat = {a.id: sol.primal[x_col[a.id]] for a in net.arcs}
         new_rows = []
         for cut in separate_cuts(instance, xhat, pending):
@@ -183,7 +185,7 @@ def solve_mcps(net: Network, rho, time_limit: float | None = None, mode: str = "
     config = BnbConfig(
         mode=mode,
         time_limit=time_limit,
-        separate=separate,
+        refine=separate,
         accept_incumbent=accept,
         initial_incumbent=(
             sum(a.mu for a in net.arcs),
@@ -194,5 +196,4 @@ def solve_mcps(net: Network, rho, time_limit: float | None = None, mode: str = "
     assert result.incumbent is not None  # full activation is always feasible
     activation = decode_activation(result.incumbent.primal, x_col.values())
     activation.validate(net)
-    status = "optimal" if result.status == "optimal" else "timeout"
-    return Result(activation, status, float(result.bound))
+    return Result(activation, result.status, float(result.bound))

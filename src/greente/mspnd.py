@@ -2,13 +2,13 @@
 
 The path-based ILP keeps integer per-arc activation counts, binary arc
 indicators, and one nonnegative column per candidate routing path.  Path
-columns are priced on demand: each round reads every terminal pair's
-connectivity dual (its bound) and per-arc dual costs straight from the LP
-solution, and a constrained-shortest-path label search looks for a new path
-below that bound.  Optional subpath rows (a chosen path forces its prefixes
-and suffixes to be chosen between their endpoints too) tighten the
-relaxation.  The trivial fixed-routing solver and a brute-force oracle live
-here as well.
+columns are priced on demand through the branch-and-bound ``refine`` hook:
+each round reads every terminal pair's connectivity dual (its bound) and
+per-arc dual costs straight from the LP solution, and one complete label
+search returns the order-first new path below that bound.  Optional subpath
+rows (a chosen path forces its prefixes and suffixes to be chosen between
+their endpoints too) tighten the relaxation.  The trivial fixed-routing
+solver and a brute-force oracle live here as well.
 
 All rows are oriented so that their duals are nonnegative at an optimum,
 which the pricing bound relies on.
@@ -35,10 +35,10 @@ from .model import (
 from .routing import (
     Disconnected,
     Path,
+    RoutingResult,
     is_spr_routable,
     k_shortest_paths,
     make_path,
-    shortest_lengths_from,
     shortest_path_unique,
     spr_route,
 )
@@ -91,11 +91,11 @@ class MspndModel:
         self.y_col: list[int] = []
         self.cap_row: list[int] = []
         self.pairs: dict[tuple[int, int], _PairData] = {}
-        counts = full_activation(net).counts
-        # full-network shortest lengths from every vertex, dist[u][v]
-        self.dist = [shortest_lengths_from(net, counts, u) for u in range(net.n_vertices)]
+        # full-network shortest lengths into every vertex, dist_to[v][u] from u
+        lengths = [a.length for a in net.arcs]
+        self.dist_to = [_costs_to(net, lengths, v) for v in range(net.n_vertices)]
         # no arc has a strictly shorter parallel route
-        self.one_shortest = all(self.dist[a.tail][a.head] == a.length for a in net.arcs)
+        self.one_shortest = all(self.dist_to[a.head][a.tail] == a.length for a in net.arcs)
         for arc in net.arcs:
             self.x_col.append(self.lp.add_column(obj=1, lb=0, ub=arc.mu, name=f"x_{arc.id}"))
             self.y_col.append(self.lp.add_column(obj=0, lb=0, ub=1, name=f"y_{arc.id}"))
@@ -203,16 +203,17 @@ def add_path_column(model: MspndModel, pair: tuple[int, int], path: Path) -> int
     return column
 
 
-def _reverse_dcost_to(net: Network, dcost, t: int) -> dict[int, object]:
-    """Cheapest dual cost from each vertex into t (missing = cannot reach t)."""
+def _costs_to(net: Network, cost, t: int) -> dict[int, object]:
+    """Cheapest total ``cost`` (per arc id) from each vertex into t, by one
+    reverse Dijkstra (missing = cannot reach t)."""
     best: dict[int, object] = {t: 0}
     heap: list[tuple[object, int]] = [(0, t)]
     while heap:
         d, v = heapq.heappop(heap)
-        if d > best.get(v, d):
+        if d > best[v]:
             continue
         for arc in net.in_arcs[v]:
-            nd = d + dcost[arc.id]
+            nd = d + cost[arc.id]
             u = arc.tail
             if u not in best or nd < best[u]:
                 best[u] = nd
@@ -220,64 +221,42 @@ def _reverse_dcost_to(net: Network, dcost, t: int) -> dict[int, object]:
     return best
 
 
-def _label_scan(model: MspndModel, pd, dcost, bound, cost_to_t, dominate: bool) -> Path | None:
-    """Label-setting keyed by (len - len(s,v), len(s,v), dual cost, hops, arcs).
+def price_paths(model: MspndModel, pair: tuple[int, int], bound, dcost) -> Path | None:
+    """The first new elementary path for ``pair`` in (length, dual cost, hops,
+    arc ids) order whose dual cost (``dcost`` per arc id) stays below
+    ``bound``, or None when no such path exists.
 
-    Dijkstra-length labels pop first, so paths short in total length surface
-    before longer detours.  With ``dominate`` set, a label weakly dominated at
-    its vertex is discarded (cycles always are); otherwise elementarity is
-    enforced through the visited-vertex mask.
+    Best-first label setting over elementary labels (a visited-vertex mask),
+    keyed by (length + full-network length on to t, dual cost, hops, arc ids).
+    That length is exact, so keys never decrease along an extension and
+    labels at t pop in the order above.  A label is dropped once its cost plus
+    the cheapest dual cost on to t reaches the bound.  With nonnegative costs
+    a bound <= 0 finds nothing, so callers skip such pairs.
     """
-    net, s, t = model.net, pd.s, pd.t
-    len_from_s = model.dist[s]
-    heap = [(0, 0, 0, 0, (), 0, s, 1 << s)]
-    frontier: dict[int, list] = {s: [(0, 0)]}
+    net, pd = model.net, model.pairs[pair]
+    len_to_t = model.dist_to[pd.t]
+    cost_to_t = _costs_to(net, dcost, pd.t)
+    heap = [(0, 0, 0, (), 0, pd.s, 1 << pd.s)]  # (key..., length, vertex, mask)
     while heap:
-        _, _, cost, hops, arcs, length, v, mask = heapq.heappop(heap)
-        if v == t:
-            if arcs in pd.entries:
-                continue
-            return make_path(net, arcs)
+        _, cost, hops, arcs, length, v, mask = heapq.heappop(heap)
+        if v == pd.t:
+            if arcs not in pd.entries:
+                return make_path(net, arcs)
+            continue
         for arc in net.out_arcs[v]:
             w = arc.head
-            if not dominate and (mask >> w) & 1:
+            if (mask >> w) & 1:
                 continue
             ncost = cost + dcost[arc.id]
             rest = cost_to_t.get(w)
             if rest is None or not ncost + rest < bound:
                 continue
             nlen = length + arc.length
-            if dominate:
-                entries = frontier.setdefault(w, [])
-                if any(fl <= nlen and fc <= ncost for fl, fc in entries):
-                    continue
-                entries.append((nlen, ncost))
-            base = len_from_s[w]
             heapq.heappush(
                 heap,
-                (nlen - base, base, ncost, hops + 1, arcs + (arc.id,), nlen, w, mask | (1 << w)),
+                (nlen + len_to_t[w], ncost, hops + 1, arcs + (arc.id,), nlen, w, mask | (1 << w)),
             )
     return None
-
-
-def price_paths(model: MspndModel, pair: tuple[int, int], bound, dcost) -> Path | None:
-    """A new elementary path for ``pair`` whose dual cost (``dcost`` per arc
-    id) stays below ``bound``, or None when no such path exists.
-
-    A first pass discards dominated labels (which also rules out cycles); if
-    it only rediscovers known paths, a second pass reruns the search without
-    domination and with explicit vertex checks, which is complete.  Labels pop
-    in length order, but the first pass can drop a new path whose label a
-    known path dominates and return a longer one, so the result is not always
-    the length-shortest new path.  With nonnegative costs a bound <= 0
-    finds nothing, so callers skip such pairs.
-    """
-    pd = model.pairs[pair]
-    cost_to_t = _reverse_dcost_to(model.net, dcost, pd.t)
-    return (
-        _label_scan(model, pd, dcost, bound, cost_to_t, True)
-        or _label_scan(model, pd, dcost, bound, cost_to_t, False)
-    )
 
 
 def _price_round(model: MspndModel, sol: LpSolution) -> list[int]:
@@ -338,12 +317,13 @@ def _complete_spr_paths(model: MspndModel, sol: LpSolution) -> list[int]:
     return added
 
 
-def _lp_drop(model: MspndModel, sol: LpSolution) -> tuple[int, dict] | None:
+def _lp_drop(model: MspndModel, routed: RoutingResult, sol: LpSolution) -> tuple[int, dict]:
     """LP-guided drop heuristic: from full activation, lower each arc's count
     while the network stays SPR-routable, visiting arcs in ascending LP ``x``
     order (ties by arc id) and lowering duplex partners together.  Returns
-    ``(value, primal)``, or None when full activation does not route:
-    routability is not monotone in the counts, so the start must be checked.
+    ``(value, primal)``.  ``routed`` is the full network's routing, which must
+    fit at full activation: routability is not monotone in the counts, so the
+    start has to be routable.
 
     Each trial is checked exactly and incrementally.  A drop that leaves an
     arc active changes no path, so only that arc's capacity can break.  A drop
@@ -351,13 +331,8 @@ def _lp_drop(model: MspndModel, sol: LpSolution) -> tuple[int, dict] | None:
     path stays order-minimal when arcs it does not use go away.
     """
     net, traffic = model.net, model.traffic
-    full = full_activation(net)
-    try:
-        routed = spr_route(net, full, traffic)
-    except Disconnected:
-        return None
     path_of, load = dict(routed.path_of), dict(routed.load)
-    counts = list(full.counts)
+    counts = list(full_activation(net).counts)
 
     def over(loads) -> bool:
         return any(ld > net.arcs[b].ccap * counts[b] for b, ld in loads.items())
@@ -385,8 +360,6 @@ def _lp_drop(model: MspndModel, sol: LpSolution) -> tuple[int, dict] | None:
         load.update(changed)
         return True
 
-    if over(load):
-        return None
     partner = {}
     for a, rev in net.duplex_pairs:
         partner[a], partner[rev] = rev, a
@@ -417,7 +390,7 @@ def root_lp_value(net: Network, traffic: TrafficMatrix, strengthening: bool, mod
     """Root relaxation value once pricing is exhausted (no branching); an
     infeasible restricted master is priced against its Farkas ray."""
     model = build_root_model(net, traffic, strengthening)
-    config = BnbConfig(mode=mode, price=lambda _, sol: _price_round(model, sol))
+    config = BnbConfig(mode=mode, refine=lambda _, sol: _price_round(model, sol))
     result = branch_and_bound(model.lp, [], config)
     if result.incumbent is None:
         raise NotRoutableInFull("relaxation infeasible: no activation can route the demands")
@@ -467,7 +440,7 @@ def solve_mspnd(
     x_set = set(model.x_col)
     y_set = set(model.y_col)
 
-    def price(lp_model, sol):  # optimal or infeasible; SPR completion needs a primal
+    def refine(lp_model, sol):  # optimal or infeasible; SPR completion needs a primal
         added = _price_round(model, sol)
         if not added and sol.status == "optimal":
             if all(frac_dist(sol.primal[j]) <= INT_TOL for j in int_cols):
@@ -482,22 +455,21 @@ def solve_mspnd(
         pool = ys if ys else [j for j in fractional if j in x_set]
         return max(pool, key=lambda j: (frac_dist(sol.primal[j]), -j))
 
-    initial = None
-    try:
-        warm = solve_f_mspnd(net, traffic)
-    except NotRoutableInFull:
-        warm = None  # the fixed-routing bound only exists for full-routable traffic
-    if warm is not None:
-        initial = (warm.value, _activation_primal(model, warm.counts))
     config = BnbConfig(
         mode=mode,
         time_limit=time_limit,
-        heuristic=lambda sol: _lp_drop(model, sol),
-        price=price,
+        refine=refine,
         accept_incumbent=accept,
         branch_select=branch_select,
-        initial_incumbent=initial,
     )
+    try:
+        warm = solve_f_mspnd(net, traffic)
+    except NotRoutableInFull:
+        pass  # the fixed-routing bound and the drop start need full-network routing
+    else:
+        routed = spr_route(net, warm, traffic)  # F-MSPND keeps every full-network path
+        config.initial_incumbent = (warm.value, _activation_primal(model, warm.counts))
+        config.heuristic = lambda sol: _lp_drop(model, routed, sol)
     result = branch_and_bound(model.lp, int_cols, config)
     if result.incumbent is None:
         if result.status == "infeasible":
@@ -507,8 +479,7 @@ def solve_mspnd(
     activation.validate(net)
     if not is_spr_routable(net, activation, traffic):
         raise RuntimeError("the final activation does not route its traffic")
-    status = "optimal" if result.status == "optimal" else "timeout"
-    return Result(activation, status, float(result.bound))
+    return Result(activation, result.status, float(result.bound))
 
 
 def brute_force_mspnd(net: Network, traffic: TrafficMatrix) -> Activation:

@@ -173,7 +173,7 @@ def preprocess(
             min_weight = weight if back is None else min(weight, back[0])
             harmonized[(src, dst)] = (min_weight, bw)
         merged = harmonized
-    max_fcap = max(bw for _, bw in merged.values())
+    max_fcap = max((bw for _, bw in merged.values()), default=0)  # no arcs: build_network rejects
     specs = []
     for (src, dst), (weight, bw) in sorted(merged.items()):
         if length_mode == "unit":

@@ -112,25 +112,6 @@ def shortest_path_unique(
     return _dijkstra(net, activation.counts, s, t)
 
 
-def shortest_lengths_from(net: Network, counts, s: int) -> list[float]:
-    """Plain shortest-path lengths from s over arcs with counts > 0 (inf = unreachable)."""
-    dist = [inf] * net.n_vertices
-    dist[s] = 0
-    heap = [(0, s)]
-    while heap:
-        d, v = heapq.heappop(heap)
-        if d > dist[v]:
-            continue
-        for arc in net.out_arcs[v]:
-            if counts[arc.id] <= 0:
-                continue
-            nd = d + arc.length
-            if nd < dist[arc.head]:
-                dist[arc.head] = nd
-                heapq.heappush(heap, (nd, arc.head))
-    return dist
-
-
 def k_shortest_paths(net: Network, s: int, t: int, k: int) -> list[Path]:
     """First min(k, #paths) elementary s-t paths of the full network in order.
 

@@ -112,7 +112,7 @@ def test_time_limit_statuses():
     res = branch_and_bound(
         m, [x], BnbConfig(time_limit=0, initial_incumbent=(4, {x: 4}))
     )
-    assert res.status == "feasibleTimeout"
+    assert res.status == "timeout"
     assert res.incumbent.objective == 4
 
 
@@ -140,28 +140,9 @@ def test_separation_callback_refines_to_exactness():
             return [added[-1]]
         return []
 
-    res = branch_and_bound(m, [x, y], BnbConfig(separate=separate))
+    res = branch_and_bound(m, [x, y], BnbConfig(refine=separate))
     assert res.status == "optimal"
     assert float(res.incumbent.objective) == pytest.approx(3)
-
-
-def test_price_callback_runs_before_separation():
-    calls = []
-    m = LpModel()
-    x = m.add_column(obj=1, lb=0, ub=2)
-    m.add_row({x: 1}, GE, 1)
-
-    def price(model, sol):
-        calls.append("price")
-        return []
-
-    def separate(model, sol):
-        calls.append("separate")
-        return []
-
-    branch_and_bound(m, [x], BnbConfig(price=price, separate=separate))
-    assert calls and calls[0] == "price"
-    assert "separate" in calls
 
 
 def _infeasible_until_priced(offer, heuristic=None):
@@ -178,7 +159,7 @@ def _infeasible_until_priced(offer, heuristic=None):
             return [model.add_column(obj=3, lb=0, ub=5, coefs={r: 1})]
         return []
 
-    return branch_and_bound(m, [x], BnbConfig(price=price, heuristic=heuristic)), seen
+    return branch_and_bound(m, [x], BnbConfig(refine=price, heuristic=heuristic)), seen
 
 
 def test_price_runs_on_an_infeasible_relaxation_and_restores_it():
@@ -208,7 +189,7 @@ def test_priced_continuous_cost_stops_integral_rounding():
             return [model.add_column(obj=Fraction(1, 2), lb=0, ub=1, coefs={r: 1})]
         return []
 
-    res = branch_and_bound(m, [x], BnbConfig(price=price, initial_incumbent=(2, {x: 2})))
+    res = branch_and_bound(m, [x], BnbConfig(refine=price, initial_incumbent=(2, {x: 2})))
     assert res.status == "optimal"
     assert float(res.incumbent.objective) == pytest.approx(1.35)
 

@@ -306,3 +306,20 @@ def test_bench_malformed_json_exits_2(tmp_path, capsys):
     cfg.write_text('{"instances": [')
     assert main(["bench", "--config", str(cfg)]) == 2
     assert capsys.readouterr().err.startswith("config error:")
+
+
+def test_graph_without_edges_exits_2(instance_files, capsys):
+    graph, demands = instance_files
+    graph.write_text(GRAPH.split("EDGES")[0] + "EDGES 0\nlabel src dest weight bw delay\n")
+    assert main(["solve", "--algorithm", "mcf", "--graph", str(graph),
+                 "--demands", str(demands)]) == 2
+    assert capsys.readouterr().err.startswith("input error: empty arc list")
+
+
+@pytest.mark.parametrize("value", [[], "matrix.0.demands", None])
+def test_bench_instance_demands_must_be_a_non_empty_list(tmp_path, instance_files, capsys, value):
+    graph, _ = instance_files
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"instances": [{"graph": str(graph), "demands": value}]}))
+    assert main(["bench", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("config error:")

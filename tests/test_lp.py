@@ -394,7 +394,7 @@ def test_branch_and_price_solves_like_fresh_loads(monkeypatch):
     float solve of the live HiGHS model lands on the vertex a fresh load of
     the same model finds.  The LP-guided drop heuristic is off, since it
     closes K5 in about ten solves."""
-    monkeypatch.setattr(mspnd, "_lp_drop", lambda model, sol: None)
+    monkeypatch.setattr(mspnd, "_lp_drop", lambda model, routed, sol: None)
     solve_float = lp._solve_float
     solves = []
 

@@ -16,7 +16,7 @@ from greente.mcps import (
     separate_cuts,
     solve_mcps,
 )
-from conftest import digraphs, random_net
+from conftest import complete_digraph, digraphs, random_net
 
 
 def brute_force_mcps_value(net, rho):
@@ -277,3 +277,12 @@ def test_integer_preprocessing_matches_fraction_reference(base, tenths, data):
     assert precompute_lower_bounds(inst) == (lb, satisfied)
     counts = tuple(data.draw(st.integers(0, a.mu)) for a in net.arcs)
     assert audit_retention(inst, Activation(counts)) == reference_audit(net, rho, lam, counts)
+
+
+def test_a_timeout_before_the_first_solve_reports_the_zero_dual_bound():
+    # every column costs 1 from a lower bound of 0, so 0 bounds the optimum
+    # before any LP is solved; the full activation is the incumbent
+    net = complete_digraph(4)
+    res = solve_mcps(net, Fraction(1, 2), time_limit=1e-9)
+    assert res.status == "timeout" and res.bound == 0
+    assert res.activation == full_activation(net)

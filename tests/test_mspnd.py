@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from greente import (
@@ -28,7 +28,7 @@ from greente.mspnd import (
     solve_mspnd,
 )
 from greente.model import Activation, full_activation
-from greente.routing import make_path
+from greente.routing import make_path, spr_route
 from conftest import (
     all_pairs_traffic,
     complete_digraph,
@@ -59,6 +59,15 @@ def test_fixed_routing_on_complete_digraph_keeps_every_link():
     assert act.value == n * (n - 1)
     res = solve_mspnd(net, all_pairs_traffic(n), time_limit=60)
     assert res.value <= n
+
+
+def test_a_timeout_before_the_first_solve_reports_the_zero_dual_bound():
+    # F-MSPND is the incumbent; every activation column costs 1 from a lower
+    # bound of 0 and every path column 0, so 0 bounds the optimum
+    net, traffic = complete_digraph(4), all_pairs_traffic(4)
+    res = solve_mspnd(net, traffic, time_limit=1e-9)
+    assert res.status == "timeout" and res.bound == 0
+    assert res.activation == solve_f_mspnd(net, traffic)
 
 
 def test_root_model_path_counts(overlap_gadget, overlap_traffic, single_arc, diamond):
@@ -101,30 +110,53 @@ def test_pricing_respects_strict_bound(diamond):
     assert price_paths(model, pair, Fraction(0), [0] * diamond.n_arcs) is None
 
 
-@settings(max_examples=400, deadline=None, derandomize=True, database=None)
-@given(digraphs(n_max=5, arcs_max=10, len_max=2), st.data())
-def test_pricing_is_complete(net, data):
-    """A path comes back exactly when some new elementary path costs less
-    than the bound, and it is such a path."""
+@st.composite
+def pricing_cases(draw):
+    """A digraph, a pair (connected when some pair is), some of its paths
+    already known, per-arc dual costs and a bound."""
+    net = draw(digraphs(n_max=5, arcs_max=10, len_max=2))
     pairs = [(u, v) for u in range(net.n_vertices) for v in range(net.n_vertices) if u != v]
-    s, t = data.draw(st.sampled_from(
-        [p for p in pairs if enumerate_paths(net, *p)] or pairs  # prefer connected pairs
-    ))
+    pair = draw(st.sampled_from([p for p in pairs if enumerate_paths(net, *p)] or pairs))
+    known = [arcs for arcs in enumerate_paths(net, *pair) if draw(st.booleans())]
+    costs = [draw(st.fractions(0, 2, max_denominator=4)) for _ in net.arcs]
+    return net, pair, known, costs, draw(st.fractions(0, 5, max_denominator=4))
+
+
+# the known arc 0->3 is shorter and cheaper than the new 0->1->3 (length 3),
+# which must still beat the cheaper but longer 0->2->3 (length 4)
+SHORT_BEHIND_KNOWN = build_network([
+    (0, 2, 1, 2, 1), (0, 3, 1, 1, 1), (0, 1, 1, 1, 1),
+    (2, 3, 1, 2, 1), (1, 2, 1, 1, 1), (1, 3, 1, 2, 1),
+])
+# 0->2->3 and 0->1->3 tie on length and dual cost; arc ids decide
+TIED_ROUTES = build_network([(0, 2, 1, 2, 1), (2, 3, 1, 1, 1), (0, 1, 1, 1, 1), (1, 3, 1, 2, 1)])
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(pricing_cases())
+@example((SHORT_BEHIND_KNOWN, (0, 3), [(1,)], [1, 2, 2, 0, 0, 2], 100))
+@example((TIED_ROUTES, (0, 3), [], [0, 3, 1, 2], 100))
+def test_pricing_is_complete(case):
+    """A path comes back exactly when some new elementary path costs less
+    than the bound, and it is the first such path in (length, dual cost,
+    hops, arc ids) order."""
+    net, (s, t), known, costs, bound = case
     model = MspndModel(net, TrafficMatrix({(s, t): 1}), strengthening=False)
     model.ensure_pair((s, t))
-    paths = enumerate_paths(net, s, t)
-    known = {arcs for arcs in paths if data.draw(st.booleans())}
     for arcs in known:
         add_path_column(model, (s, t), make_path(net, arcs))
-    costs = [data.draw(st.fractions(0, 2, max_denominator=4)) for _ in net.arcs]
-    bound = data.draw(st.fractions(0, 5, max_denominator=4))
     found = price_paths(model, (s, t), bound, costs)
     cheap_new = [
-        arcs for arcs in paths if arcs not in known and sum(costs[a] for a in arcs) < bound
+        make_path(net, arcs) for arcs in enumerate_paths(net, s, t)
+        if arcs not in known and sum(costs[a] for a in arcs) < bound
     ]
     assert (found is not None) == bool(cheap_new)
     if found is not None:
-        assert found.arcs in cheap_new  # new, elementary, s to t and under the bound
+        def order(p):
+            return p.length, sum(costs[a] for a in p.arcs), p.hops, p.arcs
+
+        first = min(cheap_new, key=order)
+        assert found == first  # new, elementary, s to t, under the bound and order-first
 
 
 def test_duplicate_path_rejected(single_arc):
@@ -503,7 +535,7 @@ def test_lp_drop_matches_a_drop_that_checks_routability_at_every_step():
         sol = _fake_lp_point(model, rng)
         order = sorted(range(net.n_arcs), key=lambda a: (sol.primal[model.x_col[a]], a))
         expected = _reference_drop(net, traffic, order)
-        value, primal = mspnd._lp_drop(model, sol)
+        value, primal = mspnd._lp_drop(model, spr_route(net, full_activation(net), traffic), sol)
         counts = [primal[model.x_col[a]] for a in range(net.n_arcs)]
         assert counts == expected
         assert value == sum(counts)
@@ -514,23 +546,39 @@ def test_lp_drop_matches_a_drop_that_checks_routability_at_every_step():
     assert duplex > 20 and dropped > 100 and partial > 50
 
 
-def test_lp_drop_needs_a_routable_full_activation(single_arc):
+def test_lp_drop_needs_a_routable_full_activation(monkeypatch):
     # full activation sends s->v over the thin direct arc, which overloads;
-    # only without it does the fat detour carry the demand
+    # only without it does the fat detour carry the demand.  With no F-MSPND
+    # to start from, the drop heuristic is never registered.
     net = build_network([(0, 2, 1, 1, 1), (0, 1, 3, 1, 1), (1, 2, 3, 1, 1)])
     traffic = TrafficMatrix({(0, 2): 2})
-    model = MspndModel(net, traffic, strengthening=False)
-    assert mspnd._lp_drop(model, _fake_lp_point(model, random.Random(1))) is None
+    with pytest.raises(NotRoutableInFull):
+        solve_f_mspnd(net, traffic)
+    drops = []
+    monkeypatch.setattr(mspnd, "_lp_drop", lambda *args: drops.append(args))
     assert solve_mspnd(net, traffic).value == brute_force_mspnd(net, traffic).value == 2
-    disconnected = TrafficMatrix({(1, 0): 1})
-    model = MspndModel(single_arc, disconnected, strengthening=False)
-    assert mspnd._lp_drop(model, _fake_lp_point(model, random.Random(1))) is None
+    assert drops == []
+
+
+def test_lp_drop_runs_from_the_one_full_network_routing(monkeypatch):
+    # every call of one solve gets the same routing: the full network's
+    net, traffic = complete_digraph(4), all_pairs_traffic(4)
+    drop, routings = mspnd._lp_drop, []
+
+    def spy(model, routed, sol):
+        routings.append(routed)
+        return drop(model, routed, sol)
+
+    monkeypatch.setattr(mspnd, "_lp_drop", spy)
+    assert solve_mspnd(net, traffic).status == "optimal"
+    assert routings and all(r is routings[0] for r in routings)
+    assert routings[0] == spr_route(net, full_activation(net), traffic)
 
 
 def test_an_unroutable_heuristic_incumbent_is_caught(monkeypatch):
     # the final activation is re-verified, so a faulty hook cannot pass
     # off an all-off network as optimal
-    def all_off(model, sol):
+    def all_off(model, routed, sol):
         return 0, mspnd._activation_primal(model, [0] * model.net.n_arcs)
 
     monkeypatch.setattr(mspnd, "_lp_drop", all_off)
