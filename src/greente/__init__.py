@@ -35,7 +35,7 @@ from .routing import (
     spr_route,
 )
 from .flows import Cut, FlowResult, all_pairs_maxflow, extract_cut, max_flow
-from .lp import LpModel, LpSolution, export_lp_text, solve_lp
+from .lp import LpModel, LpSolution, solve_lp
 from .bnb import BnbConfig, BnbResult, branch_and_bound
 from .mcps import McpsInstance, precompute_lower_bounds, separate_cuts, solve_mcps
 from .toca import alg_mcf, alg_mcf_pp, build_toca_lp, supports_scaled_traffic
@@ -85,7 +85,6 @@ __all__ = [
     "build_root_model",
     "build_toca_lp",
     "emit_report",
-    "export_lp_text",
     "extract_cut",
     "full_activation",
     "is_spr_routable",

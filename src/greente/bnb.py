@@ -10,6 +10,11 @@ first solve still reports a finite bound; columns refine adds must not lower it.
 The heuristic callback sees every optimal relaxation, before refine; a
 feasible point it returns that beats the incumbent replaces it, so the node's
 prune check already uses it.
+
+When every costed column is an integer column with an integer cost, every
+feasible value is a multiple of g, the gcd of the costs, so a node's bound
+rounds up to a multiple of g before it is compared with the incumbent (a
+full-duplex link costs 2 per count).
 """
 from __future__ import annotations
 
@@ -69,21 +74,30 @@ def branch_and_bound(model: LpModel, integer_columns, config: BnbConfig) -> BnbR
 
     integer_set = set(integer_columns)
 
-    def integral_objective() -> bool:
-        """Every costed column is an integer column with an integer cost; read
-        at prune time, since pricing may add costed continuous columns."""
-        return all(
-            c == 0 or (j in integer_set and c % 1 == 0) for j, c in enumerate(model.objective)
-        )
+    def objective_step() -> int:
+        """The gcd g of the costs when every costed column is an integer
+        column with an integer cost, so every feasible value is a multiple of
+        g; 0 otherwise.  Read at prune time, since pricing may add costed
+        continuous columns."""
+        step = 0
+        for j, c in enumerate(model.objective):
+            if c != 0:
+                if j not in integer_set or c % 1 != 0:
+                    return 0
+                step = math.gcd(step, int(c))
+        return step
 
     def prunable(bound) -> bool:
+        """The bound, rounded up to a multiple of the objective's step when
+        it has one, reaches the incumbent."""
         if incumbent is None:
             return False
         b = float(bound)
         if math.isinf(b):
             return b > 0
-        if integral_objective():
-            return math.ceil(b - INT_TOL) >= incumbent_value - 1e-9
+        g = objective_step()
+        if g:
+            return math.ceil(b / g - INT_TOL) * g >= incumbent_value - 1e-9
         return b >= incumbent_value - 1e-9 * (1 + abs(incumbent_value))
 
     # nodes: (bound estimate, seq, {col: (lb, ub)})

@@ -248,7 +248,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError) as exc:
+    except (ConfigError, OSError, UnicodeDecodeError) as exc:  # unreadable path or text
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (

@@ -141,29 +141,6 @@ class LpSolution:
     objective: object = None
 
 
-def export_lp_text(model: LpModel) -> str:
-    """Plain-text rendering of a model (objective, rows, bounds) for debugging."""
-    def term(coef, name):
-        coef = Fraction(coef) if not isinstance(coef, float) else coef
-        sign = "+" if coef >= 0 else "-"
-        return f"{sign} {abs(coef)} {name}"
-
-    lines = [f"\\ model {model.name}", "Minimize"]
-    obj = " ".join(term(c, model.col_names[j]) for j, c in enumerate(model.objective) if c != 0)
-    lines.append(" obj: " + (obj or "0"))
-    lines.append("Subject To")
-    for i in range(model.n_rows):
-        body = " ".join(term(v, model.col_names[j]) for j, v in sorted(model.row_coefs[i].items()))
-        lines.append(f" {model.row_names[i]}: {body or '0'} {model.senses[i]} {model.rhs[i]}")
-    lines.append("Bounds")
-    for j in range(model.n_cols):
-        lo = "-inf" if model.lower[j] is None else model.lower[j]
-        hi = "+inf" if model.upper[j] is None else model.upper[j]
-        lines.append(f" {lo} <= {model.col_names[j]} <= {hi}")
-    lines.append("End")
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # exact backend: bounded-variable two-phase revised simplex
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .bnb import BnbConfig, branch_and_bound
 from .flows import all_pairs_maxflow, extract_cut, max_flow
-from .lp import GE, EQ, LpModel
+from .lp import GE, LpModel
 from .model import Activation, Network, Result, as_fraction, decode_activation
 
 
@@ -152,14 +152,15 @@ def solve_mcps(net: Network, rho, time_limit: float | None = None, mode: str = "
     pending = [p for p in _relevant_pairs(instance) if p not in satisfied]
 
     model = LpModel(name="mcps")
-    x_col = {}
-    for arc in net.arcs:
-        x_col[arc.id] = model.add_column(obj=1, lb=0, ub=arc.mu, name=f"x_{arc.id}")
-    for arc in net.arcs:
-        if lb[arc.id] > 0:
-            model.add_row({x_col[arc.id]: 1}, GE, lb[arc.id], name=f"lb_{arc.id}")
-    for a, rev in net.duplex_pairs:
-        model.add_row({x_col[a]: 1, x_col[rev]: -1}, EQ, 0, name=f"dx_{a}")
+    x_col = [0] * net.n_arcs  # per arc, so a link's arcs repeat its column
+    for link in net.links:
+        col = model.add_column(obj=len(link), lb=0, ub=net.arcs[link[0]].mu, name=f"x_{link[0]}")
+        for a in link:
+            x_col[a] = col
+    for link in net.links:
+        bound = max(lb[a] for a in link)
+        if bound > 0:
+            model.add_row({x_col[link[0]]: 1}, GE, bound, name=f"lb_{link[0]}")
 
     added_cuts: set[tuple[tuple[int, int], frozenset[int]]] = set()
 
@@ -173,6 +174,7 @@ def solve_mcps(net: Network, rho, time_limit: float | None = None, mode: str = "
             if key in added_cuts:
                 continue
             added_cuts.add(key)
+            # a cut crosses its bipartition one way, so it holds one arc per link at most
             coefs = {x_col[a]: net.arcs[a].ccap for a in cut.arc_ids}
             new_rows.append(
                 lp_model.add_row(coefs, GE, cut.rhs, name=f"cut_{len(added_cuts)}")
@@ -180,7 +182,7 @@ def solve_mcps(net: Network, rho, time_limit: float | None = None, mode: str = "
         return new_rows
 
     def accept(sol):
-        return audit_retention(instance, decode_activation(sol.primal, x_col.values()))
+        return audit_retention(instance, decode_activation(sol.primal, x_col))
 
     config = BnbConfig(
         mode=mode,
@@ -192,8 +194,8 @@ def solve_mcps(net: Network, rho, time_limit: float | None = None, mode: str = "
             {x_col[a.id]: a.mu for a in net.arcs},
         ),
     )
-    result = branch_and_bound(model, list(x_col.values()), config)
+    result = branch_and_bound(model, sorted(set(x_col)), config)
     assert result.incumbent is not None  # full activation is always feasible
-    activation = decode_activation(result.incumbent.primal, x_col.values())
+    activation = decode_activation(result.incumbent.primal, x_col)
     activation.validate(net)
     return Result(activation, result.status, float(result.bound))

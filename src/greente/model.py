@@ -116,17 +116,12 @@ class Network:
         return {(a.tail, a.head): a for a in self.arcs}
 
     @cached_property
-    def duplex_pairs(self) -> tuple[tuple[int, int], ...]:
-        """``(a, reverse)`` per full-duplex link, ``a < reverse``, in arc-id
-        order; empty in simplex mode."""
+    def links(self) -> tuple[tuple[int, ...], ...]:
+        """The units of activation, in lowest-arc-id order: ``(a, reverse)``
+        per full-duplex link (``a < reverse``), ``(a,)`` per simplex arc."""
         if self.duplex_mode != FULL_DUPLEX:
-            return ()
+            return tuple((a.id,) for a in self.arcs)
         return tuple((a, rev) for a, rev in enumerate(self.link_pair) if a < rev)
-
-    def reverse_of(self, arc_id: int) -> int | None:
-        if self.link_pair is None:
-            return None
-        return self.link_pair[arc_id]
 
 
 @dataclass(frozen=True)
@@ -175,9 +170,9 @@ class Activation:
             chi = self.counts[arc.id]
             if not 0 <= chi <= arc.mu:
                 raise ValueError(f"chi({arc.id})={chi} outside [0,{arc.mu}]")
-        for a, rev in net.duplex_pairs:
-            if self.counts[a] != self.counts[rev]:
-                raise ValueError(f"duplex asymmetry on arc {a}")
+        for link in net.links:
+            if len({self.counts[a] for a in link}) > 1:
+                raise ValueError(f"duplex asymmetry on arc {link[0]}")
 
 
 def decode_activation(primal: Mapping[int, object], columns: Iterable[int]) -> Activation:
@@ -209,7 +204,7 @@ def build_network(
     Vertices may be referenced by name or integer id; unseen names are
     assigned dense ids in first-appearance order unless ``vertices`` fixes
     the order up front.  In full-duplex mode every arc must have a reverse
-    partner; disagreeing lengths harmonize to the minimum, disagreeing
+    arc; disagreeing lengths harmonize to the minimum, disagreeing
     ccap/mu are rejected.
     """
     if duplex_mode not in (SIMPLEX, FULL_DUPLEX):
@@ -273,7 +268,7 @@ def build_network(
         for i, (tail, head, ccap, length, mu) in enumerate(raw):
             j = seen_pairs.get((head, tail))
             if j is None:
-                raise MissingReverseArc(f"arc {tail}->{head} lacks a reverse partner")
+                raise MissingReverseArc(f"arc {tail}->{head} lacks a reverse arc")
             rt, rh, rccap, rlength, rmu = raw[j]
             if rccap != ccap or rmu != mu:
                 raise InconsistentDuplexArc(

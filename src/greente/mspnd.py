@@ -1,11 +1,12 @@
 """Exact shortest-path network design via branch-and-price.
 
-The path-based ILP keeps integer per-arc activation counts, binary arc
-indicators, and one nonnegative column per candidate routing path.  Path
-columns are priced on demand through the branch-and-bound ``refine`` hook:
-each round reads every terminal pair's connectivity dual (its bound) and
-per-arc dual costs straight from the LP solution, and one complete label
-search returns the order-first new path below that bound.  Optional subpath
+The path-based ILP keeps an integer activation count and a binary indicator
+per link (a full-duplex link's two arcs share both), and one nonnegative
+column per candidate routing path.  Path columns are priced on demand through
+the branch-and-bound ``refine`` hook: each round reads every terminal pair's
+connectivity dual (its bound) and per-arc dual costs straight from the LP
+solution, and one complete label search returns the order-first new path
+below that bound.  Optional subpath
 rows (a chosen path forces its prefixes and suffixes to be chosen between
 their endpoints too) tighten the relaxation.  The trivial fixed-routing
 solver and a brute-force oracle live here as well.
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bnb import BnbConfig, branch_and_bound
-from .lp import GE, EQ, INT_TOL, LpModel, LpSolution, frac_dist
+from .lp import GE, INT_TOL, LpModel, LpSolution, frac_dist
 from .lp import solve_lp  # noqa: F401 -- unused here; perfbench/layers.py wraps mspnd.solve_lp
 from .model import (
     Activation,
@@ -87,27 +88,25 @@ class MspndModel:
         self.traffic = traffic
         self.strengthening = strengthening
         self.lp = LpModel(name="mspnd")
-        self.x_col: list[int] = []
-        self.y_col: list[int] = []
-        self.cap_row: list[int] = []
+        # per arc, so a link's arcs repeat its columns
+        self.x_col: list[int] = [0] * net.n_arcs
+        self.y_col: list[int] = [0] * net.n_arcs
+        self.cap_row: list[int] = [0] * net.n_arcs
         self.pairs: dict[tuple[int, int], _PairData] = {}
         # full-network shortest lengths into every vertex, dist_to[v][u] from u
         lengths = [a.length for a in net.arcs]
         self.dist_to = [_costs_to(net, lengths, v) for v in range(net.n_vertices)]
         # no arc has a strictly shorter parallel route
         self.one_shortest = all(self.dist_to[a.head][a.tail] == a.length for a in net.arcs)
-        for arc in net.arcs:
-            self.x_col.append(self.lp.add_column(obj=1, lb=0, ub=arc.mu, name=f"x_{arc.id}"))
-            self.y_col.append(self.lp.add_column(obj=0, lb=0, ub=1, name=f"y_{arc.id}"))
-        for arc in net.arcs:
-            self.cap_row.append(
-                self.lp.add_row({self.x_col[arc.id]: arc.ccap}, GE, 0, name=f"cap_{arc.id}")
-            )
-            self.lp.add_row({self.x_col[arc.id]: 1, self.y_col[arc.id]: -1}, GE, 0, name=f"cl_{arc.id}")
-            self.lp.add_row({self.y_col[arc.id]: arc.mu, self.x_col[arc.id]: -1}, GE, 0, name=f"cu_{arc.id}")
-        for a, rev in net.duplex_pairs:
-            self.lp.add_row({self.x_col[a]: 1, self.x_col[rev]: -1}, EQ, 0, name=f"dx_{a}")
-            self.lp.add_row({self.y_col[a]: 1, self.y_col[rev]: -1}, EQ, 0, name=f"dy_{a}")
+        for link in net.links:
+            mu = net.arcs[link[0]].mu
+            x = self.lp.add_column(obj=len(link), lb=0, ub=mu, name=f"x_{link[0]}")
+            y = self.lp.add_column(obj=0, lb=0, ub=1, name=f"y_{link[0]}")
+            for a in link:
+                self.x_col[a], self.y_col[a] = x, y
+                self.cap_row[a] = self.lp.add_row({x: net.arcs[a].ccap}, GE, 0, name=f"cap_{a}")
+            self.lp.add_row({x: 1, y: -1}, GE, 0, name=f"cl_{link[0]}")
+            self.lp.add_row({y: mu, x: -1}, GE, 0, name=f"cu_{link[0]}")
 
     @property
     def terminal_pairs(self) -> list[tuple[int, int]]:
@@ -318,9 +317,9 @@ def _complete_spr_paths(model: MspndModel, sol: LpSolution) -> list[int]:
 
 
 def _lp_drop(model: MspndModel, routed: RoutingResult, sol: LpSolution) -> tuple[int, dict]:
-    """LP-guided drop heuristic: from full activation, lower each arc's count
-    while the network stays SPR-routable, visiting arcs in ascending LP ``x``
-    order (ties by arc id) and lowering duplex partners together.  Returns
+    """LP-guided drop heuristic: from full activation, lower each link's count
+    while the network stays SPR-routable, visiting every link once in
+    ascending LP ``x`` order (ties by lowest arc id).  Returns
     ``(value, primal)``.  ``routed`` is the full network's routing, which must
     fit at full activation: routability is not monotone in the counts, so the
     start has to be routable.
@@ -337,13 +336,13 @@ def _lp_drop(model: MspndModel, routed: RoutingResult, sol: LpSolution) -> tuple
     def over(loads) -> bool:
         return any(ld > net.arcs[b].ccap * counts[b] for b, ld in loads.items())
 
-    def drop_to_zero(group) -> bool:
-        """Re-route the pairs that used ``group`` (now at count 0) and keep
+    def drop_to_zero(link) -> bool:
+        """Re-route the pairs that used ``link`` (now at count 0) and keep
         their new paths and loads if they fit."""
         active = Activation(tuple(counts))
         moved, changed = {}, {}
         for pair, path in path_of.items():
-            if group.isdisjoint(path.arcs):
+            if not any(b in link for b in path.arcs):
                 continue
             new = shortest_path_unique(net, active, *pair)
             if new is None:
@@ -360,20 +359,17 @@ def _lp_drop(model: MspndModel, routed: RoutingResult, sol: LpSolution) -> tuple
         load.update(changed)
         return True
 
-    partner = {}
-    for a, rev in net.duplex_pairs:
-        partner[a], partner[rev] = rev, a
     x = sol.primal
-    for a in sorted(range(net.n_arcs), key=lambda a: (x[model.x_col[a]], a)):
-        group = {a, partner.get(a, a)}
+    for link in sorted(net.links, key=lambda link: (x[model.x_col[link[0]]], link[0])):
+        a = link[0]
         while counts[a] > 0:
-            for b in group:
+            for b in link:
                 counts[b] -= 1
-            if counts[a] > 0 and not over({b: load.get(b, 0) for b in group}):
+            if counts[a] > 0 and not over({b: load.get(b, 0) for b in link}):
                 continue
-            if counts[a] == 0 and drop_to_zero(group):
+            if counts[a] == 0 and drop_to_zero(link):
                 continue
-            for b in group:
+            for b in link:
                 counts[b] += 1
             break
     return sum(counts), _activation_primal(model, counts)
@@ -411,8 +407,9 @@ def solve_f_mspnd(net: Network, traffic: TrafficMatrix) -> Activation:
         if need > arc.mu:
             raise NotRoutableInFull(f"arc {aid} overloaded even at full activation")
         counts[aid] = int(need)
-    for a, rev in net.duplex_pairs:
-        counts[a] = counts[rev] = max(counts[a], counts[rev])
+    for link in net.links:
+        for a in link:
+            counts[a] = max(counts[b] for b in link)
     activation = Activation(tuple(counts))
     activation.validate(net)
     return activation
@@ -436,7 +433,7 @@ def solve_mspnd(
         act = Activation((0,) * net.n_arcs)
         return Result(act, "optimal", 0.0)
     model = build_root_model(net, traffic, strengthening)
-    int_cols = list(model.x_col) + list(model.y_col)
+    int_cols = sorted(set(model.x_col + model.y_col))
     x_set = set(model.x_col)
     y_set = set(model.y_col)
 
@@ -483,20 +480,20 @@ def solve_mspnd(
 
 
 def brute_force_mspnd(net: Network, traffic: TrafficMatrix) -> Activation:
-    """Exhaustive oracle over all activation vectors (duplex-symmetric only
-    in full-duplex mode); guarded against oversized search spaces."""
-    # one free count per duplex link; a simplex arc is its own partner
-    free = net.duplex_pairs or tuple((a.id, a.id) for a in net.arcs)
+    """Exhaustive oracle over one count per link; guarded against oversized
+    search spaces."""
+    mus = [net.arcs[link[0]].mu for link in net.links]
     size = 1
-    for aid, _ in free:
-        size *= net.arcs[aid].mu + 1
+    for mu in mus:
+        size *= mu + 1
         if size > 10_000_000:
             raise TooLarge("activation space exceeds 1e7 vectors")
     best: Activation | None = None
-    for combo in itertools.product(*(range(net.arcs[a].mu + 1) for a, _ in free)):
+    for combo in itertools.product(*(range(mu + 1) for mu in mus)):
         counts = [0] * net.n_arcs
-        for (aid, rev), chi in zip(free, combo):
-            counts[aid] = counts[rev] = chi
+        for link, chi in zip(net.links, combo):
+            for a in link:
+                counts[a] = chi
         value = sum(counts)
         if best is not None and value >= best.value:
             continue

@@ -23,7 +23,7 @@ class InfeasibleAfterFix(RuntimeError):
 @dataclass
 class TocaLp:
     model: LpModel
-    x_col: dict[int, int]  # arc -> activation column
+    x_col: list[int]  # per arc, so a link's arcs repeat its activation column
 
 
 def build_toca_lp(net: Network, rho) -> TocaLp:
@@ -32,7 +32,11 @@ def build_toca_lp(net: Network, rho) -> TocaLp:
     if not 0 < rho < 1:
         raise ValueError("rho must lie strictly between 0 and 1")
     model = LpModel(name="toca")
-    x_col = {a.id: model.add_column(obj=1, lb=0, ub=a.mu, name=f"x_{a.id}") for a in net.arcs}
+    x_col = [0] * net.n_arcs
+    for link in net.links:
+        col = model.add_column(obj=len(link), lb=0, ub=net.arcs[link[0]].mu, name=f"x_{link[0]}")
+        for a in link:
+            x_col[a] = col
     cap_row = {
         a.id: model.add_row({x_col[a.id]: a.ccap}, GE, 0, name=f"cap_{a.id}")
         for a in net.arcs
@@ -53,8 +57,6 @@ def build_toca_lp(net: Network, rho) -> TocaLp:
                 },
                 name=f"f_{com.id}_{edge.id}",
             )
-    for a, rev in net.duplex_pairs:
-        model.add_row({x_col[a]: 1, x_col[rev]: -1}, EQ, 0, name=f"dx_{a}")
     return TocaLp(model, x_col)
 
 
@@ -109,14 +111,16 @@ def alg_mcf_pp(net: Network, rho, mode: str = "float") -> Activation:
         sol = solve_lp(t.model, mode)
         if sol.status != "optimal":
             raise InfeasibleAfterFix(f"LP {sol.status} after fixing arc {arc_id}")
-    activation = decode_activation(sol.primal, t.x_col.values())
+    activation = decode_activation(sol.primal, t.x_col)
     activation.validate(net)
     return activation
 
 
 def supports_scaled_traffic(net: Network, rho, activation: Activation, mode: str = "float") -> bool:
     """Feasibility audit: the fixed activation still routes every arc's
-    rho-scaled full capacity as a simultaneous multicommodity flow."""
+    rho-scaled full capacity as a simultaneous multicommodity flow.  Raises
+    ValueError for an activation that is not valid on ``net``."""
+    activation.validate(net)  # a link's arcs share one column, so one count
     t = build_toca_lp(net, rho)
     for a in net.arcs:
         chi = activation.counts[a.id]

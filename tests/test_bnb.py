@@ -125,6 +125,19 @@ def test_initial_incumbent_prunes_to_optimality():
     assert float(res.bound) == pytest.approx(3)
 
 
+def test_bound_rounds_up_to_a_multiple_of_the_cost_step():
+    """min 2x + 2y s.t. x + y >= 5.37 over integers: every value is even, so
+    the root bound 10.74 rounds up to 12 and meets the incumbent at once,
+    where rounding up to 11 would branch."""
+    m = LpModel()
+    x = m.add_column(obj=2, lb=0, ub=10)
+    y = m.add_column(obj=2, lb=0, ub=10)
+    m.add_row({x: 1, y: 1}, GE, 5.37)
+    res = branch_and_bound(m, [x, y], BnbConfig(initial_incumbent=(12, {x: 6, y: 0})))
+    assert res.status == "optimal" and res.nodes == 1
+    assert float(res.bound) == 12
+
+
 def test_separation_callback_refines_to_exactness():
     # lazily add x + y >= 3 only when violated
     m = LpModel()

@@ -180,6 +180,21 @@ def test_missing_file_exits_2(tmp_path):
     assert main(["bench", "--config", str(tmp_path / "nope.json")]) == 2
 
 
+@pytest.mark.parametrize("case", ["graph-directory", "graph-not-utf8", "chi-directory"])
+def test_unreadable_input_path_exits_2(tmp_path, instance_files, capsys, case):
+    graph, demands = instance_files
+    if case == "graph-not-utf8":
+        graph.write_bytes(b"NODES 3\n\xff\n")
+    if case.startswith("graph"):
+        args = ["solve", "--algorithm", "mcf"]
+    else:
+        args = ["evaluate", "--chi", str(tmp_path)]
+    args += ["--graph", str(tmp_path if case == "graph-directory" else graph),
+             "--demands", str(demands)]
+    assert main(args) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+
+
 def test_bad_flag_exits_2(instance_files):
     graph, demands = instance_files
     with pytest.raises(SystemExit) as err:

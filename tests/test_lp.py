@@ -13,7 +13,6 @@ from greente.lp import (
     BadReference,
     LpModel,
     NumericalFailure,
-    export_lp_text,
     solve_lp,
 )
 from greente.mspnd import solve_mspnd
@@ -160,15 +159,6 @@ def test_solves_are_deterministic():
     a = solve_lp(m, "exact")
     b = solve_lp(m, "exact")
     assert a.primal == b.primal and a.dual == b.dual
-
-
-def test_export_lp_text_mentions_rows_and_bounds():
-    m = LpModel(name="demo")
-    x = m.add_column(obj=1, lb=0, ub=2, name="x")
-    m.add_row({x: 3}, GE, 1, name="row0")
-    text = export_lp_text(m)
-    assert "Minimize" in text and "row0" in text and ">= 1" in text
-    assert "0 <= x <= 2" in text
 
 
 def test_float_statuses_and_dual_signs_through_one_mirror():

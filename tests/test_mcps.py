@@ -22,17 +22,12 @@ from conftest import complete_digraph, digraphs, random_net
 def brute_force_mcps_value(net, rho):
     """Exhaustive minimum over activation vectors passing the all-pairs audit."""
     inst = make_instance(net, rho)
-    if net.duplex_mode == "full-duplex":
-        free = [a.id for a in net.arcs if a.id <= net.link_pair[a.id]]
-    else:
-        free = [a.id for a in net.arcs]
     best = None
-    for combo in itertools.product(*(range(net.arcs[a].mu + 1) for a in free)):
+    for combo in itertools.product(*(range(net.arcs[link[0]].mu + 1) for link in net.links)):
         counts = [0] * net.n_arcs
-        for aid, chi in zip(free, combo):
-            counts[aid] = chi
-            if net.duplex_mode == "full-duplex":
-                counts[net.link_pair[aid]] = chi
+        for link, chi in zip(net.links, combo):
+            for a in link:
+                counts[a] = chi
         if best is not None and sum(counts) >= best:
             continue
         if audit_retention(inst, Activation(tuple(counts))):
@@ -178,9 +173,8 @@ def test_solver_matches_enumeration_on_denser_duplex_graphs():
     while done < 15:
         net = random_net(rng, n_max=5, arcs_max=8, mu_max=3, duplex_prob=0.6)
         space = 1
-        for a in net.arcs:
-            if net.duplex_mode != "full-duplex" or a.id <= net.link_pair[a.id]:
-                space *= a.mu + 1
+        for link in net.links:
+            space *= net.arcs[link[0]].mu + 1
         if space > 30000:
             continue
         rho = Fraction(rng.choice([3, 5, 7]), 10)

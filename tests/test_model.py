@@ -10,13 +10,19 @@ from greente import (
     full_activation,
     scale_traffic,
 )
+from greente import mcps
+from greente.bnb import branch_and_bound
+from greente.lp import EQ
 from greente.model import (
+    SIMPLEX,
     DuplicateArc,
     InconsistentDuplexArc,
     MissingReverseArc,
     NetworkError,
     NonPositiveParameter,
 )
+from greente.mspnd import MspndModel
+from greente.toca import build_toca_lp
 
 
 def test_single_arc_network(single_arc):
@@ -36,7 +42,7 @@ def test_full_duplex_pairs_arcs():
         [(0, 1, 2, 3, 1), (1, 0, 2, 3, 1)], duplex_mode=FULL_DUPLEX
     )
     assert net.link_pair == (1, 0)
-    assert net.reverse_of(0) == 1
+    assert net.links == ((0, 1),)
 
 
 def test_duplex_pairs_in_arc_order(diamond):
@@ -44,8 +50,36 @@ def test_duplex_pairs_in_arc_order(diamond):
         [(0, 1, 1, 1, 1), (2, 0, 1, 1, 1), (1, 0, 1, 1, 1), (0, 2, 1, 1, 1)],
         duplex_mode=FULL_DUPLEX,
     )
-    assert net.duplex_pairs == ((0, 2), (1, 3))
-    assert diamond.duplex_pairs == ()
+    assert net.links == ((0, 2), (1, 3))
+    assert diamond.links == ((0,), (1,), (2,), (3,))
+
+
+@pytest.mark.parametrize("mode", [SIMPLEX, FULL_DUPLEX])
+def test_solver_models_have_one_activation_column_per_link(monkeypatch, mode):
+    net = build_network(
+        [(0, 1, 2, 1, 2), (1, 0, 2, 1, 2), (1, 2, 1, 1, 2), (2, 1, 1, 1, 2),
+         (0, 2, 1, 3, 2), (2, 0, 1, 3, 2)],
+        duplex_mode=mode,
+    )
+    seen = []
+
+    def spy(model, integer_columns, config):
+        seen.append((model, list(integer_columns)))
+        return branch_and_bound(model, integer_columns, config)
+
+    monkeypatch.setattr(mcps, "branch_and_bound", spy)
+    mcps.solve_mcps(net, Fraction(1, 2))
+    m = MspndModel(net, TrafficMatrix({(0, 2): 2}), strengthening=False)
+    t = build_toca_lp(net, Fraction(1, 2))
+    for lp, activation in (
+        (m.lp, (m.x_col, m.y_col)), (t.model, (t.x_col,)), (seen[0][0], (seen[0][1],))
+    ):
+        assert all(len(set(cols)) == len(net.links) for cols in activation)
+        columns = set().union(*activation)
+        assert not any(
+            sense == EQ and len(coefs) > 1 and set(coefs) <= columns
+            for coefs, sense in zip(lp.row_coefs, lp.senses)
+        )
 
 
 def test_full_duplex_requires_reverse():

@@ -501,18 +501,14 @@ def test_grid_networks_with_many_alternative_routes():
 
 
 def _reference_drop(net, traffic, order):
-    """The LP-order drop with a full SPR check at every step."""
+    """The LP-order drop over links with a full SPR check at every step."""
     counts = list(full_activation(net).counts)
     if not is_spr_routable(net, Activation(tuple(counts)), traffic):
         return None
-    partner = {}
-    for a, rev in net.duplex_pairs:
-        partner[a], partner[rev] = rev, a
-    for a in order:
-        group = {a, partner.get(a, a)}
-        while counts[a] > 0:
+    for link in order:
+        while counts[link[0]] > 0:
             trial = list(counts)
-            for b in group:
+            for b in link:
                 trial[b] -= 1
             if not is_spr_routable(net, Activation(tuple(trial)), traffic):
                 break
@@ -533,14 +529,14 @@ def test_lp_drop_matches_a_drop_that_checks_routability_at_every_step():
         net, traffic = random_routable_instance(rng, n_max=6, arcs_max=10, mu_max=3, pairs_max=4)
         model = MspndModel(net, traffic, strengthening=False)
         sol = _fake_lp_point(model, rng)
-        order = sorted(range(net.n_arcs), key=lambda a: (sol.primal[model.x_col[a]], a))
+        order = sorted(net.links, key=lambda link: (sol.primal[model.x_col[link[0]]], link[0]))
         expected = _reference_drop(net, traffic, order)
         value, primal = mspnd._lp_drop(model, spr_route(net, full_activation(net), traffic), sol)
         counts = [primal[model.x_col[a]] for a in range(net.n_arcs)]
         assert counts == expected
         assert value == sum(counts)
         assert all(primal[model.y_col[a]] == (chi > 0) for a, chi in enumerate(counts))
-        duplex += bool(net.duplex_pairs)
+        duplex += len(net.links) < net.n_arcs
         dropped += value < full_activation(net).value
         partial += any(0 < chi < arc.mu for chi, arc in zip(counts, net.arcs))
     assert duplex > 20 and dropped > 100 and partial > 50

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from greente import build_network
+from greente import Activation, build_network
 from greente.lp import solve_lp
 from greente.toca import (
     alg_mcf,
@@ -57,6 +57,12 @@ def test_integral_lp_means_no_extra_work(single_arc):
     assert alg_mcf(single_arc, rho).counts == alg_mcf_pp(single_arc, rho).counts == (2,)
 
 
+def test_scaled_traffic_audit_rejects_an_asymmetric_duplex_activation():
+    net = build_network([(0, 1, 1, 1, 2), (1, 0, 1, 1, 2)], duplex_mode="full-duplex")
+    with pytest.raises(ValueError):
+        supports_scaled_traffic(net, Fraction(1, 2), Activation((2, 1)))
+
+
 def test_outputs_support_scaled_traffic_and_ordering():
     rng = random.Random(19)
     for _ in range(20):
@@ -99,20 +105,13 @@ def brute_force_oblivious_value(net, rho):
     import itertools
 
     best = None
-    if net.duplex_mode == "full-duplex":
-        free = [a.id for a in net.arcs if a.id <= net.link_pair[a.id]]
-    else:
-        free = [a.id for a in net.arcs]
-    for combo in itertools.product(*(range(net.arcs[a].mu + 1) for a in free)):
+    for combo in itertools.product(*(range(net.arcs[link[0]].mu + 1) for link in net.links)):
         counts = [0] * net.n_arcs
-        for aid, chi in zip(free, combo):
-            counts[aid] = chi
-            if net.duplex_mode == "full-duplex":
-                counts[net.link_pair[aid]] = chi
+        for link, chi in zip(net.links, combo):
+            for a in link:
+                counts[a] = chi
         if best is not None and sum(counts) >= best:
             continue
-        from greente import Activation
-
         if supports_scaled_traffic(net, rho, Activation(tuple(counts))):
             best = sum(counts)
     return best
