@@ -30,7 +30,6 @@ from .routing import (
     is_spr_routable,
     k_shortest_paths,
     mlu,
-    path_order_less,
     shortest_path_unique,
     spr_route,
 )
@@ -93,7 +92,6 @@ __all__ = [
     "mlu",
     "parse_repetita_demands",
     "parse_repetita_graph",
-    "path_order_less",
     "precompute_lower_bounds",
     "preprocess",
     "price_paths",

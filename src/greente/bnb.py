@@ -132,16 +132,15 @@ def branch_and_bound(model: LpModel, integer_columns, config: BnbConfig) -> BnbR
         for col, (lo, hi) in overrides.items():
             model.set_bounds(col, lo, hi)
         try:
-            sol = None
-            aborted = False
             while True:
                 sol = solve_lp(model, config.mode)
                 if sol.status == "unbounded":
-                    break
+                    raise RuntimeError("node relaxation is unbounded")
                 optimal = sol.status == "optimal"
                 if optimal and deadline is not None and time.perf_counter() > deadline:
-                    aborted = True
-                    break
+                    seq += 1
+                    heapq.heappush(open_nodes, (bound_est, seq, overrides))
+                    return finish("timeout")  # finally still restores the bounds
                 if optimal and config.heuristic is not None:
                     found = config.heuristic(sol)
                     if found is not None:
@@ -149,13 +148,7 @@ def branch_and_bound(model: LpModel, integer_columns, config: BnbConfig) -> BnbR
                 if config.refine is not None and config.refine(model, sol):
                     continue
                 break
-            if aborted:
-                seq += 1
-                heapq.heappush(open_nodes, (bound_est, seq, overrides))
-                return finish("timeout")
             nodes_done += 1
-            if sol.status == "unbounded":
-                raise RuntimeError("node relaxation is unbounded")
             if sol.status != "optimal":
                 record_bound()
                 continue

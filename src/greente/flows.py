@@ -178,10 +178,6 @@ def extract_cut(
     return Cut(cut, sum(_exact(ecap.get(a, 0)) for a in cut))
 
 
-def full_capacities(net: Network) -> dict[int, Fraction]:
-    return {arc.id: arc.fcap for arc in net.arcs}
-
-
 def all_pairs_maxflow(net: Network) -> dict[tuple[int, int], Fraction]:
     """lambda_G(s,t) for every ordered vertex pair under full capacities.
 

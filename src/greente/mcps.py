@@ -68,6 +68,8 @@ def precompute_lower_bounds(instance: McpsInstance):
     For arc a = st the bound is the smallest chi(a), all other arcs fully
     active, that keeps the s-t max-flow at or above rho * lambda(s,t); pairs
     whose target is met with every arc at its bound never enter separation.
+    Every s-t cut holds a, so that flow is chi(a) times a's connection
+    capacity plus the flow with a off: one max-flow per arc gives the bound.
     The flows run on integer capacities (see ``_connection_caps``).
     """
     net = instance.net
@@ -76,14 +78,10 @@ def precompute_lower_bounds(instance: McpsInstance):
     lb: dict[int, int] = {}
     for arc in net.arcs:
         target = _scaled_target(instance, (arc.tail, arc.head))
-        bound = arc.mu
-        for k in range(arc.mu + 1):
-            ecap[arc.id] = unit[arc.id] * k
-            if max_flow(net, ecap, arc.tail, arc.head, target=target).value >= target:
-                bound = k
-                break
+        ecap[arc.id] = 0
+        rest = max_flow(net, ecap, arc.tail, arc.head, target=target).value
         ecap[arc.id] = unit[arc.id] * arc.mu
-        lb[arc.id] = bound
+        lb[arc.id] = max(0, -((rest - target) // unit[arc.id]))  # exact ceiling
     ecap_lb = {a.id: unit[a.id] * lb[a.id] for a in net.arcs}
     satisfied = set()
     for pair in _relevant_pairs(instance):
@@ -101,25 +99,23 @@ def separate_cuts(
     Empty result certifies that every pending pair meets its target, hence
     (with the preprocessing bounds) every constraint of the full family holds.
 
-    Each pair's flow runs on integer capacities: the point's capacities and
-    the pair's target are scaled by ``(n_arcs + 1)`` times the lcm of their
-    denominators, and every arc gains 1 so that min cuts break ties by
-    cardinality.  The test is exact: the perturbed flow meets the scaled
-    target iff the unperturbed flow meets ``target``.
+    The flows run on integer capacities: the point's capacities and every
+    pending pair's target are scaled by ``(n_arcs + 1)`` times the lcm of all
+    their denominators, and every arc gains 1 so that min cuts break ties by
+    cardinality.  The test is exact for any common multiple of the
+    denominators: the perturbed flow meets the scaled target iff the
+    unperturbed flow meets ``target``.  The front and back cuts are the
+    unique extreme ones among the fewest-arc minimum cuts, so the scale does
+    not change them either.
     """
     net, rho = instance.net, instance.rho
+    pairs = sorted(pending_pairs)
+    targets = [rho * instance.lam[pair] for pair in pairs]
     ecap = [a.ccap * as_fraction(xhat.get(a.id, 0)) for a in net.arcs]
-    base = math.lcm(*(c.denominator for c in ecap))
-    pcaps: dict[int, dict[int, int]] = {}  # by scale; pairs mostly share one
+    scale = (net.n_arcs + 1) * math.lcm(*(c.denominator for c in ecap + targets))
+    pcap = {a: c.numerator * (scale // c.denominator) + 1 for a, c in enumerate(ecap)}
     cuts: list[CutConstraint] = []
-    for pair in sorted(pending_pairs):
-        target = rho * instance.lam[pair]
-        scale = (net.n_arcs + 1) * math.lcm(base, target.denominator)
-        if scale not in pcaps:
-            pcaps[scale] = {
-                a: c.numerator * (scale // c.denominator) + 1 for a, c in enumerate(ecap)
-            }
-        pcap = pcaps[scale]
+    for pair, target in zip(pairs, targets):
         ptarget = target.numerator * (scale // target.denominator)
         result = max_flow(net, pcap, pair[0], pair[1], target=ptarget)
         if result.value >= ptarget:

@@ -5,18 +5,17 @@ per link (a full-duplex link's two arcs share both), and one nonnegative
 column per candidate routing path.  Path columns are priced on demand through
 the branch-and-bound ``refine`` hook: each round reads every terminal pair's
 connectivity dual (its bound) and per-arc dual costs straight from the LP
-solution, and one complete label search returns the order-first new path
-below that bound.  Optional subpath
-rows (a chosen path forces its prefixes and suffixes to be chosen between
-their endpoints too) tighten the relaxation.  The trivial fixed-routing
-solver and a brute-force oracle live here as well.
+solution, and ``routing.ordered_paths``, the label search that also seeds
+the root at zero cost, returns the order-first new path below that bound.
+Optional subpath rows (a chosen path forces its prefixes and suffixes to be
+chosen between their endpoints too) tighten the relaxation.  The trivial
+fixed-routing solver and a brute-force oracle live here as well.
 
 All rows are oriented so that their duals are nonnegative at an optimum,
 which the pricing bound relies on.
 """
 from __future__ import annotations
 
-import heapq
 import itertools
 from bisect import insort
 from dataclasses import dataclass
@@ -37,9 +36,11 @@ from .routing import (
     Disconnected,
     Path,
     RoutingResult,
+    costs_to,
     is_spr_routable,
     k_shortest_paths,
     make_path,
+    ordered_paths,
     shortest_path_unique,
     spr_route,
 )
@@ -95,7 +96,7 @@ class MspndModel:
         self.pairs: dict[tuple[int, int], _PairData] = {}
         # full-network shortest lengths into every vertex, dist_to[v][u] from u
         lengths = [a.length for a in net.arcs]
-        self.dist_to = [_costs_to(net, lengths, v) for v in range(net.n_vertices)]
+        self.dist_to = [costs_to(net, lengths, v) for v in range(net.n_vertices)]
         # no arc has a strictly shorter parallel route
         self.one_shortest = all(self.dist_to[a.head][a.tail] == a.length for a in net.arcs)
         for link in net.links:
@@ -202,60 +203,17 @@ def add_path_column(model: MspndModel, pair: tuple[int, int], path: Path) -> int
     return column
 
 
-def _costs_to(net: Network, cost, t: int) -> dict[int, object]:
-    """Cheapest total ``cost`` (per arc id) from each vertex into t, by one
-    reverse Dijkstra (missing = cannot reach t)."""
-    best: dict[int, object] = {t: 0}
-    heap: list[tuple[object, int]] = [(0, t)]
-    while heap:
-        d, v = heapq.heappop(heap)
-        if d > best[v]:
-            continue
-        for arc in net.in_arcs[v]:
-            nd = d + cost[arc.id]
-            u = arc.tail
-            if u not in best or nd < best[u]:
-                best[u] = nd
-                heapq.heappush(heap, (nd, u))
-    return best
-
-
 def price_paths(model: MspndModel, pair: tuple[int, int], bound, dcost) -> Path | None:
     """The first new elementary path for ``pair`` in (length, dual cost, hops,
     arc ids) order whose dual cost (``dcost`` per arc id) stays below
-    ``bound``, or None when no such path exists.
-
-    Best-first label setting over elementary labels (a visited-vertex mask),
-    keyed by (length + full-network length on to t, dual cost, hops, arc ids).
-    That length is exact, so keys never decrease along an extension and
-    labels at t pop in the order above.  A label is dropped once its cost plus
-    the cheapest dual cost on to t reaches the bound.  With nonnegative costs
-    a bound <= 0 finds nothing, so callers skip such pairs.
+    ``bound``, or None when no such path exists: the first path of
+    ``routing.ordered_paths`` that the model does not hold yet.  With
+    nonnegative costs a bound <= 0 finds nothing, so callers skip such pairs.
     """
-    net, pd = model.net, model.pairs[pair]
-    len_to_t = model.dist_to[pd.t]
-    cost_to_t = _costs_to(net, dcost, pd.t)
-    heap = [(0, 0, 0, (), 0, pd.s, 1 << pd.s)]  # (key..., length, vertex, mask)
-    while heap:
-        _, cost, hops, arcs, length, v, mask = heapq.heappop(heap)
-        if v == pd.t:
-            if arcs not in pd.entries:
-                return make_path(net, arcs)
-            continue
-        for arc in net.out_arcs[v]:
-            w = arc.head
-            if (mask >> w) & 1:
-                continue
-            ncost = cost + dcost[arc.id]
-            rest = cost_to_t.get(w)
-            if rest is None or not ncost + rest < bound:
-                continue
-            nlen = length + arc.length
-            heapq.heappush(
-                heap,
-                (nlen + len_to_t[w], ncost, hops + 1, arcs + (arc.id,), nlen, w, mask | (1 << w)),
-            )
-    return None
+    pd = model.pairs[pair]
+    paths = ordered_paths(model.net, pd.s, pd.t, model.dist_to[pd.t], dcost, bound)
+    arcs = next((arcs for arcs in paths if arcs not in pd.entries), None)
+    return None if arcs is None else make_path(model.net, arcs)
 
 
 def _price_round(model: MspndModel, sol: LpSolution) -> list[int]:

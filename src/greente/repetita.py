@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .model import (
-    FULL_DUPLEX,
     Network,
     SIMPLEX,
     TrafficMatrix,
@@ -166,13 +165,6 @@ def preprocess(
     if mu < 1:
         raise ValueError("mu must be >= 1")
     merged = merge_parallel_edges(precursor)
-    if duplex_mode == FULL_DUPLEX:
-        harmonized = {}
-        for (src, dst), (weight, bw) in merged.items():
-            back = merged.get((dst, src))
-            min_weight = weight if back is None else min(weight, back[0])
-            harmonized[(src, dst)] = (min_weight, bw)
-        merged = harmonized
     max_fcap = max((bw for _, bw in merged.values()), default=0)  # no arcs: build_network rejects
     specs = []
     for (src, dst), (weight, bw) in sorted(merged.items()):

@@ -4,19 +4,19 @@ Ties between equal-length paths are broken by a fixed total order:
 ``(length, hop count, lexicographic arc-id sequence)``.  This order is
 prefix- and suffix-compatible: any subpath of an order-minimal path is itself
 order-minimal between its endpoints, which downstream solvers rely on.
+One label search, ``ordered_paths``, enumerates elementary paths in that
+order with an extra cost before the hop count; it serves both k-shortest
+seeding (at zero cost) and MSPND pricing.
 """
 from __future__ import annotations
 
 import heapq
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import inf
 
-from .model import Activation, Network, TrafficMatrix, full_activation
-
-
-class EndpointMismatch(ValueError):
-    pass
+from .model import Activation, Network, TrafficMatrix
 
 
 class Disconnected(RuntimeError):
@@ -64,27 +64,13 @@ def make_path(net: Network, arc_ids: tuple[int, ...]) -> Path:
     return Path(verts[0], verts[-1], tuple(arc_ids), length)
 
 
-def path_order_less(p: Path, q: Path) -> bool:
-    """Strict comparison under (length, hops, lexicographic arc ids)."""
-    if (p.source, p.target) != (q.source, q.target):
-        raise EndpointMismatch("paths do not share endpoints")
-    return p.order_key() < q.order_key()
-
-
-def _dijkstra(
-    net: Network,
-    counts,
-    s: int,
-    t: int,
-    banned_vertices: frozenset[int] = frozenset(),
-    banned_arcs: frozenset[int] = frozenset(),
-) -> Path | None:
+def _dijkstra(net: Network, counts, s: int, t: int) -> Path | None:
     """Order-minimal s-t path over arcs with counts > 0, or None.
 
     Heap keys carry (length, hops, arc ids) so the first settlement of each
     vertex is its unique order-minimal path.
     """
-    if s == t or s in banned_vertices:
+    if s == t:
         return None
     heap: list[tuple[int, int, tuple[int, ...], int]] = [(0, 0, (), s)]
     settled: set[int] = set()
@@ -96,12 +82,9 @@ def _dijkstra(
         if v == t:
             return Path(s, t, arcs, length)
         for arc in net.out_arcs[v]:
-            if counts[arc.id] <= 0 or arc.id in banned_arcs:
+            if counts[arc.id] <= 0 or arc.head in settled:
                 continue
-            w = arc.head
-            if w in settled or w in banned_vertices:
-                continue
-            heapq.heappush(heap, (length + arc.length, hops + 1, arcs + (arc.id,), w))
+            heapq.heappush(heap, (length + arc.length, hops + 1, arcs + (arc.id,), arc.head))
     return None
 
 
@@ -112,56 +95,74 @@ def shortest_path_unique(
     return _dijkstra(net, activation.counts, s, t)
 
 
-def k_shortest_paths(net: Network, s: int, t: int, k: int) -> list[Path]:
-    """First min(k, #paths) elementary s-t paths of the full network in order.
+def costs_to(net: Network, cost, t: int) -> dict[int, object]:
+    """Cheapest total ``cost`` (per arc id) from each vertex into t, by one
+    reverse Dijkstra (missing = cannot reach t)."""
+    best: dict[int, object] = {t: 0}
+    heap: list[tuple[object, int]] = [(0, t)]
+    while heap:
+        d, v = heapq.heappop(heap)
+        if d > best[v]:
+            continue
+        for arc in net.in_arcs[v]:
+            nd = d + cost[arc.id]
+            u = arc.tail
+            if u not in best or nd < best[u]:
+                best[u] = nd
+                heapq.heappush(heap, (nd, u))
+    return best
 
-    Yen-style deviation enumeration driven by the deterministic path order;
-    every returned path is elementary and the output is strictly increasing.
+
+def ordered_paths(net: Network, s: int, t: int, len_to_t, cost, bound):
+    """Every elementary s-t path whose total ``cost`` (nonnegative, per arc
+    id) stays below ``bound``, as arc-id tuples in (length, cost, hops, arc
+    ids) order; ``len_to_t`` maps each vertex to its full-network shortest
+    length into t (``costs_to`` over arc lengths).
+
+    Best-first label setting over elementary labels (a visited-vertex mask),
+    keyed by (length + length on to t, cost, hops, arc ids).  That length is
+    exact, so keys never decrease along an extension and labels at t pop in
+    the order above.  A label is dropped once its cost plus the cheapest cost
+    on to t reaches the bound.  With s == t the one path is ``()``.
     """
+    cost_to_t = costs_to(net, cost, t)
+    heap = [(0, 0, 0, (), 0, s, 1 << s)]  # (key..., length, vertex, mask)
+    while heap:
+        _, c, hops, arcs, length, v, mask = heapq.heappop(heap)
+        if v == t:
+            yield arcs
+            continue
+        for arc in net.out_arcs[v]:
+            w = arc.head
+            if (mask >> w) & 1:
+                continue
+            nc = c + cost[arc.id]
+            rest = cost_to_t.get(w)
+            if rest is None or not nc + rest < bound:
+                continue
+            nlen = length + arc.length
+            heapq.heappush(
+                heap,
+                (nlen + len_to_t[w], nc, hops + 1, arcs + (arc.id,), nlen, w, mask | (1 << w)),
+            )
+
+
+def k_shortest_paths(net: Network, s: int, t: int, k: int) -> list[Path]:
+    """First min(k, #paths) elementary s-t paths of the full network in the
+    (length, hops, arc ids) order: ``ordered_paths`` at zero cost."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    counts = full_activation(net).counts
-    first = _dijkstra(net, counts, s, t)
-    if first is None:
+    if s == t:
         return []
-    found = [first]
-    seen = {first.arcs}
-    candidates: list[tuple[tuple, tuple[int, ...], Path]] = []
-    while len(found) < k:
-        prev = found[-1]
-        prev_verts = prev.vertices(net)
-        for i in range(prev.hops):
-            root_arcs = prev.arcs[:i]
-            spur_node = prev_verts[i]
-            banned_arcs = {
-                p.arcs[i] for p in found if p.hops > i and p.arcs[:i] == root_arcs
-            }
-            banned_vertices = frozenset(prev_verts[:i])
-            spur = _dijkstra(
-                net, counts, spur_node, t,
-                banned_vertices=banned_vertices,
-                banned_arcs=frozenset(banned_arcs),
-            )
-            if spur is None:
-                continue
-            cand = make_path(net, root_arcs + spur.arcs)
-            if cand.arcs not in seen:
-                seen.add(cand.arcs)
-                heapq.heappush(candidates, (cand.order_key(), cand.arcs, cand))
-        if not candidates:
-            break
-        _, _, best = heapq.heappop(candidates)
-        found.append(best)
-    return found
+    len_to_t = costs_to(net, [a.length for a in net.arcs], t)
+    found = ordered_paths(net, s, t, len_to_t, [0] * net.n_arcs, inf)
+    return [make_path(net, arcs) for arcs in itertools.islice(found, k)]
 
 
 @dataclass(frozen=True)
 class RoutingResult:
     path_of: dict[tuple[int, int], Path]
     load: dict[int, Fraction]
-
-    def load_on(self, arc_id: int) -> Fraction:
-        return self.load.get(arc_id, Fraction(0))
 
 
 def spr_route(net: Network, activation: Activation, traffic: TrafficMatrix) -> RoutingResult:

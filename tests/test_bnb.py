@@ -116,6 +116,17 @@ def test_time_limit_statuses():
     assert res.incumbent.objective == 4
 
 
+@pytest.mark.parametrize("mode", ["float", "exact"])
+def test_unbounded_relaxation_raises(mode):
+    """min x - y with y >= 0 unbounded above: no node has a finite bound."""
+    m = LpModel()
+    x = m.add_column(obj=1, lb=0, ub=3)
+    m.add_column(obj=-1, lb=0, ub=None)
+    m.add_row({x: 1}, GE, 0.5)
+    with pytest.raises(RuntimeError, match="unbounded"):
+        branch_and_bound(m, [x], BnbConfig(mode=mode))
+
+
 def test_initial_incumbent_prunes_to_optimality():
     m = LpModel()
     x = m.add_column(obj=1, lb=0, ub=5)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from greente import SIMPLEX, all_pairs_maxflow, build_network, extract_cut, max_flow
-from greente.flows import Cut, NotMaximum, full_capacities
+from greente.flows import Cut, NotMaximum
 from conftest import digraphs, random_net
 
 
@@ -139,10 +139,6 @@ def test_flow_respects_capacities_and_conservation():
                 assert net_out[v] == -result.value
             else:
                 assert net_out[v] == 0
-
-
-def test_full_capacities_uses_mu_times_ccap(triangle):
-    assert full_capacities(triangle) == {0: 3, 1: 3, 2: 3}
 
 
 def test_residual_edges_follow_the_arcs(diamond, triangle):

@@ -13,29 +13,23 @@ from greente import (
     is_spr_routable,
     k_shortest_paths,
     mlu,
-    path_order_less,
     shortest_path_unique,
     spr_route,
 )
-from greente.routing import Disconnected, EndpointMismatch, Path, make_path
+from greente.routing import Disconnected, Path, costs_to, make_path, ordered_paths
 from conftest import digraphs, enumerate_paths, random_net, random_routable_instance
 
 
 def test_order_compares_length_first():
     p = Path(0, 1, (0,), 3)
     q = Path(0, 1, (1, 2), 5)
-    assert path_order_less(p, q)
-    assert not path_order_less(q, p)
+    assert p.order_key() < q.order_key()
+    assert not q.order_key() < p.order_key()
 
 
 def test_order_ties_break_on_hops_then_ids():
-    assert path_order_less(Path(0, 1, (4,), 2), Path(0, 1, (0, 1), 2))
-    assert path_order_less(Path(0, 1, (0, 3), 2), Path(0, 1, (1, 2), 2))
-
-
-def test_order_requires_shared_endpoints():
-    with pytest.raises(EndpointMismatch):
-        path_order_less(Path(0, 1, (0,), 1), Path(0, 2, (1,), 1))
+    assert Path(0, 1, (4,), 2).order_key() < Path(0, 1, (0, 1), 2).order_key()
+    assert Path(0, 1, (0, 3), 2).order_key() < Path(0, 1, (1, 2), 2).order_key()
 
 
 def test_shortest_path_single_arc(single_arc):
@@ -74,16 +68,36 @@ def test_k_shortest_matches_full_enumeration():
         assert keys == sorted(set(keys))  # strictly increasing, no duplicates
 
 
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_ordered_paths_yields_every_path_below_the_bound_in_order(data):
+    """The whole sequence: exactly the elementary s-t paths that cost less
+    than the bound, in (length, cost, hops, arc ids) order."""
+    net = data.draw(digraphs(n_max=5, arcs_max=10, len_max=2))
+    vertex = st.integers(0, net.n_vertices - 1)
+    s, t = data.draw(st.lists(vertex, min_size=2, max_size=2, unique=True))
+    costs = [data.draw(st.fractions(0, 2, max_denominator=4)) for _ in net.arcs]
+    bound = data.draw(st.one_of(st.fractions(0, 5, max_denominator=4), st.just(inf)))
+    len_to_t = costs_to(net, [a.length for a in net.arcs], t)
+    got = list(ordered_paths(net, s, t, len_to_t, costs, bound))
+
+    def key(arcs):
+        return make_path(net, arcs).length, sum(costs[a] for a in arcs), len(arcs), arcs
+
+    cheap = [p for p in enumerate_paths(net, s, t) if sum(costs[a] for a in p) < bound]
+    assert got == sorted(cheap, key=key)
+
+
 def test_spr_route_loads(single_arc, triangle):
     rr = spr_route(single_arc, Activation((3,)), TrafficMatrix({(0, 1): 3}))
-    assert rr.load_on(0) == 3
+    assert rr.load.get(0, 0) == 3
     t = TrafficMatrix({(0, 2): 3})
     rr = spr_route(triangle, full_activation(triangle), t)
     assert rr.path_of[(0, 2)].arcs == (0,)
-    assert rr.load_on(0) == 3 and rr.load_on(1) == 0
+    assert rr.load.get(0, 0) == 3 and rr.load.get(1, 0) == 0
     rr = spr_route(triangle, Activation((0, 1, 1)), t)
     assert rr.path_of[(0, 2)].arcs == (1, 2)
-    assert rr.load_on(1) == rr.load_on(2) == 3
+    assert rr.load.get(1, 0) == rr.load.get(2, 0) == 3
 
 
 def test_spr_route_raises_on_disconnection(single_arc):
