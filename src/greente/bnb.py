@@ -62,11 +62,11 @@ def branch_and_bound(model: LpModel, integer_columns, config: BnbConfig) -> BnbR
     incumbent: LpSolution | None = None
     incumbent_value = math.inf
 
-    def offer(value, primal, dual=None) -> None:
+    def offer(value, primal) -> None:
         """Keep (value, primal) as the incumbent if it is strictly better."""
         nonlocal incumbent, incumbent_value
         if float(value) < incumbent_value - 1e-12:
-            incumbent = LpSolution("optimal", dict(primal), dict(dual or {}), value)
+            incumbent = LpSolution("optimal", dict(primal), {}, value)
             incumbent_value = float(value)
 
     if config.initial_incumbent is not None:
@@ -106,21 +106,17 @@ def branch_and_bound(model: LpModel, integer_columns, config: BnbConfig) -> BnbR
     open_nodes: list[tuple[float, int, dict]] = [(float(root) if finite else -math.inf, seq, {})]
     nodes_done = 0
     history: list[float] = []
-    last_bound = -math.inf
+
+    def global_bound() -> float:
+        """No solution beats the least open bound or the incumbent, whichever
+        is lower; an open node may sit above the incumbent until it is popped."""
+        return min(open_nodes[0][0], incumbent_value) if open_nodes else incumbent_value
 
     def record_bound():
-        nonlocal last_bound
-        current = open_nodes[0][0] if open_nodes else incumbent_value
-        current = max(last_bound, current)
-        last_bound = current
-        history.append(current)
+        history.append(global_bound())
 
     def finish(status: str) -> BnbResult:
-        if open_nodes:
-            bound = max(last_bound, open_nodes[0][0])
-        else:
-            bound = incumbent_value if incumbent is not None else math.inf
-        return BnbResult(status, incumbent, bound, nodes_done, history)
+        return BnbResult(status, incumbent, global_bound(), nodes_done, history)
 
     while open_nodes:
         if deadline is not None and time.perf_counter() > deadline:
@@ -165,7 +161,7 @@ def branch_and_bound(model: LpModel, integer_columns, config: BnbConfig) -> BnbR
                     raise IncumbentRejected(
                         "integral node rejected with no remaining refinement"
                     )
-                offer(sol.objective, sol.primal, sol.dual)
+                offer(sol.objective, sol.primal)
                 record_bound()
                 continue
             if config.branch_select is not None:

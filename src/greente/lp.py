@@ -53,25 +53,22 @@ def _check_bounds(lb, ub, col) -> None:
         raise ValueError(f"inconsistent bounds [{lb},{ub}] on column {col}")
 
 
-def _check_finite(where, coefs) -> None:
+def _check_finite(kind, index, coefs) -> None:
     for v in coefs:  # ints and rationals are finite; only a float can be nan or inf
         if isinstance(v, float) and not math.isfinite(v):
-            raise ValueError(f"non-finite coefficient {v} in {where}")
+            raise ValueError(f"non-finite coefficient {v} in {kind} {index}")
 
 
 @dataclass
 class LpModel:
     """Minimization LP built incrementally from columns and rows."""
 
-    name: str = "lp"
     objective: list = field(default_factory=list)
     lower: list = field(default_factory=list)
     upper: list = field(default_factory=list)  # None = +inf
-    col_names: list = field(default_factory=list)
     row_coefs: list = field(default_factory=list)  # dict col -> coef
     senses: list = field(default_factory=list)
     rhs: list = field(default_factory=list)
-    row_names: list = field(default_factory=list)
     _mirror: _HighsMirror | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
@@ -82,28 +79,27 @@ class LpModel:
     def n_rows(self) -> int:
         return len(self.rhs)
 
-    def add_column(self, obj=0, lb=0, ub=None, coefs: Mapping | None = None, name: str = "") -> int:
+    def add_column(self, obj=0, lb=0, ub=None, coefs: Mapping | None = None) -> int:
         """New column; ``coefs`` maps existing row ids to coefficients."""
         j = self.n_cols
-        _check_bounds(lb, ub, name or j)
+        _check_bounds(lb, ub, j)
         kept = {}
         for i, v in (coefs or {}).items():
             if not 0 <= i < self.n_rows:
                 raise BadReference(f"row {i} does not exist")
             if v != 0:
                 kept[i] = v
-        _check_finite(name or j, [obj, *kept.values()])
+        _check_finite("column", j, [obj, *kept.values()])
         self.objective.append(obj)
         self.lower.append(lb)
         self.upper.append(ub)
-        self.col_names.append(name or f"c{j}")
         for i, v in kept.items():
             self.row_coefs[i][j] = v
         if self._mirror is not None:
             self._mirror.col_coefs[j] = kept
         return j
 
-    def add_row(self, coefs: Mapping, sense: str, rhs, name: str = "") -> int:
+    def add_row(self, coefs: Mapping, sense: str, rhs) -> int:
         if sense not in (LE, GE, EQ):
             raise ValueError(f"unknown sense {sense!r}")
         i = self.n_rows
@@ -113,17 +109,16 @@ class LpModel:
                 raise BadReference(f"column {j} does not exist")
             if v != 0:
                 clean[j] = v
-        _check_finite(name or f"r{i}", clean.values())
+        _check_finite("row", i, clean.values())
         self.row_coefs.append(clean)
         self.senses.append(sense)
         self.rhs.append(rhs)
-        self.row_names.append(name or f"r{i}")
         return i
 
     def set_bounds(self, col: int, lb, ub) -> None:
         if not 0 <= col < self.n_cols:
             raise BadReference(f"column {col} does not exist")
-        _check_bounds(lb, ub, self.col_names[col])
+        _check_bounds(lb, ub, col)
         self.lower[col] = lb
         self.upper[col] = ub
         if self._mirror is not None:

@@ -140,23 +140,23 @@ def audit_retention(instance: McpsInstance, activation: Activation) -> bool:
     return True
 
 
-def solve_mcps(net: Network, rho, time_limit: float | None = None, mode: str = "float") -> Result:
+def solve_mcps(net: Network, rho, time_limit: float | None = None) -> Result:
     """Minimum total connections keeping every pair's min-cut above rho times its
     full-network value; always feasible (full activation qualifies)."""
     instance = make_instance(net, rho)
     lb, satisfied = precompute_lower_bounds(instance)
     pending = [p for p in _relevant_pairs(instance) if p not in satisfied]
 
-    model = LpModel(name="mcps")
+    model = LpModel()
     x_col = [0] * net.n_arcs  # per arc, so a link's arcs repeat its column
     for link in net.links:
-        col = model.add_column(obj=len(link), lb=0, ub=net.arcs[link[0]].mu, name=f"x_{link[0]}")
+        col = model.add_column(obj=len(link), lb=0, ub=net.arcs[link[0]].mu)
         for a in link:
             x_col[a] = col
     for link in net.links:
         bound = max(lb[a] for a in link)
         if bound > 0:
-            model.add_row({x_col[link[0]]: 1}, GE, bound, name=f"lb_{link[0]}")
+            model.add_row({x_col[link[0]]: 1}, GE, bound)
 
     added_cuts: set[tuple[tuple[int, int], frozenset[int]]] = set()
 
@@ -172,16 +172,13 @@ def solve_mcps(net: Network, rho, time_limit: float | None = None, mode: str = "
             added_cuts.add(key)
             # a cut crosses its bipartition one way, so it holds one arc per link at most
             coefs = {x_col[a]: net.arcs[a].ccap for a in cut.arc_ids}
-            new_rows.append(
-                lp_model.add_row(coefs, GE, cut.rhs, name=f"cut_{len(added_cuts)}")
-            )
+            new_rows.append(lp_model.add_row(coefs, GE, cut.rhs))
         return new_rows
 
     def accept(sol):
         return audit_retention(instance, decode_activation(sol.primal, x_col))
 
     config = BnbConfig(
-        mode=mode,
         time_limit=time_limit,
         refine=separate,
         accept_incumbent=accept,

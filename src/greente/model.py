@@ -112,10 +112,6 @@ class Network:
         return math.lcm(*(arc.ccap.denominator for arc in self.arcs))
 
     @cached_property
-    def arc_by_pair(self) -> dict[tuple[int, int], Arc]:
-        return {(a.tail, a.head): a for a in self.arcs}
-
-    @cached_property
     def links(self) -> tuple[tuple[int, ...], ...]:
         """The units of activation, in lowest-arc-id order: ``(a, reverse)``
         per full-duplex link (``a < reverse``), ``(a,)`` per simplex arc."""
@@ -148,9 +144,6 @@ class TrafficMatrix:
 
     def demand(self, s: int, t: int) -> Fraction:
         return self.demands.get((s, t), Fraction(0))
-
-    def __eq__(self, other):
-        return isinstance(other, TrafficMatrix) and dict(self.demands) == dict(other.demands)
 
 
 @dataclass(frozen=True)

@@ -88,7 +88,7 @@ class MspndModel:
         self.net = net
         self.traffic = traffic
         self.strengthening = strengthening
-        self.lp = LpModel(name="mspnd")
+        self.lp = LpModel()
         # per arc, so a link's arcs repeat its columns
         self.x_col: list[int] = [0] * net.n_arcs
         self.y_col: list[int] = [0] * net.n_arcs
@@ -101,13 +101,13 @@ class MspndModel:
         self.one_shortest = all(self.dist_to[a.head][a.tail] == a.length for a in net.arcs)
         for link in net.links:
             mu = net.arcs[link[0]].mu
-            x = self.lp.add_column(obj=len(link), lb=0, ub=mu, name=f"x_{link[0]}")
-            y = self.lp.add_column(obj=0, lb=0, ub=1, name=f"y_{link[0]}")
+            x = self.lp.add_column(obj=len(link), lb=0, ub=mu)
+            y = self.lp.add_column(obj=0, lb=0, ub=1)
             for a in link:
                 self.x_col[a], self.y_col[a] = x, y
-                self.cap_row[a] = self.lp.add_row({x: net.arcs[a].ccap}, GE, 0, name=f"cap_{a}")
-            self.lp.add_row({x: 1, y: -1}, GE, 0, name=f"cl_{link[0]}")
-            self.lp.add_row({y: mu, x: -1}, GE, 0, name=f"cu_{link[0]}")
+                self.cap_row[a] = self.lp.add_row({x: net.arcs[a].ccap}, GE, 0)
+            self.lp.add_row({x: 1, y: -1}, GE, 0)
+            self.lp.add_row({y: mu, x: -1}, GE, 0)
 
     @property
     def terminal_pairs(self) -> list[tuple[int, int]]:
@@ -119,7 +119,7 @@ class MspndModel:
             demand = self.traffic.demand(*pair)
             conn = None
             if demand > 0:
-                conn = self.lp.add_row({}, GE, 1, name=f"conn_{pair[0]}_{pair[1]}")
+                conn = self.lp.add_row({}, GE, 1)
             pd = _PairData(pair[0], pair[1], demand, conn)
             self.pairs[pair] = pd
         return pd
@@ -162,9 +162,7 @@ def add_path_column(model: MspndModel, pair: tuple[int, int], path: Path) -> int
     for aid in path.arcs:
         row = pd.eb_row.get(aid)
         if row is None:
-            row = model.lp.add_row(
-                {model.y_col[aid]: 1}, GE, 0, name=f"eb_{pair[0]}_{pair[1]}_{aid}"
-            )
+            row = model.lp.add_row({model.y_col[aid]: 1}, GE, 0)
             pd.eb_row[aid] = row
         coefs[row] = -1
         if pd.demand > 0:
@@ -172,18 +170,12 @@ def add_path_column(model: MspndModel, pair: tuple[int, int], path: Path) -> int
     for okey, arcs in pd.order:
         if okey < key:
             coefs[pd.entries[arcs].short_row] = -1
-    column = model.lp.add_column(
-        obj=0, lb=0, ub=None, coefs=coefs,
-        name=f"z_{pair[0]}_{pair[1]}_{len(pd.entries)}",
-    )
+    column = model.lp.add_column(obj=0, lb=0, ub=None, coefs=coefs)
     short_coefs: dict[int, object] = {model.y_col[aid]: -1 for aid in path.arcs}
     for okey, arcs in pd.order:
         if okey > key:
             short_coefs[pd.entries[arcs].column] = -1
-    short_row = model.lp.add_row(
-        short_coefs, GE, -path.hops,
-        name=f"sp_{pair[0]}_{pair[1]}_{len(pd.entries)}",
-    )
+    short_row = model.lp.add_row(short_coefs, GE, -path.hops)
     pd.entries[path.arcs] = _PathEntry(column, short_row)
     insort(pd.order, (key, path.arcs))
 
@@ -196,10 +188,7 @@ def add_path_column(model: MspndModel, pair: tuple[int, int], path: Path) -> int
                 sub_pd = model.ensure_pair((sub.source, sub.target))
                 if sub.arcs not in sub_pd.entries:
                     add_path_column(model, (sub.source, sub.target), sub)
-                model.lp.add_row(
-                    {sub_pd.entries[sub.arcs].column: 1, column: -1}, GE, 0,
-                    name=f"sub_{pair[0]}_{pair[1]}_{cut}",
-                )
+                model.lp.add_row({sub_pd.entries[sub.arcs].column: 1, column: -1}, GE, 0)
     return column
 
 
@@ -378,7 +367,6 @@ def solve_mspnd(
     traffic: TrafficMatrix,
     strengthening: bool = True,
     time_limit: float | None = None,
-    mode: str = "float",
 ) -> Result:
     """Exact minimum-activation design with shortest-path routability.
 
@@ -411,7 +399,6 @@ def solve_mspnd(
         return max(pool, key=lambda j: (frac_dist(sol.primal[j]), -j))
 
     config = BnbConfig(
-        mode=mode,
         time_limit=time_limit,
         refine=refine,
         accept_incumbent=accept,

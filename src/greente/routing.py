@@ -41,12 +41,6 @@ class Path:
     def order_key(self) -> tuple:
         return (self.length, len(self.arcs), self.arcs)
 
-    def vertices(self, net: Network) -> tuple[int, ...]:
-        verts = [self.source]
-        for aid in self.arcs:
-            verts.append(net.arcs[aid].head)
-        return tuple(verts)
-
 
 def make_path(net: Network, arc_ids: tuple[int, ...]) -> Path:
     if not arc_ids:
@@ -64,12 +58,15 @@ def make_path(net: Network, arc_ids: tuple[int, ...]) -> Path:
     return Path(verts[0], verts[-1], tuple(arc_ids), length)
 
 
-def _dijkstra(net: Network, counts, s: int, t: int) -> Path | None:
-    """Order-minimal s-t path over arcs with counts > 0, or None.
+def shortest_path_unique(
+    net: Network, activation: Activation, s: int, t: int
+) -> Path | None:
+    """The order-minimal s-t path among active arcs, or None if disconnected.
 
     Heap keys carry (length, hops, arc ids) so the first settlement of each
     vertex is its unique order-minimal path.
     """
+    counts = activation.counts
     if s == t:
         return None
     heap: list[tuple[int, int, tuple[int, ...], int]] = [(0, 0, (), s)]
@@ -86,13 +83,6 @@ def _dijkstra(net: Network, counts, s: int, t: int) -> Path | None:
                 continue
             heapq.heappush(heap, (length + arc.length, hops + 1, arcs + (arc.id,), arc.head))
     return None
-
-
-def shortest_path_unique(
-    net: Network, activation: Activation, s: int, t: int
-) -> Path | None:
-    """The order-minimal s-t path among active arcs, or None if disconnected."""
-    return _dijkstra(net, activation.counts, s, t)
 
 
 def costs_to(net: Network, cost, t: int) -> dict[int, object]:

@@ -31,22 +31,19 @@ def build_toca_lp(net: Network, rho) -> TocaLp:
     rho = as_fraction(rho)
     if not 0 < rho < 1:
         raise ValueError("rho must lie strictly between 0 and 1")
-    model = LpModel(name="toca")
+    model = LpModel()
     x_col = [0] * net.n_arcs
     for link in net.links:
-        col = model.add_column(obj=len(link), lb=0, ub=net.arcs[link[0]].mu, name=f"x_{link[0]}")
+        col = model.add_column(obj=len(link), lb=0, ub=net.arcs[link[0]].mu)
         for a in link:
             x_col[a] = col
-    cap_row = {
-        a.id: model.add_row({x_col[a.id]: a.ccap}, GE, 0, name=f"cap_{a.id}")
-        for a in net.arcs
-    }
+    cap_row = {a.id: model.add_row({x_col[a.id]: a.ccap}, GE, 0) for a in net.arcs}
     for com in net.arcs:
         demand = rho * com.fcap
         cons_row = {}
         for v in range(net.n_vertices):
             b = demand if v == com.tail else (-demand if v == com.head else Fraction(0))
-            cons_row[v] = model.add_row({}, EQ, b, name=f"ns_{com.id}_{v}")
+            cons_row[v] = model.add_row({}, EQ, b)
         for edge in net.arcs:
             model.add_column(
                 obj=0, lb=0, ub=None,
@@ -55,7 +52,6 @@ def build_toca_lp(net: Network, rho) -> TocaLp:
                     cons_row[edge.head]: -1,
                     cap_row[edge.id]: -1,
                 },
-                name=f"f_{com.id}_{edge.id}",
             )
     return TocaLp(model, x_col)
 
@@ -64,10 +60,10 @@ def _ceil_tol(v: float, mu: int) -> int:
     return min(mu, max(0, math.ceil(float(v) - INT_TOL)))
 
 
-def alg_mcf(net: Network, rho, mode: str = "float") -> Activation:
+def alg_mcf(net: Network, rho) -> Activation:
     """Solve the utilization LP once and round every activation up."""
     t = build_toca_lp(net, rho)
-    sol = solve_lp(t.model, mode)
+    sol = solve_lp(t.model)
     if sol.status != "optimal":
         raise RuntimeError(f"activation LP is {sol.status}")
     chi = tuple(
@@ -78,7 +74,7 @@ def alg_mcf(net: Network, rho, mode: str = "float") -> Activation:
     return activation
 
 
-def alg_mcf_pp(net: Network, rho, mode: str = "float") -> Activation:
+def alg_mcf_pp(net: Network, rho) -> Activation:
     """Iterative fixing: repeatedly pin the smallest-gap variable to its ceiling.
 
     Bounds first tighten to [floor, ceil] of the initial optimum, so the final
@@ -86,7 +82,7 @@ def alg_mcf_pp(net: Network, rho, mode: str = "float") -> Activation:
     point feasible, so every re-solve succeeds.
     """
     t = build_toca_lp(net, rho)
-    sol = solve_lp(t.model, mode)
+    sol = solve_lp(t.model)
     if sol.status != "optimal":
         raise RuntimeError(f"activation LP is {sol.status}")
     for a in net.arcs:
@@ -108,7 +104,7 @@ def alg_mcf_pp(net: Network, rho, mode: str = "float") -> Activation:
         v = float(sol.primal[t.x_col[arc_id]])
         fix = _ceil_tol(v, net.arcs[arc_id].mu)
         t.model.set_bounds(t.x_col[arc_id], fix, fix)
-        sol = solve_lp(t.model, mode)
+        sol = solve_lp(t.model)
         if sol.status != "optimal":
             raise InfeasibleAfterFix(f"LP {sol.status} after fixing arc {arc_id}")
     activation = decode_activation(sol.primal, t.x_col)
@@ -116,7 +112,7 @@ def alg_mcf_pp(net: Network, rho, mode: str = "float") -> Activation:
     return activation
 
 
-def supports_scaled_traffic(net: Network, rho, activation: Activation, mode: str = "float") -> bool:
+def supports_scaled_traffic(net: Network, rho, activation: Activation) -> bool:
     """Feasibility audit: the fixed activation still routes every arc's
     rho-scaled full capacity as a simultaneous multicommodity flow.  Raises
     ValueError for an activation that is not valid on ``net``."""
@@ -125,4 +121,4 @@ def supports_scaled_traffic(net: Network, rho, activation: Activation, mode: str
     for a in net.arcs:
         chi = activation.counts[a.id]
         t.model.set_bounds(t.x_col[a.id], chi, chi)
-    return solve_lp(t.model, mode).status == "optimal"
+    return solve_lp(t.model).status == "optimal"

@@ -1,5 +1,7 @@
 import itertools
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -100,7 +102,10 @@ def test_bound_history_is_monotone():
         hist = res.bound_history
         assert all(a <= b + 1e-12 for a, b in zip(hist, hist[1:]))
         if res.status == "optimal":
-            assert float(res.bound) == pytest.approx(float(res.incumbent.objective))
+            optimum = float(res.incumbent.objective)
+            # an open node above the incumbent does not lift the bound past it
+            assert all(b <= optimum + 1e-12 for b in hist)
+            assert float(res.bound) == pytest.approx(optimum)
 
 
 def test_time_limit_statuses():
@@ -114,6 +119,30 @@ def test_time_limit_statuses():
     )
     assert res.status == "timeout"
     assert res.incumbent.objective == 4
+
+
+def test_timeout_inside_a_node_keeps_the_node_open_and_restores_its_bounds():
+    """min x + y s.t. 2x + 2y >= 5 (root 2.5, integer optimum 3): refine
+    stalls past the deadline at the first child, so the re-solve after its
+    row is the one that sees the deadline."""
+    m = LpModel()
+    x = m.add_column(obj=1, lb=0, ub=3)
+    y = m.add_column(obj=1, lb=0, ub=3)
+    m.add_row({x: 2, y: 2}, GE, 5)
+    original = [m.bounds(x), m.bounds(y)]
+    stalled = []
+
+    def refine(model, sol):
+        if stalled or [model.bounds(x), model.bounds(y)] == original:
+            return []
+        time.sleep(0.3)
+        stalled.append(model.add_row({x: 1}, GE, 0))  # redundant
+        return stalled
+
+    res = branch_and_bound(m, [x, y], BnbConfig(time_limit=0.2, refine=refine))
+    assert stalled and res.status == "timeout" and res.incumbent is None
+    assert math.isfinite(res.bound) and res.bound <= 3
+    assert [m.bounds(x), m.bounds(y)] == original
 
 
 @pytest.mark.parametrize("mode", ["float", "exact"])

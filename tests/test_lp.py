@@ -21,7 +21,7 @@ from conftest import all_pairs_traffic, complete_digraph
 
 def test_lower_bounded_variable_and_dual():
     m = LpModel()
-    x = m.add_column(obj=1, lb=0, ub=10, name="x")
+    x = m.add_column(obj=1, lb=0, ub=10)
     r = m.add_row({x: 1}, GE, 3)
     for mode in ("exact", "float"):
         sol = solve_lp(m, mode)
@@ -265,7 +265,7 @@ def test_coefficient_highs_rejects_raises_numerical_failure():
 
 def test_crossed_bounds_are_rejected_and_leave_the_model_as_it_was():
     m = LpModel()
-    x = m.add_column(obj=1, lb=0, ub=1, name="x")
+    x = m.add_column(obj=1, lb=0, ub=1)
     m.add_row({x: 1}, GE, 1)
     assert solve_lp(m, "float").status == "optimal"  # the live model exists
     with pytest.raises(ValueError, match="inconsistent bounds"):

@@ -580,3 +580,20 @@ def test_an_unroutable_heuristic_incumbent_is_caught(monkeypatch):
     monkeypatch.setattr(mspnd, "_lp_drop", all_off)
     with pytest.raises(RuntimeError, match="does not route"):
         solve_mspnd(complete_digraph(3), all_pairs_traffic(3))
+
+
+def test_spr_completion_adds_the_missing_routing_path(monkeypatch):
+    # the root holds only the direct arc; an integral point that switches it
+    # off routes over the detour, a path the model lacks until completion
+    monkeypatch.setattr(mspnd, "INITIAL_PATHS", 1)
+    net = build_network([(0, 2, 1, 1, 1), (0, 1, 1, 1, 1), (1, 2, 1, 1, 1)])
+    model = build_root_model(net, TrafficMatrix({(0, 2): 1}))
+    assert list(model.pairs[(0, 2)].entries) == [(0,)]
+    point = {model.x_col[a]: chi for a, chi in enumerate((0, 1, 1))}
+    point.update({model.y_col[a]: chi for a, chi in enumerate((0, 1, 1))})
+    sol = LpSolution("optimal", point, {}, 2)
+    n_cols = model.lp.n_cols
+    assert len(mspnd._complete_spr_paths(model, sol)) == 1
+    assert model.lp.n_cols == n_cols + 1
+    assert (1, 2) in model.pairs[(0, 2)].entries
+    assert mspnd._complete_spr_paths(model, sol) == []

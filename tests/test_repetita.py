@@ -105,11 +105,15 @@ def test_preprocess_scales_to_unit_utilization():
     assert mlu(net, full_activation(net), traffic) == 1
 
 
+def _arc(net, tail, head):
+    return next(a for a in net.arcs if (a.tail, a.head) == (tail, head))
+
+
 def test_preprocess_merges_parallel_arcs():
     g = parse_repetita_graph(SQUARE_GRAPH)
     t = parse_repetita_demands("DEMANDS 1\nheader\nd0 0 1 1\n", num_nodes=4)
     net, _ = preprocess(g, t, SIMPLEX, "asGiven", 5)
-    arc = net.arc_by_pair[(0, 1)]
+    arc = _arc(net, 0, 1)
     assert arc.fcap == 16 and arc.ccap == Fraction(16, 5)
 
 
@@ -120,8 +124,8 @@ def test_preprocess_length_modes():
     assert all(a.length == 1 for a in net.arcs)
     net, _ = preprocess(g, t, SIMPLEX, "inverseCapacity", 1)
     # max fcap is 16, so lengths are ceil(16 / fcap)
-    assert net.arc_by_pair[(0, 1)].length == 1
-    assert net.arc_by_pair[(0, 2)].length == 4
+    assert _arc(net, 0, 1).length == 1
+    assert _arc(net, 0, 2).length == 4
 
 
 def test_preprocess_duplex_requires_reverse():

@@ -133,7 +133,7 @@ def test_shortest_path_prefix_and_suffix_property(data):
             p = shortest_path_unique(net, act, s, t)
             if p is None:
                 continue
-            verts = p.vertices(net)
+            verts = [s] + [net.arcs[a].head for a in p.arcs]
             for i in range(1, len(verts) - 1):
                 prefix = shortest_path_unique(net, act, s, verts[i])
                 assert prefix is not None and prefix.arcs == p.arcs[:i]
