@@ -2,10 +2,10 @@
 
 No traffic matrix at all: the guarantee is that any matrix the full network
 can carry as a multicommodity flow stays carriable, scaled by rho, in the
-activated subnetwork.  The LP routes every arc's own scaled capacity as a
-commodity; rounding its activation variables up is already a good solution,
-and iteratively re-solving while fixing the variable closest to its next
-integer trims it further.
+activated subnetwork.  The LP routes every arc's own scaled capacity from its
+tail to its head, one commodity per tail vertex; rounding its activation
+variables up is already a good solution, and iteratively re-solving while
+fixing the variable closest to its next integer trims it further.
 """
 from fractions import Fraction
 

@@ -9,7 +9,11 @@ Two interchangeable backends sit behind one model type:
   live HiGHS instance (scipy's bundled ``_highspy``), loaded on its first
   float solve.  Later solves push only what changed since the last one --
   new columns, new rows, changed bounds -- and re-solve cold, with presolve,
-  so every solve runs the same algorithm on the same data.
+  so every solve runs the same algorithm on the same data.  The one exception
+  is ``solve_lp(..., warm=True)``: HiGHS then starts from its last basis, and
+  the vertex it reaches may depend on the solves before.  Branch-and-bound
+  stays cold, so a node's bound and the vertex the heuristics see do not
+  depend on the order in which nodes were visited.
 
 Dual sign convention: a >=-row of a minimization has a nonnegative dual, a
 <=-row a nonpositive one.  An infeasible solve carries a Farkas ray in
@@ -453,10 +457,12 @@ class _HighsMirror:
         self.dirty.clear()
 
 
-def _solve_float(model: LpModel) -> LpSolution:
+def _solve_float(model: LpModel, warm: bool = False) -> LpSolution:
     if model._mirror is None:
         model._mirror = _HighsMirror()
     model._mirror.sync(model)
+    if not warm:
+        model._mirror.highs.clearSolver()  # drop the basis: presolve + dual simplex from scratch
     sol = linprog(model._mirror.highs)
     if sol.status == "infeasible" and not sol.dual:
         sol.dual = _empty_row_ray(model)
@@ -477,8 +483,8 @@ def _empty_row_ray(model: LpModel) -> dict:
 
 # The name is the benchmark's span hook: perfbench times ``greente.lp.linprog`` as lp.highs.
 def linprog(highs) -> LpSolution:
-    """Re-solve a loaded HiGHS model cold and read back the answer."""
-    highs.clearSolver()  # no warm start: presolve + dual simplex every time
+    """Run HiGHS on a loaded model and read back the answer.  The solve is
+    cold unless the caller kept the basis (``solve_lp(..., warm=True)``)."""
     _check(highs.run(), "run")
     model_status = highs.getModelStatus()
     status = _STATUS.get(model_status)
@@ -550,10 +556,14 @@ def _audit(model: LpModel, sol: LpSolution, exact: bool) -> None:
         raise NumericalFailure(f"infeasibility not proven: Farkas bound {dual_obj}")
 
 
-def solve_lp(model: LpModel, mode: str = "float") -> LpSolution:
-    """Solve to a basic optimum with duals; deterministic given equal models."""
+def solve_lp(model: LpModel, mode: str = "float", *, warm: bool = False) -> LpSolution:
+    """Solve to a basic optimum with duals; deterministic given equal models
+    (with ``warm=True``, float only, given equal models and solve histories)."""
     if mode == "exact":
+        if warm:
+            raise ValueError("warm starts exist only in float mode")
         return _solve_exact(model)
     if mode == "float":
-        return _solve_float(model)
+        # a cold solve keeps the one-argument call, the form wrappers of _solve_float take
+        return _solve_float(model, warm=True) if warm else _solve_float(model)
     raise ValueError(f"unknown mode {mode!r}")

@@ -1,10 +1,14 @@
 """Traffic-oblivious cable activation via multicommodity-flow LP rounding.
 
-The LP embeds the network into itself: one commodity per arc a = uv carries a
-demand of rho * fcap(a) from u to v, so any matrix routable in the full
-network stays routable (scaled by rho) in the activated subnetwork.  ALG-MCF
-rounds the fractional activations up; ALG-MCF++ re-solves while fixing, one
-at a time, the variable closest to its next integer.
+The LP embeds the network into itself: every arc a = uv must carry a demand
+of rho * fcap(a) from u to v, so any matrix routable in the full network stays
+routable (scaled by rho) in the activated subnetwork.  The demands of the
+arcs leaving one vertex travel as one single-source commodity: a single-source
+flow splits into paths to its sinks, so the LP value is that of one commodity
+per arc, with a flow block per source vertex instead of per arc.  ALG-MCF
+rounds the fractional activations up; ALG-MCF++ re-solves, warm from the
+previous basis, while fixing one at a time the variable closest to its next
+integer.
 """
 from __future__ import annotations
 
@@ -27,7 +31,8 @@ class TocaLp:
 
 
 def build_toca_lp(net: Network, rho) -> TocaLp:
-    """Utilization LP: route every arc's scaled full capacity as its own commodity."""
+    """Utilization LP: one commodity per source vertex routes the scaled full
+    capacity of each of its out-arcs to that arc's head."""
     rho = as_fraction(rho)
     if not 0 < rho < 1:
         raise ValueError("rho must lie strictly between 0 and 1")
@@ -38,12 +43,15 @@ def build_toca_lp(net: Network, rho) -> TocaLp:
         for a in link:
             x_col[a] = col
     cap_row = {a.id: model.add_row({x_col[a.id]: a.ccap}, GE, 0) for a in net.arcs}
-    for com in net.arcs:
-        demand = rho * com.fcap
-        cons_row = {}
-        for v in range(net.n_vertices):
-            b = demand if v == com.tail else (-demand if v == com.head else Fraction(0))
-            cons_row[v] = model.add_row({}, EQ, b)
+    for source, out in enumerate(net.out_arcs):
+        if not out:
+            continue
+        supply = [Fraction(0)] * net.n_vertices
+        for com in out:
+            demand = rho * com.fcap
+            supply[source] += demand
+            supply[com.head] -= demand
+        cons_row = [model.add_row({}, EQ, b) for b in supply]
         for edge in net.arcs:
             model.add_column(
                 obj=0, lb=0, ub=None,
@@ -66,10 +74,8 @@ def alg_mcf(net: Network, rho) -> Activation:
     sol = solve_lp(t.model)
     if sol.status != "optimal":
         raise RuntimeError(f"activation LP is {sol.status}")
-    chi = tuple(
-        _ceil_tol(sol.primal[t.x_col[a.id]], a.mu) for a in net.arcs
-    )
-    activation = Activation(chi)
+    up = {t.x_col[a]: _ceil_tol(sol.primal[t.x_col[a]], net.arcs[a].mu) for a, *_ in net.links}
+    activation = decode_activation(up, t.x_col)
     activation.validate(net)
     return activation
 
@@ -79,32 +85,29 @@ def alg_mcf_pp(net: Network, rho) -> Activation:
 
     Bounds first tighten to [floor, ceil] of the initial optimum, so the final
     value never exceeds the plain round-up; ceiling fixes keep the previous
-    point feasible, so every re-solve succeeds.
+    point feasible, so every re-solve succeeds.  Each re-solve changes bounds
+    only, so it starts warm from the previous basis.
     """
     t = build_toca_lp(net, rho)
     sol = solve_lp(t.model)
     if sol.status != "optimal":
         raise RuntimeError(f"activation LP is {sol.status}")
-    for a in net.arcs:
-        v = float(sol.primal[t.x_col[a.id]])
-        t.model.set_bounds(
-            t.x_col[a.id],
-            max(0, math.floor(v + INT_TOL)),
-            _ceil_tol(v, a.mu),
-        )
+    for a, *_ in net.links:
+        v = float(sol.primal[t.x_col[a]])
+        t.model.set_bounds(t.x_col[a], max(0, math.floor(v + INT_TOL)), _ceil_tol(v, net.arcs[a].mu))
     while True:
         gaps = []
-        for a in net.arcs:
-            v = float(sol.primal[t.x_col[a.id]])
+        for a, *_ in net.links:
+            v = float(sol.primal[t.x_col[a]])
             if frac_dist(v) > INT_TOL:
-                gaps.append((math.ceil(v - INT_TOL) - v, a.id))
+                gaps.append((math.ceil(v - INT_TOL) - v, a))
         if not gaps:
             break
         _, arc_id = min(gaps)  # smallest gap, ties by lowest arc id
-        v = float(sol.primal[t.x_col[arc_id]])
-        fix = _ceil_tol(v, net.arcs[arc_id].mu)
-        t.model.set_bounds(t.x_col[arc_id], fix, fix)
-        sol = solve_lp(t.model)
+        col = t.x_col[arc_id]
+        fix = _ceil_tol(sol.primal[col], net.arcs[arc_id].mu)
+        t.model.set_bounds(col, fix, fix)
+        sol = solve_lp(t.model, warm=True)
         if sol.status != "optimal":
             raise InfeasibleAfterFix(f"LP {sol.status} after fixing arc {arc_id}")
     activation = decode_activation(sol.primal, t.x_col)
@@ -118,7 +121,7 @@ def supports_scaled_traffic(net: Network, rho, activation: Activation) -> bool:
     ValueError for an activation that is not valid on ``net``."""
     activation.validate(net)  # a link's arcs share one column, so one count
     t = build_toca_lp(net, rho)
-    for a in net.arcs:
-        chi = activation.counts[a.id]
-        t.model.set_bounds(t.x_col[a.id], chi, chi)
+    for a, *_ in net.links:
+        chi = activation.counts[a]
+        t.model.set_bounds(t.x_col[a], chi, chi)
     return solve_lp(t.model).status == "optimal"

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from greente import lp, mspnd
+from greente import lp, mspnd, toca
 from greente.lp import (
     EQ,
     GE,
@@ -16,7 +17,7 @@ from greente.lp import (
     solve_lp,
 )
 from greente.mspnd import solve_mspnd
-from conftest import all_pairs_traffic, complete_digraph
+from conftest import all_pairs_traffic, complete_digraph, random_net
 
 
 def test_lower_bounded_variable_and_dual():
@@ -398,3 +399,32 @@ def test_branch_and_price_solves_like_fresh_loads(monkeypatch):
     monkeypatch.setattr(lp, "_solve_float", checked)
     assert solve_mspnd(complete_digraph(5), all_pairs_traffic(5)).value == 5
     assert len(solves) > 30
+
+
+@pytest.mark.parametrize("duplex_prob", [0, 1])
+def test_warm_resolve_after_bound_fixes_matches_a_cold_solve(duplex_prob):
+    """A chain of ceiling fixes, as in ALG-MCF++: every warm re-solve reaches
+    the optimal value a cold solve of a fresh load reaches."""
+    rng = random.Random(5 + duplex_prob)
+    net = random_net(rng, n_max=6, arcs_max=12, mu_max=3, duplex_prob=duplex_prob)
+    t = toca.build_toca_lp(net, Fraction(3, 10))
+    sol = solve_lp(t.model)
+    values = {sol.objective}
+    for a, *_ in net.links:
+        col = t.x_col[a]
+        fix = math.ceil(sol.primal[col] - lp.INT_TOL)
+        t.model.set_bounds(col, fix, fix)
+        sol = solve_lp(t.model, warm=True)
+        cold = solve_lp(_fresh_copy(t.model))
+        assert sol.status == cold.status == "optimal"
+        assert sol.objective == pytest.approx(cold.objective, abs=1e-9)
+        values.add(sol.objective)
+    assert len(values) > 2  # the fixes moved the optimum
+
+
+def test_warm_start_is_float_only():
+    m = LpModel()
+    x = m.add_column(obj=1, lb=0, ub=10)
+    m.add_row({x: 1}, GE, 3)
+    with pytest.raises(ValueError, match="float"):
+        solve_lp(m, "exact", warm=True)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from greente import Activation, build_network
-from greente.lp import solve_lp
+from greente.lp import EQ, GE, LpModel, solve_lp
 from greente.toca import (
     alg_mcf,
     alg_mcf_pp,
@@ -33,6 +33,47 @@ def test_lp_scales_with_rho(single_arc):
     t = build_toca_lp(single_arc, Fraction(1, 10))
     sol = solve_lp(t.model, "exact")
     assert sol.primal[t.x_col[0]] == Fraction(1, 2)  # 5 * rho
+
+
+def _per_arc_lp_value(net, rho):
+    """Reference LP value with one commodity per arc: each arc's own scaled
+    capacity rho * fcap(a) travels from its tail to its head."""
+    model = LpModel()
+    x_col = [0] * net.n_arcs
+    for link in net.links:
+        col = model.add_column(obj=len(link), lb=0, ub=net.arcs[link[0]].mu)
+        for a in link:
+            x_col[a] = col
+    cap_row = {a.id: model.add_row({x_col[a.id]: a.ccap}, GE, 0) for a in net.arcs}
+    for com in net.arcs:
+        demand = rho * com.fcap
+        cons_row = {}
+        for v in range(net.n_vertices):
+            b = demand if v == com.tail else (-demand if v == com.head else Fraction(0))
+            cons_row[v] = model.add_row({}, EQ, b)
+        for edge in net.arcs:
+            model.add_column(
+                obj=0, lb=0, ub=None,
+                coefs={cons_row[edge.tail]: 1, cons_row[edge.head]: -1, cap_row[edge.id]: -1},
+            )
+    sol = solve_lp(model, "exact")
+    assert sol.status == "optimal"
+    return sol.objective
+
+
+@pytest.mark.parametrize("duplex_prob", [0, 1])
+def test_one_commodity_per_source_keeps_the_per_arc_lp_value(duplex_prob):
+    rng = random.Random(41 + duplex_prob)
+    for _ in range(6):
+        net = random_net(rng, n_max=5, arcs_max=7, mu_max=3, duplex_prob=duplex_prob)
+        sources = sum(1 for out in net.out_arcs if out)
+        for rho in (Fraction(1, 5), Fraction(1, 2), Fraction(7, 10)):
+            t = build_toca_lp(net, rho)
+            assert t.model.n_cols == len(net.links) + net.n_arcs * sources
+            assert t.model.n_rows == net.n_arcs + net.n_vertices * sources
+            sol = solve_lp(t.model, "exact")
+            assert sol.status == "optimal"
+            assert sol.objective == _per_arc_lp_value(net, rho)
 
 
 def test_rho_validation(single_arc):
