@@ -2,9 +2,9 @@
 
 Two interchangeable backends sit behind one model type:
 
-* ``exact`` -- a bounded-variable two-phase revised simplex over rationals
-  (gmpy2.mpq when available).  Deterministic, exact duals, meant for small
-  fixtures where values like 17/2 must come out exactly.
+* ``exact`` -- a bounded-variable two-phase revised simplex over rationals.
+  Deterministic, exact duals, meant for small fixtures where values like 17/2
+  must come out exactly.
 * ``float`` -- HiGHS dual simplex for larger models.  Each model keeps one
   live HiGHS instance (scipy's bundled ``_highspy``), loaded on its first
   float solve.  Later solves push only what changed since the last one --
@@ -28,11 +28,6 @@ from fractions import Fraction
 from typing import Mapping
 
 from scipy.optimize._highspy import _core as _highs
-
-try:
-    from gmpy2 import mpq as _Q
-except ImportError:  # gmpy2 is the optional "fast" extra
-    _Q = Fraction
 
 LE, GE, EQ = "<=", ">=", "="
 
@@ -160,29 +155,28 @@ class _ExactSimplex:
         n, m = model.n_cols, model.n_rows
         self.n, self.m = n, m
         self.total = n + 2 * m
-        q = lambda v: _Q(v) if not isinstance(v, float) else _Q(Fraction(v))
-        self.cost = [q(c) for c in model.objective] + [_Q(0)] * (2 * m)
-        self.lb: list = [None if v is None else q(v) for v in model.lower]
-        self.ub: list = [None if v is None else q(v) for v in model.upper]
-        self.b = [q(v) for v in model.rhs]
+        self.cost = [Fraction(c) for c in model.objective] + [Fraction(0)] * (2 * m)
+        self.lb: list = [None if v is None else Fraction(v) for v in model.lower]
+        self.ub: list = [None if v is None else Fraction(v) for v in model.upper]
+        self.b = [Fraction(v) for v in model.rhs]
         # column-sparse matrix: structural columns from the row dicts
         cols: list[list[tuple[int, object]]] = [[] for _ in range(self.total)]
         for i in range(m):
             for j, v in model.row_coefs[i].items():
-                cols[j].append((i, q(v)))
+                cols[j].append((i, Fraction(v)))
         for i, sense in enumerate(model.senses):
             sj = n + i
-            cols[sj] = [(i, _Q(1))]
+            cols[sj] = [(i, Fraction(1))]
             if sense == LE:
-                self.lb.append(_Q(0)); self.ub.append(None)
+                self.lb.append(Fraction(0)); self.ub.append(None)
             elif sense == GE:
-                self.lb.append(None); self.ub.append(_Q(0))
+                self.lb.append(None); self.ub.append(Fraction(0))
             else:
-                self.lb.append(_Q(0)); self.ub.append(_Q(0))
+                self.lb.append(Fraction(0)); self.ub.append(Fraction(0))
         self.art0 = n + m
         for i in range(m):
-            cols[self.art0 + i] = [(i, _Q(1))]  # sign fixed in solve()
-            self.lb.append(_Q(0)); self.ub.append(None)
+            cols[self.art0 + i] = [(i, Fraction(1))]  # sign fixed in solve()
+            self.lb.append(Fraction(0)); self.ub.append(None)
         self.cols = cols
 
     def solve(self) -> tuple[str, list, list, object]:
@@ -197,7 +191,7 @@ class _ExactSimplex:
             elif hi is not None:
                 self.status.append("U"); self.value.append(hi)
             else:
-                self.status.append("F"); self.value.append(_Q(0))
+                self.status.append("F"); self.value.append(Fraction(0))
         resid = list(self.b)
         for j in range(self.art0):
             v = self.value[j]
@@ -207,9 +201,9 @@ class _ExactSimplex:
         # artificial basis with signs matching the residuals
         self.basis = []
         self.xb = []
-        self.binv = [[_Q(0)] * m for _ in range(m)]
+        self.binv = [[Fraction(0)] * m for _ in range(m)]
         for i in range(m):
-            sigma = _Q(1) if resid[i] >= 0 else _Q(-1)
+            sigma = Fraction(1) if resid[i] >= 0 else Fraction(-1)
             self.cols[self.art0 + i] = [(i, sigma)]
             self.basis.append(self.art0 + i)
             self.xb.append(abs(resid[i]))
@@ -219,20 +213,20 @@ class _ExactSimplex:
         for j in self.basis:
             self.in_basis[j] = True
 
-        phase1 = [_Q(0)] * self.art0 + [_Q(1)] * m
+        phase1 = [Fraction(0)] * self.art0 + [Fraction(1)] * m
         res = self._iterate(phase1, phase=1)
         if res == "unbounded":  # pragma: no cover - phase 1 is bounded below
             raise NumericalFailure("phase 1 reported unbounded")
-        if sum((self.xb[i] for i in range(m) if self.basis[i] >= self.art0), _Q(0)) > 0:
+        if sum((self.xb[i] for i in range(m) if self.basis[i] >= self.art0), Fraction(0)) > 0:
             return "infeasible", [], self._duals(phase1), None
         for i in range(m):  # artificials pinned at zero for phase 2
-            self.ub[self.art0 + i] = _Q(0)
+            self.ub[self.art0 + i] = Fraction(0)
         res = self._iterate(self.cost, phase=2)
         if res == "unbounded":
             return "unbounded", [], [], None
         primal = [self._col_value(j) for j in range(n)]
         y = self._duals(self.cost)
-        objective = sum((self.cost[j] * primal[j] for j in range(n)), _Q(0))
+        objective = sum((self.cost[j] * primal[j] for j in range(n)), Fraction(0))
         return "optimal", primal, y, objective
 
     def _col_value(self, j):
@@ -242,7 +236,7 @@ class _ExactSimplex:
 
     def _duals(self, cost):
         m = self.m
-        y = [_Q(0)] * m
+        y = [Fraction(0)] * m
         for r in range(m):
             cb = cost[self.basis[r]]
             if cb != 0:
@@ -265,7 +259,7 @@ class _ExactSimplex:
             ):
                 return "optimal"
             y = self._duals(cost)
-            enter, direction, best = -1, 0, _Q(0)
+            enter, direction, best = -1, 0, Fraction(0)
             for j in range(self.total):
                 if self.in_basis[j]:
                     continue
@@ -292,7 +286,7 @@ class _ExactSimplex:
             if enter < 0:
                 return "optimal"
             # direction of basic change: x_B -= sigma * d * t
-            dvec = [_Q(0)] * m
+            dvec = [Fraction(0)] * m
             for i, a in self.cols[enter]:
                 if a != 0:
                     for r in range(m):
@@ -343,7 +337,7 @@ class _ExactSimplex:
             self.in_basis[leaving] = False
             piv = dvec[blocker]
             prow = self.binv[blocker]
-            inv_piv = _Q(1) / piv
+            inv_piv = Fraction(1) / piv
             self.binv[blocker] = [v * inv_piv for v in prow]
             prow = self.binv[blocker]
             for r in range(m):
@@ -359,17 +353,11 @@ class _ExactSimplex:
             self.status[enter] = "B"
 
 
-def _to_fraction(v) -> Fraction:
-    return Fraction(v.numerator, v.denominator) if not isinstance(v, Fraction) else v
-
-
 def _solve_exact(model: LpModel) -> LpSolution:
     status, primal, y, obj = _ExactSimplex(model).solve()
     if status == "unbounded":
         return LpSolution(status)
-    primal_f = {j: _to_fraction(v) for j, v in enumerate(primal)}
-    dual_f = {i: _to_fraction(v) for i, v in enumerate(y)}
-    sol = LpSolution(status, primal_f, dual_f, None if obj is None else _to_fraction(obj))
+    sol = LpSolution(status, dict(enumerate(primal)), dict(enumerate(y)), obj)
     _audit(model, sol, exact=True)
     return sol
 

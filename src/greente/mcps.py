@@ -4,8 +4,10 @@ The cut family is exponential, so constraints are separated lazily: for each
 pending pair an early-terminating max-flow certifies the retention target or
 yields two violated cuts (front and back).  Cut selection prefers fewer arcs
 through an integer-arithmetic capacity perturbation that never reorders cuts
-of different unperturbed capacity.  Preprocessing and the retention audit run
-their max-flows on integers too, in units of ``1 / net.ccap_scale``.
+of different unperturbed capacity.  Each pair's integer target lives on the
+instance, in units of ``1 / net.ccap_scale``; preprocessing and the retention
+audit run their max-flows on integers against it, and the preprocessing
+bounds are lower bounds on the activation columns.
 """
 from __future__ import annotations
 
@@ -16,7 +18,7 @@ from fractions import Fraction
 from .bnb import BnbConfig, branch_and_bound
 from .flows import all_pairs_maxflow, extract_cut, max_flow
 from .lp import GE, LpModel
-from .model import Activation, Network, Result, as_fraction, decode_activation
+from .model import Activation, Network, Result, decode_activation
 
 
 @dataclass(frozen=True)
@@ -24,6 +26,10 @@ class McpsInstance:
     net: Network
     rho: Fraction
     lam: dict[tuple[int, int], Fraction]  # all-pairs max-flow at full activation
+    # rho * lam in units of 1 / net.ccap_scale, rounded up, for each pair with
+    # lam > 0 in pair order: an integer flow meets it iff the unscaled flow
+    # meets rho * lam
+    targets: dict[tuple[int, int], int]
 
 
 @dataclass(frozen=True)
@@ -34,32 +40,31 @@ class CutConstraint:
 
     def violated_by(self, net: Network, xhat) -> bool:
         lhs = sum(
-            (net.arcs[a].ccap * as_fraction(xhat.get(a, 0)) for a in self.arc_ids),
+            (net.arcs[a].ccap * Fraction(xhat.get(a, 0)) for a in self.arc_ids),
             Fraction(0),
         )
         return lhs < self.rhs
 
 
 def make_instance(net: Network, rho) -> McpsInstance:
-    rho = as_fraction(rho)
+    rho = Fraction(rho)
     if not 0 < rho < 1:
         raise ValueError("rho must lie strictly between 0 and 1")
-    return McpsInstance(net, rho, all_pairs_maxflow(net))
+    lam = all_pairs_maxflow(net)
+    targets = {
+        pair: math.ceil(rho * lam[pair] * net.ccap_scale) for pair in sorted(lam) if lam[pair] > 0
+    }
+    return McpsInstance(net, rho, lam, targets)
 
 
-def _relevant_pairs(instance: McpsInstance) -> list[tuple[int, int]]:
-    return sorted(pair for pair, lam in instance.lam.items() if lam > 0)
-
-
-def _connection_caps(net: Network) -> list[int]:
-    """Each arc's ccap in units of ``1 / net.ccap_scale``, an integer."""
-    return [int(arc.ccap * net.ccap_scale) for arc in net.arcs]
-
-
-def _scaled_target(instance: McpsInstance, pair: tuple[int, int]) -> int:
-    """``rho * lambda(pair)`` in units of ``1 / net.ccap_scale``, rounded up:
-    an integer flow meets it iff the unscaled flow meets the unscaled target."""
-    return math.ceil(instance.rho * instance.lam[pair] * instance.net.ccap_scale)
+def _unmet(instance: McpsInstance, counts):
+    """Pairs, in order, whose integer max-flow misses its target when arc a
+    has ``counts[a]`` connections."""
+    net = instance.net
+    ecap = {a.id: int(a.ccap * net.ccap_scale) * counts[a.id] for a in net.arcs}
+    for (s, t), target in instance.targets.items():
+        if max_flow(net, ecap, s, t, target=target).value < target:
+            yield (s, t)
 
 
 def precompute_lower_bounds(instance: McpsInstance):
@@ -70,25 +75,20 @@ def precompute_lower_bounds(instance: McpsInstance):
     whose target is met with every arc at its bound never enter separation.
     Every s-t cut holds a, so that flow is chi(a) times a's connection
     capacity plus the flow with a off: one max-flow per arc gives the bound.
-    The flows run on integer capacities (see ``_connection_caps``).
+    The flows run on integer capacities against the instance's targets, and
+    ``solve_mcps`` puts the bounds on the activation columns.
     """
-    net = instance.net
-    unit = _connection_caps(net)
+    net, targets = instance.net, instance.targets
+    unit = [int(a.ccap * net.ccap_scale) for a in net.arcs]
     ecap = {a.id: unit[a.id] * a.mu for a in net.arcs}
     lb: dict[int, int] = {}
     for arc in net.arcs:
-        target = _scaled_target(instance, (arc.tail, arc.head))
+        target = targets[(arc.tail, arc.head)]
         ecap[arc.id] = 0
         rest = max_flow(net, ecap, arc.tail, arc.head, target=target).value
         ecap[arc.id] = unit[arc.id] * arc.mu
         lb[arc.id] = max(0, -((rest - target) // unit[arc.id]))  # exact ceiling
-    ecap_lb = {a.id: unit[a.id] * lb[a.id] for a in net.arcs}
-    satisfied = set()
-    for pair in _relevant_pairs(instance):
-        target = _scaled_target(instance, pair)
-        if max_flow(net, ecap_lb, pair[0], pair[1], target=target).value >= target:
-            satisfied.add(pair)
-    return lb, satisfied
+    return lb, set(targets) - set(_unmet(instance, lb))
 
 
 def separate_cuts(
@@ -111,7 +111,7 @@ def separate_cuts(
     net, rho = instance.net, instance.rho
     pairs = sorted(pending_pairs)
     targets = [rho * instance.lam[pair] for pair in pairs]
-    ecap = [a.ccap * as_fraction(xhat.get(a.id, 0)) for a in net.arcs]
+    ecap = [a.ccap * Fraction(xhat.get(a.id, 0)) for a in net.arcs]
     scale = (net.n_arcs + 1) * math.lcm(*(c.denominator for c in ecap + targets))
     pcap = {a: c.numerator * (scale // c.denominator) + 1 for a, c in enumerate(ecap)}
     cuts: list[CutConstraint] = []
@@ -130,14 +130,7 @@ def separate_cuts(
 
 def audit_retention(instance: McpsInstance, activation: Activation) -> bool:
     """Independent all-pairs check lambda_H(s,t) >= rho * lambda_G(s,t)."""
-    net = instance.net
-    unit = _connection_caps(net)
-    ecap = {a.id: unit[a.id] * activation.counts[a.id] for a in net.arcs}
-    for pair in _relevant_pairs(instance):
-        target = _scaled_target(instance, pair)
-        if max_flow(net, ecap, pair[0], pair[1], target=target).value < target:
-            return False
-    return True
+    return next(_unmet(instance, activation.counts), None) is None
 
 
 def solve_mcps(net: Network, rho, time_limit: float | None = None) -> Result:
@@ -145,20 +138,18 @@ def solve_mcps(net: Network, rho, time_limit: float | None = None) -> Result:
     full-network value; always feasible (full activation qualifies)."""
     instance = make_instance(net, rho)
     lb, satisfied = precompute_lower_bounds(instance)
-    pending = [p for p in _relevant_pairs(instance) if p not in satisfied]
+    pending = [p for p in instance.targets if p not in satisfied]
 
     model = LpModel()
     x_col = [0] * net.n_arcs  # per arc, so a link's arcs repeat its column
     for link in net.links:
-        col = model.add_column(obj=len(link), lb=0, ub=net.arcs[link[0]].mu)
+        col = model.add_column(
+            obj=len(link), lb=max(lb[a] for a in link), ub=net.arcs[link[0]].mu
+        )
         for a in link:
             x_col[a] = col
-    for link in net.links:
-        bound = max(lb[a] for a in link)
-        if bound > 0:
-            model.add_row({x_col[link[0]]: 1}, GE, bound)
 
-    added_cuts: set[tuple[tuple[int, int], frozenset[int]]] = set()
+    added_cuts: set[CutConstraint] = set()
 
     def separate(lp_model, sol):
         if sol.status != "optimal":
@@ -166,10 +157,9 @@ def solve_mcps(net: Network, rho, time_limit: float | None = None) -> Result:
         xhat = {a.id: sol.primal[x_col[a.id]] for a in net.arcs}
         new_rows = []
         for cut in separate_cuts(instance, xhat, pending):
-            key = (cut.pair, cut.arc_ids)
-            if key in added_cuts:
+            if cut in added_cuts:
                 continue
-            added_cuts.add(key)
+            added_cuts.add(cut)
             # a cut crosses its bipartition one way, so it holds one arc per link at most
             coefs = {x_col[a]: net.arcs[a].ccap for a in cut.arc_ids}
             new_rows.append(lp_model.add_row(coefs, GE, cut.rhs))

@@ -40,13 +40,6 @@ SIMPLEX = "simplex"
 FULL_DUPLEX = "full-duplex"
 
 
-def as_fraction(value) -> Fraction:
-    """Exact conversion to Fraction (floats convert to their exact value)."""
-    if isinstance(value, Fraction):
-        return value
-    return Fraction(value)
-
-
 @dataclass(frozen=True)
 class Arc:
     """One directed link: ``mu`` connections of ``ccap`` capacity units each."""
@@ -129,7 +122,7 @@ class TrafficMatrix:
     def __post_init__(self):
         clean = {}
         for (s, t), d in self.demands.items():
-            d = as_fraction(d)
+            d = Fraction(d)
             if d < 0:
                 raise ValueError(f"negative demand for pair ({s},{t})")
             if s == t:
@@ -242,7 +235,7 @@ def build_network(
         tail, head = vid(tail_ref), vid(head_ref)
         if tail == head:
             raise NetworkError(f"self-loop arc at vertex {tail}")
-        ccap = as_fraction(ccap)
+        ccap = Fraction(ccap)
         if ccap <= 0:
             raise NonPositiveParameter(f"ccap must be positive on arc {tail}->{head}")
         if int(length) != length or length < 1:
@@ -285,7 +278,7 @@ def full_activation(net: Network) -> Activation:
 
 
 def scale_traffic(traffic: TrafficMatrix, factor: Rational) -> TrafficMatrix:
-    factor = as_fraction(factor)
+    factor = Fraction(factor)
     if factor <= 0:
         raise ValueError("scale factor must be positive")
     return TrafficMatrix({pair: d * factor for pair, d in traffic.demands.items()})

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .lp import EQ, GE, INT_TOL, LpModel, frac_dist, solve_lp
-from .model import Activation, Network, as_fraction, decode_activation
+from .model import Activation, Network, decode_activation
 
 
 class InfeasibleAfterFix(RuntimeError):
@@ -33,7 +33,7 @@ class TocaLp:
 def build_toca_lp(net: Network, rho) -> TocaLp:
     """Utilization LP: one commodity per source vertex routes the scaled full
     capacity of each of its out-arcs to that arc's head."""
-    rho = as_fraction(rho)
+    rho = Fraction(rho)
     if not 0 < rho < 1:
         raise ValueError("rho must lie strictly between 0 and 1")
     model = LpModel()

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from greente import Activation, build_network, extract_cut, full_activation, max_flow
+from greente import Activation, build_network, extract_cut, full_activation, max_flow, mcps
+from greente.bnb import branch_and_bound
 from greente.mcps import (
     CutConstraint,
     audit_retention,
@@ -280,3 +281,33 @@ def test_a_timeout_before_the_first_solve_reports_the_zero_dual_bound():
     res = solve_mcps(net, Fraction(1, 2), time_limit=1e-9)
     assert res.status == "timeout" and res.bound == 0
     assert res.activation == full_activation(net)
+
+
+def test_a_timeout_before_the_first_solve_counts_the_preprocessing_bounds():
+    # the single arc keeps at least 3 of its 5 connections, and that lower
+    # bound on its column is what the zero-dual root bound sees
+    res = solve_mcps(build_network([(0, 1, 1, 1, 5)]), Fraction(1, 2), time_limit=1e-9)
+    assert res.status == "timeout" and res.bound == 3
+    assert res.activation == Activation((5,))
+
+
+@pytest.mark.parametrize("mode", ["simplex", "full-duplex"])
+def test_preprocessing_bounds_are_column_lower_bounds(monkeypatch, mode):
+    net = build_network(
+        [(0, 1, 2, 1, 2), (1, 0, 2, 1, 2), (1, 2, 1, 1, 2), (2, 1, 1, 1, 2),
+         (0, 2, 1, 3, 2), (2, 0, 1, 3, 2)],
+        duplex_mode=mode,
+    )
+    rho = Fraction(1, 2)
+    lb, _ = precompute_lower_bounds(make_instance(net, rho))
+    seen = []
+
+    def spy(model, integer_columns, config):
+        seen.append((model.n_rows, [model.bounds(j)[0] for j in integer_columns]))
+        return branch_and_bound(model, integer_columns, config)
+
+    monkeypatch.setattr(mcps, "branch_and_bound", spy)
+    solve_mcps(net, rho)
+    # the link columns come in link order
+    expected = [max(lb[a] for a in link) for link in net.links]
+    assert seen == [(0, expected)] and 0 < max(expected)
