@@ -6,7 +6,7 @@ Two interchangeable backends sit behind one model type:
   Deterministic, exact duals, meant for small fixtures where values like 17/2
   must come out exactly.
 * ``float`` -- HiGHS dual simplex for larger models.  Each model keeps one
-  live HiGHS instance (scipy's bundled ``_highspy``), loaded on its first
+  live HiGHS instance (scipy's bundled ``_highspy``), created on its first
   float solve.  Later solves push only what changed since the last one --
   new columns, new rows, changed bounds -- and re-solve cold, with presolve,
   so every solve runs the same algorithm on the same data.  The one exception
@@ -19,15 +19,55 @@ Dual sign convention: a >=-row of a minimization has a nonnegative dual, a
 <=-row a nonpositive one.  An infeasible solve carries a Farkas ray in
 ``dual``, in the same convention.  Every solve is audited -- weak duality at
 an optimum, a proof of infeasibility from the ray -- or raises NumericalFailure.
+
+The HiGHS bindings are scipy's bundled extension, loaded alone at import, not
+through the ``scipy.optimize`` package, whose import also loads
+``scipy.linalg`` and takes about half a second more.  It is loaded under its
+canonical name ``scipy.optimize._highspy._core``, so a later ``import
+scipy.optimize`` reuses it; if the file cannot be found, the package import
+is the fallback.
 """
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
-from scipy.optimize._highspy import _core as _highs
+import numpy  # noqa: F401 -- the extension imports it on the first addCols; pay that here
+
+
+def _load_highs():
+    """scipy's HiGHS extension module, without importing ``scipy.optimize``.
+
+    The name must be the canonical one: pybind11 registers the extension's
+    types once per process, so after a load under another name a later
+    ``import scipy.optimize`` fails with ``generic_type: type "ObjSense" is
+    already registered!``.
+    """
+    name = "scipy.optimize._highspy._core"
+    if name in sys.modules:
+        return sys.modules[name]
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is not None and scipy.origin:
+        folder = os.path.join(os.path.dirname(scipy.origin), "optimize", "_highspy")
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(folder, "_core" + suffix)
+            if os.path.isfile(path):
+                spec = importlib.util.spec_from_file_location(name, path)
+                module = importlib.util.module_from_spec(spec)
+                sys.modules[name] = module
+                spec.loader.exec_module(module)
+                return module
+    from scipy.optimize._highspy import _core
+    return _core
+
+
+_highs = _load_highs()
 
 LE, GE, EQ = "<=", ">=", "="
 
@@ -367,6 +407,7 @@ def _solve_exact(model: LpModel) -> LpSolution:
 # ---------------------------------------------------------------------------
 
 _INF = _highs.kHighsInf
+HIGHS_MAX_COEF = 1e15  # HiGHS's large_matrix_value: addRows/addCols reject an entry this large
 _STATUS = {
     _highs.HighsModelStatus.kOptimal: "optimal",
     _highs.HighsModelStatus.kInfeasible: "infeasible",

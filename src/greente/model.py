@@ -13,6 +13,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence, Union
 
+from .lp import HIGHS_MAX_COEF
+
 Rational = Union[int, Fraction]
 
 
@@ -180,6 +182,14 @@ class Result:
         return self.activation.value
 
 
+def _fits_highs(value) -> bool:
+    """True if ``value`` is a float that HiGHS accepts as a matrix entry."""
+    try:
+        return float(value) < HIGHS_MAX_COEF  # False for nan
+    except OverflowError:  # an int or Fraction beyond the float range
+        return False
+
+
 def build_network(
     arc_specs: Sequence[tuple],
     duplex_mode: str = SIMPLEX,
@@ -191,7 +201,8 @@ def build_network(
     assigned dense ids in first-appearance order unless ``vertices`` fixes
     the order up front.  In full-duplex mode every arc must have a reverse
     arc; disagreeing lengths harmonize to the minimum, disagreeing
-    ccap/mu are rejected.
+    ccap/mu are rejected.  ``mu`` and ``ccap * mu`` must stay below
+    ``lp.HIGHS_MAX_COEF``, as the LPs carry both as coefficients.
     """
     if duplex_mode not in (SIMPLEX, FULL_DUPLEX):
         raise ValueError(f"unknown duplex mode {duplex_mode!r}")
@@ -240,6 +251,11 @@ def build_network(
             raise NonPositiveParameter(f"ccap must be positive on arc {tail}->{head}")
         if int(length) != length or length < 1:
             raise NonPositiveParameter(f"length must be a positive integer on arc {tail}->{head}")
+        # mu and ccap enter the LPs as coefficients; ccap <= ccap * mu, as mu >= 1
+        if not (_fits_highs(mu) and _fits_highs(ccap * mu)):
+            raise NetworkError(
+                f"mu and ccap*mu must be finite and below {HIGHS_MAX_COEF:g} on arc {tail}->{head}"
+            )
         if int(mu) != mu or mu < 1:
             raise NonPositiveParameter(f"mu must be a positive integer on arc {tail}->{head}")
         if (tail, head) in seen_pairs:

@@ -232,6 +232,21 @@ def test_zero_bandwidth_edge_exits_2(instance_files, capsys, lengths):
     assert capsys.readouterr().err.startswith("input error: ccap must be positive")
 
 
+def test_bandwidth_beyond_the_float_range_exits_2(instance_files, capsys):
+    graph, demands = instance_files
+    graph.write_text(GRAPH.replace("e0 0 2 1 2 0", "e0 0 2 1 1e999 0"))
+    assert main(["solve", "--algorithm", "mspnd", "--graph", str(graph),
+                 "--demands", str(demands)]) == 2
+    assert capsys.readouterr().err.startswith("input error: mu and ccap*mu must be finite")
+
+
+def test_mu_too_large_for_highs_exits_2(instance_files, capsys):
+    graph, demands = instance_files
+    assert main(["solve", "--algorithm", "mspnd", "--graph", str(graph),
+                 "--demands", str(demands), "--mu", "100000000000000000000"]) == 2
+    assert capsys.readouterr().err.startswith("input error: mu and ccap*mu must be finite")
+
+
 def test_demand_to_unknown_vertex_exits_2(instance_files, capsys):
     graph, demands = instance_files
     demands.write_text("DEMANDS 1\nlabel src dest bw\nd0 0 7 2\n")

@@ -1,6 +1,10 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -264,6 +268,17 @@ def test_coefficient_highs_rejects_raises_numerical_failure():
         solve_lp(m, "float")
 
 
+def test_highs_rejects_matrix_entries_from_highs_max_coef_up():
+    assert lp._highs._Highs().getOptionValue("large_matrix_value")[1] == lp.HIGHS_MAX_COEF
+    m = LpModel()
+    x = m.add_column(obj=1, lb=0, ub=3)
+    m.add_row({x: lp.HIGHS_MAX_COEF / 2}, GE, 1)
+    assert solve_lp(m, "float").status == "optimal"
+    m.add_row({x: lp.HIGHS_MAX_COEF}, GE, 1)
+    with pytest.raises(NumericalFailure, match="addRows"):
+        solve_lp(m, "float")
+
+
 def test_crossed_bounds_are_rejected_and_leave_the_model_as_it_was():
     m = LpModel()
     x = m.add_column(obj=1, lb=0, ub=1)
@@ -428,3 +443,55 @@ def test_warm_start_is_float_only():
     m.add_row({x: 1}, GE, 3)
     with pytest.raises(ValueError, match="float"):
         solve_lp(m, "exact", warm=True)
+
+
+# Each import test runs in a fresh interpreter: which modules an import loads
+# depends on what the process has imported before.
+def _run_fresh(code):
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_import_loads_highs_without_scipy_optimize():
+    _run_fresh("""
+import sys
+import greente
+assert "scipy.optimize" not in sys.modules
+assert "numpy" in sys.modules
+""")
+
+
+def test_scipy_optimize_still_imports_after_greente():
+    _run_fresh("""
+import greente
+import scipy.optimize
+res = scipy.optimize.linprog([1, 1], A_ub=[[-1, -1]], b_ub=[-1], method="highs")
+assert res.fun == 1.0, res
+from scipy.optimize._highspy import _core
+assert _core is greente.lp._highs
+""")
+
+
+def test_greente_reuses_a_loaded_highs_extension():
+    _run_fresh("""
+import scipy.optimize
+from scipy.optimize._highspy import _core
+import greente
+assert greente.lp._highs is _core
+""")
+
+
+def test_highs_falls_back_to_the_package_import():
+    _run_fresh("""
+import importlib.machinery
+import sys
+importlib.machinery.EXTENSION_SUFFIXES.clear()  # the direct file lookup finds nothing
+from greente.lp import GE, LpModel, solve_lp
+assert "scipy.optimize" in sys.modules
+m = LpModel()
+x = m.add_column(obj=1, lb=0, ub=10)
+m.add_row({x: 1}, GE, 3)
+assert solve_lp(m, "float").objective == 3
+""")

@@ -115,6 +115,15 @@ def test_parameter_validation():
         build_network([])
 
 
+@pytest.mark.parametrize("ccap, mu", [
+    (1, 10**15), (Fraction(10**16), 1), (Fraction(10**15, 7), 7), (Fraction(10**999), 1),
+    (1, float("inf")), (1, float("nan")),
+])
+def test_parameters_highs_cannot_take_are_rejected(ccap, mu):
+    with pytest.raises(NetworkError, match="below 1e"):
+        build_network([(0, 1, ccap, 1, mu)])
+
+
 def test_named_vertices_first_appearance_order():
     net = build_network([("ams", "lon", 1, 1, 1), ("lon", "par", 1, 1, 1)])
     assert net.vertex_names == ("ams", "lon", "par")
