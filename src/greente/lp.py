@@ -593,6 +593,5 @@ def solve_lp(model: LpModel, mode: str = "float", *, warm: bool = False) -> LpSo
             raise ValueError("warm starts exist only in float mode")
         return _solve_exact(model)
     if mode == "float":
-        # a cold solve keeps the one-argument call, the form wrappers of _solve_float take
-        return _solve_float(model, warm=True) if warm else _solve_float(model)
+        return _solve_float(model, warm=warm)
     raise ValueError(f"unknown mode {mode!r}")

@@ -263,25 +263,27 @@ def _complete_spr_paths(model: MspndModel, sol: LpSolution) -> list[int]:
     return added
 
 
-def _lp_drop(model: MspndModel, routed: RoutingResult, sol: LpSolution) -> tuple[int, dict]:
-    """LP-guided drop heuristic: from full activation, lower each link's count
-    while the network stays SPR-routable, visiting every link once in
-    ascending LP ``x`` order (ties by lowest arc id).  Returns
-    ``(value, primal)``.  ``routed`` is the full network's routing, which must
-    fit at full activation: routability is not monotone in the counts, so the
-    start has to be routable.
+def _fewest_connections(net: Network, load, link) -> int:
+    """Fewest connections that carry ``load`` on ``link``: the largest ceil(load / ccap)."""
+    return max(-(-load.get(a, 0) // net.arcs[a].ccap) for a in link)
 
-    Each trial is checked exactly and incrementally.  A drop that leaves an
-    arc active changes no path, so only that arc's capacity can break.  A drop
-    to zero re-routes only the pairs whose path used the arc: an order-minimal
-    path stays order-minimal when arcs it does not use go away.
+
+def _lp_drop(model: MspndModel, routed: RoutingResult, sol: LpSolution) -> tuple[int, dict]:
+    """LP-guided drop heuristic: from full activation, set every link, once
+    each in ascending LP ``x`` order (ties by lowest arc id), to the fewest
+    connections that carry its current load, or to 0 if it needs at most one
+    and the network stays SPR-routable without it.  Returns ``(value,
+    primal)``.  ``routed`` is the full network's routing, which must fit at
+    full activation: routability is not monotone in the counts.
+
+    A link left active changes no path, and its load fits at ``mu``, where
+    every unvisited link still is.  A drop to zero re-routes only the pairs
+    whose path used the link: an order-minimal path stays order-minimal when
+    arcs it does not use go away.
     """
     net, traffic = model.net, model.traffic
     path_of, load = dict(routed.path_of), dict(routed.load)
     counts = list(full_activation(net).counts)
-
-    def over(loads) -> bool:
-        return any(ld > net.arcs[b].ccap * counts[b] for b, ld in loads.items())
 
     def drop_to_zero(link) -> bool:
         """Re-route the pairs that used ``link`` (now at count 0) and keep
@@ -300,7 +302,7 @@ def _lp_drop(model: MspndModel, routed: RoutingResult, sol: LpSolution) -> tuple
                 changed[b] = changed.get(b, load[b]) - d
             for b in new.arcs:
                 changed[b] = changed.get(b, load.get(b, 0)) + d
-        if over(changed):
+        if any(ld > net.arcs[b].ccap * counts[b] for b, ld in changed.items()):
             return False
         path_of.update(moved)
         load.update(changed)
@@ -308,17 +310,12 @@ def _lp_drop(model: MspndModel, routed: RoutingResult, sol: LpSolution) -> tuple
 
     x = sol.primal
     for link in sorted(net.links, key=lambda link: (x[model.x_col[link[0]]], link[0])):
-        a = link[0]
-        while counts[a] > 0:
+        need = _fewest_connections(net, load, link)
+        for b in link:
+            counts[b] = 0
+        if need > 1 or not drop_to_zero(link):
             for b in link:
-                counts[b] -= 1
-            if counts[a] > 0 and not over({b: load.get(b, 0) for b in link}):
-                continue
-            if counts[a] == 0 and drop_to_zero(link):
-                continue
-            for b in link:
-                counts[b] += 1
-            break
+                counts[b] = max(need, 1)
     return sum(counts), _activation_primal(model, counts)
 
 
@@ -341,22 +338,20 @@ def root_lp_value(net: Network, traffic: TrafficMatrix, strengthening: bool, mod
 
 
 def solve_f_mspnd(net: Network, traffic: TrafficMatrix) -> Activation:
-    """Fixed-routing baseline: route in the full network, then drop spare
-    connections; kept arcs still carry the same unique shortest paths."""
+    """Fixed-routing baseline: route in the full network, then set every link
+    to the fewest connections that carry its load (0 on an unused link); kept
+    arcs still carry the same unique shortest paths."""
     try:
         routed = spr_route(net, full_activation(net), traffic)
     except Disconnected as exc:
         raise NotRoutableInFull(str(exc)) from exc
     counts = [0] * net.n_arcs
-    for aid, load in routed.load.items():
-        arc = net.arcs[aid]
-        need = -(-load // arc.ccap)  # exact ceiling of load / ccap
-        if need > arc.mu:
-            raise NotRoutableInFull(f"arc {aid} overloaded even at full activation")
-        counts[aid] = int(need)
     for link in net.links:
+        need = _fewest_connections(net, routed.load, link)
+        if need > net.arcs[link[0]].mu:
+            raise NotRoutableInFull(f"link {link} overloaded even at full activation")
         for a in link:
-            counts[a] = max(counts[b] for b in link)
+            counts[a] = need
     activation = Activation(tuple(counts))
     activation.validate(net)
     return activation

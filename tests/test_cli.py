@@ -1,5 +1,9 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -245,6 +249,30 @@ def test_mu_too_large_for_highs_exits_2(instance_files, capsys):
     assert main(["solve", "--algorithm", "mspnd", "--graph", str(graph),
                  "--demands", str(demands), "--mu", "100000000000000000000"]) == 2
     assert capsys.readouterr().err.startswith("input error: mu and ccap*mu must be finite")
+
+
+def test_mspnd_at_a_large_mu_sets_link_counts_at_once(tmp_path, instance_files):
+    # a drop heuristic that lowered each link one connection at a time from
+    # mu would take tens of seconds here
+    graph, demands = instance_files
+    out = tmp_path / "chi.csv"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "greente", "solve", "--algorithm", "mspnd", "--graph", str(graph),
+         "--demands", str(demands), "--rho", "0.5", "--mu", "499999", "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=10,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert ",optimal,166668," in proc.stdout
+    assert total(out) == 166_668
+
+
+@pytest.mark.parametrize("mu", ["500000", "10000000000"])
+def test_mu_an_indicator_counted_as_zero_could_switch_on_exits_2(instance_files, capsys, mu):
+    graph, demands = instance_files
+    assert main(["solve", "--algorithm", "mspnd", "--graph", str(graph),
+                 "--demands", str(demands), "--mu", mu]) == 2
+    assert capsys.readouterr().err.startswith("input error: mu must be below 500000")
 
 
 def test_demand_to_unknown_vertex_exits_2(instance_files, capsys):

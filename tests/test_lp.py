@@ -404,8 +404,8 @@ def test_branch_and_price_solves_like_fresh_loads(monkeypatch):
     solve_float = lp._solve_float
     solves = []
 
-    def checked(model):
-        live, fresh = solve_float(model), solve_float(_fresh_copy(model))
+    def checked(model, warm=False):
+        live, fresh = solve_float(model, warm=warm), solve_float(_fresh_copy(model))
         assert live.status == fresh.status
         assert live.primal == pytest.approx(fresh.primal, abs=1e-9)
         solves.append(live)

@@ -124,6 +124,14 @@ def test_parameters_highs_cannot_take_are_rejected(ccap, mu):
         build_network([(0, 1, ccap, 1, mu)])
 
 
+def test_mu_an_indicator_counted_as_zero_could_switch_on_is_rejected():
+    # mu * y >= x with y = INT_TOL allows x = 1/2 at mu = 1 / (2 * INT_TOL)
+    assert build_network([(0, 1, 1, 1, 499_999)]).arcs[0].mu == 499_999
+    for mu in (500_000, 10**10):
+        with pytest.raises(NetworkError, match="mu must be below 500000"):
+            build_network([(0, 1, Fraction(1, mu), 1, mu)])
+
+
 def test_named_vertices_first_appearance_order():
     net = build_network([("ams", "lon", 1, 1, 1), ("lon", "par", 1, 1, 1)])
     assert net.vertex_names == ("ams", "lon", "par")
