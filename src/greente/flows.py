@@ -14,6 +14,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import permutations
 
 from .model import Network, Rational
 
@@ -178,16 +179,30 @@ def extract_cut(
     return Cut(cut, sum(_exact(ecap.get(a, 0)) for a in cut))
 
 
+def mirror(net: Network, ecap) -> tuple[int, ...] | None:
+    """The arc -> link-partner map if every arc's capacity equals its
+    partner's, else None.
+
+    Reversing every arc then maps the network onto itself, so lambda(s,t)
+    equals lambda(t,s) and the cuts of (t,s) are the reversed cuts of (s,t).
+    """
+    rev = net.link_pair
+    if rev is None or any(ecap.get(a, 0) != ecap.get(r, 0) for a, r in enumerate(rev)):
+        return None
+    return rev
+
+
 def all_pairs_maxflow(net: Network) -> dict[tuple[int, int], Fraction]:
-    """lambda_G(s,t) for every ordered vertex pair under full capacities.
+    """lambda_G(s,t) for every ordered vertex pair under full capacities,
+    once per unordered pair on full-duplex networks.
 
     The flows run on integers, the capacities scaled by ``net.ccap_scale``;
     dividing the values back keeps them exact."""
     scale = net.ccap_scale
     icap = {arc.id: int(arc.fcap * scale) for arc in net.arcs}
-    return {
-        (s, t): Fraction(max_flow(net, icap, s, t).value, scale)
-        for s in range(net.n_vertices)
-        for t in range(net.n_vertices)
-        if s != t
-    }
+    symmetric = mirror(net, icap) is not None
+    lam: dict[tuple[int, int], Fraction] = {}
+    for s, t in permutations(range(net.n_vertices), 2):  # (t,s) comes first if t < s
+        mirrored = symmetric and t < s
+        lam[s, t] = lam[t, s] if mirrored else Fraction(max_flow(net, icap, s, t).value, scale)
+    return lam

@@ -408,6 +408,7 @@ def _solve_exact(model: LpModel) -> LpSolution:
 
 _INF = _highs.kHighsInf
 HIGHS_MAX_COEF = 1e15  # HiGHS's large_matrix_value: addRows/addCols reject an entry this large
+HIGHS_MIN_COEF = 1e-9  # HiGHS's small_matrix_value: an entry this small is dropped as zero
 _STATUS = {
     _highs.HighsModelStatus.kOptimal: "optimal",
     _highs.HighsModelStatus.kInfeasible: "infeasible",

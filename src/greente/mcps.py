@@ -2,7 +2,10 @@
 
 The cut family is exponential, so constraints are separated lazily: for each
 pending pair an early-terminating max-flow certifies the retention target or
-yields two violated cuts (front and back).  Cut selection prefers fewer arcs
+yields two violated cuts (front and back).  Separation, the all-pairs
+values and the retention audit run their max-flows once per unordered pair
+on full-duplex networks, whose capacities are link-symmetric: the cuts of
+(t,s) are the reversed cuts of (s,t).  Cut selection prefers fewer arcs
 through an integer-arithmetic capacity perturbation that never reorders cuts
 of different unperturbed capacity.  Each pair's integer target lives on the
 instance, in units of ``1 / net.ccap_scale``; preprocessing and the retention
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bnb import BnbConfig, branch_and_bound
-from .flows import all_pairs_maxflow, extract_cut, max_flow
+from .flows import all_pairs_maxflow, extract_cut, max_flow, mirror
 from .lp import GE, LpModel
 from .model import Activation, Network, Result, decode_activation
 
@@ -59,11 +62,17 @@ def make_instance(net: Network, rho) -> McpsInstance:
 
 def _unmet(instance: McpsInstance, counts):
     """Pairs, in order, whose integer max-flow misses its target when arc a
-    has ``counts[a]`` connections."""
+    has ``counts[a]`` connections; (s,t) reuses (t,s) when the counts mirror."""
     net = instance.net
     ecap = {a.id: int(a.ccap * net.ccap_scale) * counts[a.id] for a in net.arcs}
+    symmetric = mirror(net, ecap) is not None
+    met: dict[tuple[int, int], bool] = {}
     for (s, t), target in instance.targets.items():
-        if max_flow(net, ecap, s, t, target=target).value < target:
+        if symmetric and (t, s) in met:
+            met[(s, t)] = met[(t, s)]
+        else:
+            met[(s, t)] = max_flow(net, ecap, s, t, target=target).value >= target
+        if not met[(s, t)]:
             yield (s, t)
 
 
@@ -76,13 +85,19 @@ def precompute_lower_bounds(instance: McpsInstance):
     Every s-t cut holds a, so that flow is chi(a) times a's connection
     capacity plus the flow with a off: one max-flow per arc gives the bound.
     The flows run on integer capacities against the instance's targets, and
-    ``solve_mcps`` puts the bounds on the activation columns.
+    ``solve_mcps`` puts the bounds on the activation columns.  Both arcs of a
+    full-duplex link get one bound from one max-flow: the reversed network is
+    the network itself.
     """
     net, targets = instance.net, instance.targets
     unit = [int(a.ccap * net.ccap_scale) for a in net.arcs]
     ecap = {a.id: unit[a.id] * a.mu for a in net.arcs}
+    rev = mirror(net, ecap)
     lb: dict[int, int] = {}
     for arc in net.arcs:
+        if rev is not None and rev[arc.id] in lb:
+            lb[arc.id] = lb[rev[arc.id]]
+            continue
         target = targets[(arc.tail, arc.head)]
         ecap[arc.id] = 0
         rest = max_flow(net, ecap, arc.tail, arc.head, target=target).value
@@ -107,6 +122,10 @@ def separate_cuts(
     unperturbed flow meets ``target``.  The front and back cuts are the
     unique extreme ones among the fewest-arc minimum cuts, so the scale does
     not change them either.
+
+    When the point's capacities mirror (see ``flows.mirror``), the front cut
+    of (s,t) is the reversed back cut of (t,s) and the back cut the reversed
+    front cut, so each unordered pair needs one max-flow and two extractions.
     """
     net, rho = instance.net, instance.rho
     pairs = sorted(pending_pairs)
@@ -114,17 +133,27 @@ def separate_cuts(
     ecap = [a.ccap * Fraction(xhat.get(a.id, 0)) for a in net.arcs]
     scale = (net.n_arcs + 1) * math.lcm(*(c.denominator for c in ecap + targets))
     pcap = {a: c.numerator * (scale // c.denominator) + 1 for a, c in enumerate(ecap)}
+    rev = mirror(net, pcap)
+    sides: dict[tuple[int, int], tuple[frozenset[int], ...] | None] = {}  # None: target met
     cuts: list[CutConstraint] = []
-    for pair, target in zip(pairs, targets):
-        ptarget = target.numerator * (scale // target.denominator)
-        result = max_flow(net, pcap, pair[0], pair[1], target=ptarget)
-        if result.value >= ptarget:
-            continue
-        front = extract_cut(net, pcap, result, pair[0], pair[1], "front")
-        back = extract_cut(net, pcap, result, pair[0], pair[1], "back")
-        cuts.append(CutConstraint(pair, front.arc_ids, target))
-        if back.arc_ids != front.arc_ids:
-            cuts.append(CutConstraint(pair, back.arc_ids, target))
+    for (s, t), target in zip(pairs, targets):
+        if rev is not None and (t, s) in sides:
+            # front of (s,t) = reversed back of (t,s), and back = reversed front
+            other = sides[(t, s)]
+            sides[(s, t)] = other and tuple(
+                frozenset(rev[a] for a in arcs) for arcs in reversed(other)
+            )
+        else:
+            ptarget = target.numerator * (scale // target.denominator)
+            result = max_flow(net, pcap, s, t, target=ptarget)
+            sides[(s, t)] = None if result.value >= ptarget else tuple(
+                extract_cut(net, pcap, result, s, t, side).arc_ids for side in ("front", "back")
+            )
+        if sides[(s, t)]:
+            front, back = sides[(s, t)]
+            cuts.append(CutConstraint((s, t), front, target))
+            if back != front:
+                cuts.append(CutConstraint((s, t), back, target))
     return cuts
 
 
@@ -149,7 +178,8 @@ def solve_mcps(net: Network, rho, time_limit: float | None = None) -> Result:
         for a in link:
             x_col[a] = col
 
-    added_cuts: set[CutConstraint] = set()
+    # pairs that share a bipartition and a target give the same row
+    added_rows: set[tuple[frozenset, Fraction]] = set()
 
     def separate(lp_model, sol):
         if sol.status != "optimal":
@@ -157,11 +187,12 @@ def solve_mcps(net: Network, rho, time_limit: float | None = None) -> Result:
         xhat = {a.id: sol.primal[x_col[a.id]] for a in net.arcs}
         new_rows = []
         for cut in separate_cuts(instance, xhat, pending):
-            if cut in added_cuts:
-                continue
-            added_cuts.add(cut)
             # a cut crosses its bipartition one way, so it holds one arc per link at most
             coefs = {x_col[a]: net.arcs[a].ccap for a in cut.arc_ids}
+            row = (frozenset(coefs.items()), cut.rhs)
+            if row in added_rows:
+                continue
+            added_rows.add(row)
             new_rows.append(lp_model.add_row(coefs, GE, cut.rhs))
         return new_rows
 

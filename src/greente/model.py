@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence, Union
 
-from .lp import HIGHS_MAX_COEF, INT_TOL
+from .lp import HIGHS_MAX_COEF, HIGHS_MIN_COEF, INT_TOL
 
 Rational = Union[int, Fraction]
 
@@ -202,8 +202,9 @@ def build_network(
     the order up front.  In full-duplex mode every arc must have a reverse
     arc; disagreeing lengths harmonize to the minimum, disagreeing
     ccap/mu are rejected.  ``mu`` and ``ccap * mu`` must stay below
-    ``lp.HIGHS_MAX_COEF``, as the LPs carry both as coefficients, and ``mu``
-    below ``1 / (2 * lp.INT_TOL)`` (500,000).
+    ``lp.HIGHS_MAX_COEF`` and ``ccap`` above ``lp.HIGHS_MIN_COEF``, as the
+    LPs carry all three as coefficients, and ``mu`` below
+    ``1 / (2 * lp.INT_TOL)`` (500,000).
     """
     if duplex_mode not in (SIMPLEX, FULL_DUPLEX):
         raise ValueError(f"unknown duplex mode {duplex_mode!r}")
@@ -262,6 +263,8 @@ def build_network(
         # MSPND's row mu*y >= x: a y within INT_TOL of 0 must keep x below 1/2
         if mu >= 1 / (2 * INT_TOL):
             raise NetworkError(f"mu must be below {1 / (2 * INT_TOL):g} on arc {tail}->{head}")
+        if float(ccap) <= HIGHS_MIN_COEF:  # HiGHS would read the coefficient as 0
+            raise NetworkError(f"ccap must be above {HIGHS_MIN_COEF:g} on arc {tail}->{head}")
         if (tail, head) in seen_pairs:
             raise DuplicateArc(f"parallel arc {tail}->{head}")
         seen_pairs[(tail, head)] = len(raw)

@@ -142,6 +142,20 @@ def digraphs(draw, n_max=6, arcs_max=12, mu_max=2, len_max=1):
     return build_network(specs, SIMPLEX, vertices=range(n))
 
 
+@st.composite
+def duplex_digraphs(draw, n_max=6, links_max=6, mu_max=2, ccaps=st.integers(1, 3)):
+    """Hypothesis strategy: a full-duplex network on 2..n_max vertices with
+    any link set, each link's ccap drawn from ``ccaps``."""
+    n = draw(st.integers(2, n_max))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=links_max, unique=True))
+    specs = []
+    for u, v in chosen:
+        ccap, mu = draw(ccaps), draw(st.integers(1, mu_max))
+        specs += [(u, v, ccap, 1, mu), (v, u, ccap, 1, mu)]
+    return build_network(specs, FULL_DUPLEX, vertices=range(n))
+
+
 def random_routable_instance(rng: random.Random, n_max=6, arcs_max=8, mu_max=2, pairs_max=3):
     """Network plus traffic that routes in the full network at utilization <= 1.
 

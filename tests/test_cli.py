@@ -275,6 +275,24 @@ def test_mu_an_indicator_counted_as_zero_could_switch_on_exits_2(instance_files,
     assert capsys.readouterr().err.startswith("input error: mu must be below 500000")
 
 
+@pytest.mark.parametrize("algorithm", ["mspnd", "mcps", "mcf"])
+def test_bandwidths_highs_reads_as_zero_exit_2(tmp_path, algorithm):
+    # every bandwidth and the demand scaled by 1e-10: ccap = bw / mu is about
+    # 2e-13, below HiGHS's smallest matrix entry, so the LPs would lose it
+    graph = tmp_path / "topo.graph"
+    graph.write_text(GRAPH.replace("1 2 0\n", "1 2e-10 0\n").replace("1 6 0\n", "1 6e-10 0\n"))
+    demands = tmp_path / "matrix.0.demands"
+    demands.write_text(DEMANDS.replace(" 2\n", " 2e-10\n"))
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "greente", "solve", "--algorithm", algorithm, "--graph", str(graph),
+         "--demands", str(demands), "--rho", "0.5", "--mu", "1000"],
+        env=env, capture_output=True, text=True, timeout=10,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("input error: ccap must be above 1e-09")
+
+
 def test_demand_to_unknown_vertex_exits_2(instance_files, capsys):
     graph, demands = instance_files
     demands.write_text("DEMANDS 1\nlabel src dest bw\nd0 0 7 2\n")

@@ -279,6 +279,10 @@ def test_highs_rejects_matrix_entries_from_highs_max_coef_up():
         solve_lp(m, "float")
 
 
+def test_highs_min_coef_is_highs_small_matrix_value():
+    assert lp._highs._Highs().getOptionValue("small_matrix_value")[1] == lp.HIGHS_MIN_COEF
+
+
 def test_crossed_bounds_are_rejected_and_leave_the_model_as_it_was():
     m = LpModel()
     x = m.add_column(obj=1, lb=0, ub=1)

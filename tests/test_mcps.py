@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from greente import Activation, build_network, extract_cut, full_activation, max_flow, mcps
 from greente.bnb import branch_and_bound
+from greente.lp import LpModel
 from greente.mcps import (
     CutConstraint,
     audit_retention,
@@ -17,7 +18,7 @@ from greente.mcps import (
     separate_cuts,
     solve_mcps,
 )
-from conftest import complete_digraph, digraphs, random_net
+from conftest import complete_digraph, digraphs, duplex_digraphs, random_net
 
 
 def brute_force_mcps_value(net, rho):
@@ -218,13 +219,36 @@ def reference_separate_cuts(instance, xhat, pending_pairs):
 _coordinates = st.fractions(0, 1, max_denominator=12) | st.floats(0, 1)
 
 
+def _assert_separation_matches_reference(net, tenths, xhat):
+    inst = make_instance(net, Fraction(tenths, 10))
+    pending = [p for p, lam in inst.lam.items() if lam > 0]
+    assert separate_cuts(inst, xhat, pending) == reference_separate_cuts(inst, xhat, pending)
+
+
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(digraphs(n_max=5, arcs_max=10), st.sampled_from([3, 5, 7]), st.data())
 def test_integer_separation_matches_fraction_reference(net, tenths, data):
-    inst = make_instance(net, Fraction(tenths, 10))
-    pending = [p for p, lam in inst.lam.items() if lam > 0]
     xhat = {a.id: data.draw(_coordinates) * a.mu for a in net.arcs}
-    assert separate_cuts(inst, xhat, pending) == reference_separate_cuts(inst, xhat, pending)
+    _assert_separation_matches_reference(net, tenths, xhat)
+
+
+def _per_link(net, draw_value):
+    """One drawn value per link, given to both arcs of a duplex link as an
+    LP point or an activation gives it."""
+    values = [None] * net.n_arcs
+    for link in net.links:
+        value = draw_value(net.arcs[link[0]])
+        for a in link:
+            values[a] = value
+    return values
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(duplex_digraphs(n_max=6, links_max=7), st.sampled_from([3, 5, 7]), st.data())
+def test_integer_separation_matches_fraction_reference_on_duplex_nets(net, tenths, data):
+    # link-symmetric points take the mirrored path: one max-flow per unordered pair
+    xhat = dict(enumerate(_per_link(net, lambda arc: data.draw(_coordinates) * arc.mu)))
+    _assert_separation_matches_reference(net, tenths, xhat)
 
 
 def reference_preprocessing(net, rho):
@@ -256,6 +280,15 @@ def reference_audit(net, rho, lam, counts):
     )
 
 
+def _assert_preprocessing_matches_reference(net, tenths, counts):
+    rho = Fraction(tenths, 10)
+    inst = make_instance(net, rho)
+    lam, lb, satisfied = reference_preprocessing(net, rho)
+    assert inst.lam == lam
+    assert precompute_lower_bounds(inst) == (lb, satisfied)
+    assert audit_retention(inst, Activation(counts)) == reference_audit(net, rho, lam, counts)
+
+
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(digraphs(n_max=5, arcs_max=10, mu_max=3), st.sampled_from([3, 5, 7]), st.data())
 def test_integer_preprocessing_matches_fraction_reference(base, tenths, data):
@@ -265,13 +298,20 @@ def test_integer_preprocessing_matches_fraction_reference(base, tenths, data):
         [(a.tail, a.head, data.draw(ccaps), a.length, a.mu) for a in base.arcs],
         vertices=range(base.n_vertices),
     )
-    rho = Fraction(tenths, 10)
-    inst = make_instance(net, rho)
-    lam, lb, satisfied = reference_preprocessing(net, rho)
-    assert inst.lam == lam
-    assert precompute_lower_bounds(inst) == (lb, satisfied)
     counts = tuple(data.draw(st.integers(0, a.mu)) for a in net.arcs)
-    assert audit_retention(inst, Activation(counts)) == reference_audit(net, rho, lam, counts)
+    _assert_preprocessing_matches_reference(net, tenths, counts)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    duplex_digraphs(n_max=5, links_max=5, mu_max=3,
+                    ccaps=st.fractions(Fraction(1, 6), 3, max_denominator=6)),
+    st.sampled_from([3, 5, 7]),
+    st.data(),
+)
+def test_integer_preprocessing_matches_fraction_reference_on_duplex_nets(net, tenths, data):
+    counts = tuple(_per_link(net, lambda arc: data.draw(st.integers(0, arc.mu))))
+    _assert_preprocessing_matches_reference(net, tenths, counts)
 
 
 def test_a_timeout_before_the_first_solve_reports_the_zero_dual_bound():
@@ -311,3 +351,25 @@ def test_preprocessing_bounds_are_column_lower_bounds(monkeypatch, mode):
     # the link columns come in link order
     expected = [max(lb[a] for a in link) for link in net.links]
     assert seen == [(0, expected)] and 0 < max(expected)
+
+
+RING5 = [(i, (i + 1) % 5, 1, 1, 2) for i in range(5)]
+
+
+@pytest.mark.parametrize("net", [
+    build_network(RING5 + [(v, u, c, l, m) for u, v, c, l, m in RING5], duplex_mode="full-duplex"),
+    complete_digraph(4, ccap=1, mu=2),
+], ids=["duplex-ring", "simplex-k4"])
+def test_each_distinct_cut_row_enters_the_lp_once(monkeypatch, net):
+    # every pair separated by one bipartition, at one target, gives one row
+    rows = []
+    add_row = LpModel.add_row
+
+    def spy(model, coefs, sense, rhs):
+        rows.append((dict(coefs), sense, rhs))
+        return add_row(model, coefs, sense, rhs)
+
+    monkeypatch.setattr(LpModel, "add_row", spy)
+    res = solve_mcps(net, Fraction(1, 2))
+    assert res.status == "optimal" and rows
+    assert all(rows[i] != rows[j] for j in range(len(rows)) for i in range(j))

@@ -132,6 +132,14 @@ def test_mu_an_indicator_counted_as_zero_could_switch_on_is_rejected():
             build_network([(0, 1, Fraction(1, mu), 1, mu)])
 
 
+def test_a_ccap_highs_would_drop_is_rejected():
+    # HiGHS drops a matrix entry of at most its small_matrix_value as zero
+    assert build_network([(0, 1, 2e-9, 1, 1)]).arcs[0].ccap == Fraction(2e-9)
+    for ccap in (1e-9, Fraction(1, 10**10), 2e-13):
+        with pytest.raises(NetworkError, match="ccap must be above 1e-09"):
+            build_network([(0, 1, ccap, 1, 1000)])
+
+
 def test_named_vertices_first_appearance_order():
     net = build_network([("ams", "lon", 1, 1, 1), ("lon", "par", 1, 1, 1)])
     assert net.vertex_names == ("ams", "lon", "par")
