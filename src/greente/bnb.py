@@ -15,6 +15,9 @@ When every costed column is an integer column with an integer cost, every
 feasible value is a multiple of g, the gcd of the costs, so a node's bound
 rounds up to a multiple of g before it is compared with the incumbent (a
 full-duplex link costs 2 per count).
+
+Node LPs are solved cold without presolve (``solve_lp(..., presolve=False)``):
+each differs from the one before by a few columns, rows or bounds.
 """
 from __future__ import annotations
 
@@ -129,7 +132,7 @@ def branch_and_bound(model: LpModel, integer_columns, config: BnbConfig) -> BnbR
             model.set_bounds(col, lo, hi)
         try:
             while True:
-                sol = solve_lp(model, config.mode)
+                sol = solve_lp(model, config.mode, presolve=False)
                 if sol.status == "unbounded":
                     raise RuntimeError("node relaxation is unbounded")
                 optimal = sol.status == "optimal"

@@ -8,9 +8,14 @@ Two interchangeable backends sit behind one model type:
 * ``float`` -- HiGHS dual simplex for larger models.  Each model keeps one
   live HiGHS instance (scipy's bundled ``_highspy``), created on its first
   float solve.  Later solves push only what changed since the last one --
-  new columns, new rows, changed bounds -- and re-solve cold, with presolve,
-  so every solve runs the same algorithm on the same data.  The one exception
-  is ``solve_lp(..., warm=True)``: HiGHS then starts from its last basis, and
+  new columns, new rows, changed bounds -- and re-solve cold, so a solve
+  depends only on the model and its settings.  A cold solve runs HiGHS
+  presolve unless called with ``presolve=False``, as branch-and-bound's node
+  LPs are, since each differs from the one before by a few columns, rows or
+  bounds.  Such a solve first reloads the model into HiGHS, so it reaches
+  the vertex a fresh load of the same LP does.  The setting holds for one
+  solve, not for the model.  The one exception to cold solves is
+  ``solve_lp(..., warm=True)``: HiGHS then starts from its last basis, and
   the vertex it reaches may depend on the solves before.  Branch-and-bound
   stays cold, so a node's bound and the vertex the heuristics see do not
   depend on the order in which nodes were visited.
@@ -442,7 +447,6 @@ class _HighsMirror:
     def __init__(self):
         self.highs = _highs._Highs()
         self.highs.setOptionValue("output_flag", False)
-        self.highs.setOptionValue("presolve", "on")
         self.n_cols = 0
         self.n_rows = 0
         self.col_coefs: dict[int, dict] = {}
@@ -487,13 +491,20 @@ class _HighsMirror:
         self.dirty.clear()
 
 
-def _solve_float(model: LpModel, warm: bool = False) -> LpSolution:
+def _solve_float(model: LpModel, warm: bool = False, presolve: bool = True) -> LpSolution:
     if model._mirror is None:
         model._mirror = _HighsMirror()
     model._mirror.sync(model)
+    highs = model._mirror.highs
+    highs.setOptionValue("presolve", "on" if presolve else "off")  # per solve, not per model
     if not warm:
-        model._mirror.highs.clearSolver()  # drop the basis: presolve + dual simplex from scratch
-    sol = linprog(model._mirror.highs)
+        if presolve:
+            highs.clearSolver()  # drop the basis: presolve, then dual simplex from scratch
+        else:
+            # Without presolve, state that clearSolver() keeps (scaling, likely)
+            # steers the vertex; a reload makes the solve that of a fresh load.
+            _check(highs.passModel(highs.getLp()), "passModel")
+    sol = linprog(highs)
     if sol.status == "infeasible" and not sol.dual:
         sol.dual = _empty_row_ray(model)
     if sol.status != "unbounded":
@@ -541,7 +552,10 @@ def linprog(highs) -> LpSolution:
 def _dual_bound(model: LpModel, dual: dict, costs, exact: bool) -> tuple[object, bool]:
     """Bounded-variable dual objective y.b + sum_j d_j * (l_j if d_j > 0 else u_j)
     with d = costs - A^T y.  A term whose bound is infinite is left out, so the
-    second value says whether none was: only then is the first a true bound."""
+    second value says whether none was: only then is the first a true bound.
+    In float mode a d_j within 1e-7 of zero counts as roundoff, which excuses
+    an infinite bound but not a finite one: times a large bound it may not be
+    small."""
     q = Fraction if exact else float
     zero = q(0)
     dual_obj = zero
@@ -555,13 +569,13 @@ def _dual_bound(model: LpModel, dual: dict, costs, exact: bool) -> tuple[object,
             rc[j] -= y * q(a)
     finite = True
     for j, r in enumerate(rc):
-        if r == zero or (not exact and abs(r) <= 1e-7):
+        if r == zero:
             continue
         bound = model.lower[j] if r > zero else model.upper[j]
-        if bound is None:
-            finite = False
-        else:
+        if bound is not None:
             dual_obj += r * q(bound)
+        elif exact or abs(r) > 1e-7:
+            finite = False
     return dual_obj, finite
 
 
@@ -586,13 +600,15 @@ def _audit(model: LpModel, sol: LpSolution, exact: bool) -> None:
         raise NumericalFailure(f"infeasibility not proven: Farkas bound {dual_obj}")
 
 
-def solve_lp(model: LpModel, mode: str = "float", *, warm: bool = False) -> LpSolution:
+def solve_lp(model: LpModel, mode: str = "float", *, warm: bool = False,
+             presolve: bool = True) -> LpSolution:
     """Solve to a basic optimum with duals; deterministic given equal models
-    (with ``warm=True``, float only, given equal models and solve histories)."""
+    and ``presolve`` (with ``warm=True``, float only, given equal models and
+    solve histories).  ``presolve`` is a float option; exact mode has none."""
     if mode == "exact":
         if warm:
             raise ValueError("warm starts exist only in float mode")
         return _solve_exact(model)
     if mode == "float":
-        return _solve_float(model, warm=warm)
+        return _solve_float(model, warm=warm, presolve=presolve)
     raise ValueError(f"unknown mode {mode!r}")

@@ -249,6 +249,17 @@ def test_infeasible_ray_that_fails_the_audit_raises(monkeypatch, ub, rhs, ray):
         solve_lp(m, "float")
 
 
+def test_tiny_reduced_cost_on_a_large_finite_bound_still_counts(monkeypatch):
+    # the ray's bound is 1 only if d_x = -1e-8 is dropped; with x's upper
+    # bound it is 1 - 1e-8 * 1e10 = -99, and x = 1e8 is feasible
+    m = LpModel()
+    x = m.add_column(obj=1, lb=0, ub=1e10)
+    m.add_row({x: 1e-8}, GE, 1)
+    monkeypatch.setattr(lp, "linprog", lambda highs: lp.LpSolution("infeasible", dual={0: 1.0}))
+    with pytest.raises(NumericalFailure, match="infeasibility not proven"):
+        solve_lp(m, "float")
+
+
 def test_float_ray_is_scaled_to_max_norm_one():
     m = LpModel()
     x = m.add_column(obj=1, lb=0, ub=1)
@@ -402,22 +413,47 @@ def test_mirror_never_drifts_from_the_model(data):
 def test_branch_and_price_solves_like_fresh_loads(monkeypatch):
     """Pricing adds columns and rows and branching moves bounds, yet every
     float solve of the live HiGHS model lands on the vertex a fresh load of
-    the same model finds.  The LP-guided drop heuristic is off, since it
-    closes K5 in about ten solves."""
+    the same model finds, with the same presolve setting.  The LP-guided drop
+    heuristic is off, since it closes K5 in about ten solves; tight
+    capacities keep the search long."""
     monkeypatch.setattr(mspnd, "_lp_drop", lambda model, routed, sol: None)
     solve_float = lp._solve_float
     solves = []
 
-    def checked(model, warm=False):
-        live, fresh = solve_float(model, warm=warm), solve_float(_fresh_copy(model))
+    def checked(model, warm=False, presolve=True):
+        live = solve_float(model, warm=warm, presolve=presolve)
+        fresh = solve_float(_fresh_copy(model), presolve=presolve)
         assert live.status == fresh.status
         assert live.primal == pytest.approx(fresh.primal, abs=1e-9)
-        solves.append(live)
+        solves.append(presolve)
         return live
 
     monkeypatch.setattr(lp, "_solve_float", checked)
-    assert solve_mspnd(complete_digraph(5), all_pairs_traffic(5)).value == 5
+    net, traffic = complete_digraph(5, ccap=1), all_pairs_traffic(5, Fraction(1, 10))
+    assert solve_mspnd(net, traffic).value == 5
     assert len(solves) > 30
+    assert not any(solves)  # every node LP skipped presolve
+
+
+def test_presolve_is_set_per_solve_not_per_model():
+    """Node solves without presolve and plain solves with it alternate on one
+    live model, with bounds moving in between, and each lands where a fresh
+    load with the same setting does.  On this LP the two settings reach
+    different vertices, so a setting kept from the solve before would show."""
+    net = random_net(random.Random(1), n_max=6, arcs_max=12, mu_max=3, duplex_prob=0.5)
+    t = toca.build_toca_lp(net, Fraction(3, 10))
+    first = {}
+    for a, *_ in net.links:
+        for presolve in (False, True, False):
+            live = solve_lp(t.model, presolve=presolve)
+            fresh = solve_lp(_fresh_copy(t.model), presolve=presolve)
+            assert live.status == fresh.status == "optimal"
+            assert live.primal == pytest.approx(fresh.primal, abs=1e-9)
+            first.setdefault(presolve, live.primal)
+        col = t.x_col[a]
+        fix = math.ceil(live.primal[col] - lp.INT_TOL)
+        t.model.set_bounds(col, fix, fix)
+    assert first[True] != pytest.approx(first[False], abs=1e-6)
 
 
 @pytest.mark.parametrize("duplex_prob", [0, 1])

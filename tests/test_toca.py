@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from greente import Activation, build_network
+from greente import Activation, build_network, lp
 from greente.lp import EQ, GE, LpModel, solve_lp
 from greente.toca import (
     alg_mcf,
@@ -119,6 +119,23 @@ def test_outputs_support_scaled_traffic_and_ordering():
         if net.duplex_mode == "full-duplex":
             for a in net.arcs:
                 assert fixed.counts[a.id] == fixed.counts[net.link_pair[a.id]]
+
+
+@pytest.mark.parametrize("alg", [alg_mcf, alg_mcf_pp])
+def test_activation_lps_solve_with_presolve(monkeypatch, alg):
+    """Both algorithms round the LP vertex, and on this net HiGHS reaches
+    another vertex without presolve; unlike branch-and-bound's node solves,
+    theirs keep it."""
+    real, settings = lp.linprog, []
+
+    def spy(highs):
+        settings.append(highs.getOptionValue("presolve")[1])
+        return real(highs)
+
+    monkeypatch.setattr(lp, "linprog", spy)
+    net = random_net(random.Random(1), n_max=6, arcs_max=12, mu_max=3, duplex_prob=0.5)
+    alg(net, Fraction(3, 10))
+    assert settings and set(settings) == {"on"}
 
 
 def test_deterministic_tie_breaking():
