@@ -16,6 +16,9 @@ feasible value is a multiple of g, the gcd of the costs, so a node's bound
 rounds up to a multiple of g before it is compared with the incumbent (a
 full-duplex link costs 2 per count).
 
+A node that is not integral branches on its most fractional integer column,
+ties going to the lowest column id; the down child is pushed first.
+
 Node LPs are solved cold without presolve (``solve_lp(..., presolve=False)``):
 each differs from the one before by a few columns, rows or bounds.
 """
@@ -43,7 +46,6 @@ class BnbConfig:
     # a feasible (value, primal) read off an optimal relaxation, or None
     heuristic: Callable[[LpSolution], tuple[object, dict] | None] | None = None
     accept_incumbent: Callable[[LpSolution], bool] | None = None
-    branch_select: Callable[[LpSolution, list[int]], int] | None = None
     initial_incumbent: tuple[object, dict] | None = None  # (value, primal)
 
 
@@ -167,10 +169,7 @@ def branch_and_bound(model: LpModel, integer_columns, config: BnbConfig) -> BnbR
                 offer(sol.objective, sol.primal)
                 record_bound()
                 continue
-            if config.branch_select is not None:
-                col = config.branch_select(sol, fractional)
-            else:
-                col = max(fractional, key=lambda j: (frac_dist(sol.primal[j]), -j))
+            col = max(fractional, key=lambda j: (frac_dist(sol.primal[j]), -j))
             x = float(sol.primal[col])
             lo, hi = overrides.get(col, model.bounds(col))
             down = dict(overrides)

@@ -8,14 +8,12 @@ Two interchangeable backends sit behind one model type:
 * ``float`` -- HiGHS dual simplex for larger models.  Each model keeps one
   live HiGHS instance (scipy's bundled ``_highspy``), created on its first
   float solve.  Later solves push only what changed since the last one --
-  new columns, new rows, changed bounds -- and re-solve cold, so a solve
-  depends only on the model and its settings.  A cold solve runs HiGHS
-  presolve unless called with ``presolve=False``, as branch-and-bound's node
-  LPs are, since each differs from the one before by a few columns, rows or
-  bounds.  Such a solve first reloads the model into HiGHS, so it reaches
-  the vertex a fresh load of the same LP does.  The setting holds for one
-  solve, not for the model.  The one exception to cold solves is
-  ``solve_lp(..., warm=True)``: HiGHS then starts from its last basis, and
+  new columns, new rows, changed bounds -- and re-solve cold.  A cold solve
+  reloads the model, so it reaches the vertex a fresh load with the same
+  presolve setting reaches.  HiGHS presolve runs unless the solve is called
+  with ``presolve=False``, as branch-and-bound's node LPs are; the setting
+  holds for one solve, not for the model.  The one exception to cold solves
+  is ``solve_lp(..., warm=True)``: HiGHS then starts from its last basis, and
   the vertex it reaches may depend on the solves before.  Branch-and-bound
   stays cold, so a node's bound and the vertex the heuristics see do not
   depend on the order in which nodes were visited.
@@ -497,13 +495,8 @@ def _solve_float(model: LpModel, warm: bool = False, presolve: bool = True) -> L
     model._mirror.sync(model)
     highs = model._mirror.highs
     highs.setOptionValue("presolve", "on" if presolve else "off")  # per solve, not per model
-    if not warm:
-        if presolve:
-            highs.clearSolver()  # drop the basis: presolve, then dual simplex from scratch
-        else:
-            # Without presolve, state that clearSolver() keeps (scaling, likely)
-            # steers the vertex; a reload makes the solve that of a fresh load.
-            _check(highs.passModel(highs.getLp()), "passModel")
+    if not warm:  # reload: the vertex of a fresh load with the same presolve setting
+        _check(highs.passModel(highs.getLp()), "passModel")
     sol = linprog(highs)
     if sol.status == "infeasible" and not sol.dual:
         sol.dual = _empty_row_ray(model)

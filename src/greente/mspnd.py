@@ -52,7 +52,7 @@ class NotRoutableInFull(RuntimeError):
     pass
 
 
-class DisconnectedPair(RuntimeError):
+class DisconnectedPair(NotRoutableInFull):
     pass
 
 
@@ -375,8 +375,6 @@ def solve_mspnd(
         return Result(act, "optimal", 0.0)
     model = build_root_model(net, traffic, strengthening)
     int_cols = sorted(set(model.x_col + model.y_col))
-    x_set = set(model.x_col)
-    y_set = set(model.y_col)
 
     def refine(lp_model, sol):  # optimal or infeasible; SPR completion needs a primal
         added = _price_round(model, sol)
@@ -388,17 +386,7 @@ def solve_mspnd(
     def accept(sol):
         return is_spr_routable(net, decode_activation(sol.primal, model.x_col), traffic)
 
-    def branch_select(sol, fractional):
-        ys = [j for j in fractional if j in y_set]
-        pool = ys if ys else [j for j in fractional if j in x_set]
-        return max(pool, key=lambda j: (frac_dist(sol.primal[j]), -j))
-
-    config = BnbConfig(
-        time_limit=time_limit,
-        refine=refine,
-        accept_incumbent=accept,
-        branch_select=branch_select,
-    )
+    config = BnbConfig(time_limit=time_limit, refine=refine, accept_incumbent=accept)
     try:
         warm = solve_f_mspnd(net, traffic)
     except NotRoutableInFull:

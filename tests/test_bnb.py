@@ -19,6 +19,33 @@ def test_fractional_bound_rounds_up():
     assert round(res.incumbent.primal[x]) == 3
 
 
+@pytest.mark.parametrize("mode", ["float", "exact"])
+@pytest.mark.parametrize("x_min, y_min, branched", [
+    (Fraction(3, 10), Fraction(1, 2), "y"),  # y is the more fractional
+    (Fraction(1, 2), Fraction(1, 2), "x"),  # a tie goes to the lower id
+])
+def test_branches_on_the_most_fractional_column(monkeypatch, mode, x_min, y_min, branched):
+    """min x + y s.t. x >= x_min, y >= y_min over integers in [0, 1]: the
+    root sits at (x_min, y_min), and the first child popped is the down
+    branch of the column the rule picks."""
+    m = LpModel()
+    x = m.add_column(obj=1, lb=0, ub=1)
+    y = m.add_column(obj=1, lb=0, ub=1)
+    m.add_row({x: 1}, GE, x_min)
+    m.add_row({y: 1}, GE, y_min)
+    calls = []
+    real = LpModel.set_bounds
+
+    def spy(self, col, lb, ub):
+        calls.append((col, lb, ub))
+        real(self, col, lb, ub)
+
+    monkeypatch.setattr(LpModel, "set_bounds", spy)
+    res = branch_and_bound(m, [y, x], BnbConfig(mode=mode))
+    assert res.status == "optimal" and float(res.incumbent.objective) == 2
+    assert calls[0] == ({"x": x, "y": y}[branched], 0, 0)
+
+
 def test_integral_relaxation_solves_at_root():
     m = LpModel()
     x = m.add_column(obj=1, lb=0, ub=5)

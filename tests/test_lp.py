@@ -199,9 +199,6 @@ class _NoRayHighs:
     def __init__(self, ray):
         self.ray = ray
 
-    def clearSolver(self):
-        pass
-
     def run(self):
         return lp._highs.HighsStatus.kOk
 

@@ -85,6 +85,18 @@ def test_root_model_rejects_disconnected_pair(single_arc):
         build_root_model(single_arc, TrafficMatrix({(1, 0): 1}))
 
 
+@pytest.mark.parametrize("solve", [
+    solve_mspnd,
+    lambda net, traffic: root_lp_value(net, traffic, strengthening=True),
+    solve_f_mspnd,
+    brute_force_mspnd,
+], ids=["solve_mspnd", "root_lp_value", "solve_f_mspnd", "brute_force_mspnd"])
+def test_a_pair_with_no_path_is_not_routable_in_full(solve):
+    net = build_network([(0, 1, 1, 1, 1), (1, 2, 1, 1, 1)])
+    with pytest.raises(NotRoutableInFull):
+        solve(net, TrafficMatrix({(2, 0): 1}))
+
+
 def test_pricing_returns_nothing_when_all_paths_known(single_arc):
     traffic = TrafficMatrix({(0, 1): 1})
     model = build_root_model(single_arc, traffic, strengthening=False)
