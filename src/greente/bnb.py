@@ -58,6 +58,14 @@ class BnbResult:
     bound_history: list = field(default_factory=list)
 
 
+def time_left(time_limit: float | None, start: float) -> float | None:
+    """What remains of ``time_limit`` seconds counted from ``start`` (a
+    ``time.perf_counter()`` reading), never below 0; None for no limit."""
+    if time_limit is None:
+        return None
+    return max(0.0, time_limit - (time.perf_counter() - start))
+
+
 def branch_and_bound(model: LpModel, integer_columns, config: BnbConfig) -> BnbResult:
     """Exact optimum over integer assignments of ``integer_columns``."""
     integer_columns = list(integer_columns)

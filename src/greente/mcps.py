@@ -15,10 +15,11 @@ bounds are lower bounds on the activation columns.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bnb import BnbConfig, branch_and_bound
+from .bnb import BnbConfig, branch_and_bound, time_left
 from .flows import all_pairs_maxflow, extract_cut, max_flow, mirror
 from .lp import GE, LpModel
 from .model import Activation, Network, Result, decode_activation
@@ -164,7 +165,10 @@ def audit_retention(instance: McpsInstance, activation: Activation) -> bool:
 
 def solve_mcps(net: Network, rho, time_limit: float | None = None) -> Result:
     """Minimum total connections keeping every pair's min-cut above rho times its
-    full-network value; always feasible (full activation qualifies)."""
+    full-network value; always feasible (full activation qualifies).  The
+    time limit counts from entry, so it covers the all-pairs max-flows and
+    the preprocessing too."""
+    start = time.perf_counter()
     instance = make_instance(net, rho)
     lb, satisfied = precompute_lower_bounds(instance)
     pending = [p for p in instance.targets if p not in satisfied]
@@ -200,7 +204,7 @@ def solve_mcps(net: Network, rho, time_limit: float | None = None) -> Result:
         return audit_retention(instance, decode_activation(sol.primal, x_col))
 
     config = BnbConfig(
-        time_limit=time_limit,
+        time_limit=time_left(time_limit, start),
         refine=separate,
         accept_incumbent=accept,
         initial_incumbent=(

@@ -8,23 +8,28 @@ connectivity dual (its bound) and per-arc dual costs straight from the LP
 solution, and ``routing.ordered_paths``, the label search that also seeds
 the root at zero cost, returns the order-first new path below that bound.
 Optional subpath rows (a chosen path forces its prefixes and suffixes to be
-chosen between their endpoints too) tighten the relaxation.  The trivial
-fixed-routing solver and a brute-force oracle live here as well.
+chosen between their endpoints too) tighten the relaxation.  On full-duplex
+networks ``solve_mspnd`` adds Steiner-forest connectivity rows on the link
+indicators, which close the gap that the paper's relaxation leaves there
+(it can spread ``y`` thinly over a cycle).  The trivial fixed-routing solver
+and a brute-force oracle live here as well.
 
-All rows are oriented so that their duals are nonnegative at an optimum,
-which the pricing bound relies on.
+Every row a path column enters is oriented so that its dual is nonnegative
+at an optimum, which the pricing bound relies on.
 """
 from __future__ import annotations
 
 import itertools
+import time
 from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bnb import BnbConfig, branch_and_bound
-from .lp import GE, INT_TOL, LpModel, LpSolution, frac_dist
+from .bnb import BnbConfig, branch_and_bound, time_left
+from .lp import EQ, GE, INT_TOL, LpModel, LpSolution, frac_dist
 from .lp import solve_lp  # noqa: F401 -- unused here; perfbench/layers.py wraps mspnd.solve_lp
 from .model import (
+    FULL_DUPLEX,
     Activation,
     Network,
     Result,
@@ -357,6 +362,35 @@ def solve_f_mspnd(net: Network, traffic: TrafficMatrix) -> Activation:
     return activation
 
 
+def _add_steiner_rows(model: MspndModel) -> None:
+    """Full-duplex connectivity rows on the link indicators ``y``: the count
+    row, then per demand component, in ascending order of its lowest terminal
+    r, one block of arc columns ``z`` and one block of arc columns ``f^t``
+    per other terminal t in ascending order (see ``solve_mspnd``)."""
+    net, lp = model.net, model.lp
+    components: list[set[int]] = []  # of the undirected demand graph
+    for pair in model.traffic.terminals:
+        touching = [c for c in components if not c.isdisjoint(pair)]
+        components = [c for c in components if c not in touching]
+        components.append(set(pair).union(*touching))
+    components.sort(key=min)
+    n_terminals = sum(len(c) for c in components)
+    lp.add_row({model.y_col[a]: 1 for a, _ in net.links}, GE, n_terminals - len(components))
+    for component in components:
+        r, *others = sorted(component)
+        z = [lp.add_column() for _ in net.arcs]
+        for a, rev in net.links:
+            lp.add_row({model.y_col[a]: 1, z[a]: -1, z[rev]: -1}, GE, 0)
+        for t in others:
+            f = [lp.add_column() for _ in net.arcs]
+            for a in net.arcs:
+                lp.add_row({z[a.id]: 1, f[a.id]: -1}, GE, 0)
+            for v in range(net.n_vertices):
+                coefs = {f[a.id]: 1 for a in net.out_arcs[v]}
+                coefs.update({f[a.id]: -1 for a in net.in_arcs[v]})
+                lp.add_row(coefs, EQ, int(v == r) - int(v == t))
+
+
 def solve_mspnd(
     net: Network,
     traffic: TrafficMatrix,
@@ -368,12 +402,37 @@ def solve_mspnd(
     Branch-and-price over the activation columns only (path columns stay
     continuous); every incumbent is re-verified exactly against the routing
     semantics before acceptance.  Raises NotRoutableInFull when the search
-    proves that no activation at all can route the demands.
+    proves that no activation at all can route the demands.  ``time_limit``
+    counts from entry, so the root build and the F-MSPND start spend it too.
+
+    On full-duplex networks the root model gets connectivity rows on the
+    link indicators ``y``, with T the terminal vertices and c the number of
+    components of the undirected demand graph:
+
+    - the count row: the sum of ``y`` over links is at least |T| - c;
+    - per demand component, with r its lowest terminal, zero-cost continuous
+      arc columns ``z >= 0`` with ``z_a + z_reverse(a) <= y_link``, and for
+      every other terminal t one unit of r -> t flow ``f^t <= z``.
+
+    They are valid because every demand pair is routed, so each demand
+    component lies in one component of the active network.  A connected
+    subgraph spanning k terminals has at least k - 1 links, so the active
+    links number at least |T| - c; and a tree of active links spanning a
+    demand component, oriented away from r, carries each r -> t unit using
+    one direction per link.  The search is otherwise unchanged.  The rows touch
+    only ``y`` and the new columns, so pricing reads exactly the duals it
+    reads without them (connectivity, edge-buying and capacity rows); the new
+    columns cost 0, so ``objective_step()`` stays 2; they are not integer
+    columns, so branching ignores them.  The heuristics and ``root_lp_value``
+    (the paper's relaxation) never see them.
     """
+    start = time.perf_counter()
     if not traffic.demands:
         act = Activation((0,) * net.n_arcs)
         return Result(act, "optimal", 0.0)
     model = build_root_model(net, traffic, strengthening)
+    if net.duplex_mode == FULL_DUPLEX:
+        _add_steiner_rows(model)
     int_cols = sorted(set(model.x_col + model.y_col))
 
     def refine(lp_model, sol):  # optimal or infeasible; SPR completion needs a primal
@@ -386,7 +445,7 @@ def solve_mspnd(
     def accept(sol):
         return is_spr_routable(net, decode_activation(sol.primal, model.x_col), traffic)
 
-    config = BnbConfig(time_limit=time_limit, refine=refine, accept_incumbent=accept)
+    config = BnbConfig(refine=refine, accept_incumbent=accept)
     try:
         warm = solve_f_mspnd(net, traffic)
     except NotRoutableInFull:
@@ -395,6 +454,7 @@ def solve_mspnd(
         routed = spr_route(net, warm, traffic)  # F-MSPND keeps every full-network path
         config.initial_incumbent = (warm.value, _activation_primal(model, warm.counts))
         config.heuristic = lambda sol: _lp_drop(model, routed, sol)
+    config.time_limit = time_left(time_limit, start)
     result = branch_and_bound(model.lp, int_cols, config)
     if result.incumbent is None:
         if result.status == "infeasible":

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -329,6 +330,21 @@ def test_a_timeout_before_the_first_solve_counts_the_preprocessing_bounds():
     res = solve_mcps(build_network([(0, 1, 1, 1, 5)]), Fraction(1, 2), time_limit=1e-9)
     assert res.status == "timeout" and res.bound == 3
     assert res.activation == Activation((5,))
+
+
+def test_the_time_limit_counts_the_preprocessing(monkeypatch):
+    # preprocessing that outlasts the limit leaves the search no time, so the
+    # full activation (12) stands although 8 connections keep every min-cut
+    net = complete_digraph(4)
+    preprocess = mcps.precompute_lower_bounds
+
+    def slow_preprocess(instance):
+        time.sleep(0.2)
+        return preprocess(instance)
+
+    monkeypatch.setattr(mcps, "precompute_lower_bounds", slow_preprocess)
+    res = solve_mcps(net, Fraction(1, 2), time_limit=0.1)
+    assert res.status == "timeout" and res.activation == full_activation(net)
 
 
 @pytest.mark.parametrize("mode", ["simplex", "full-duplex"])

@@ -1,4 +1,6 @@
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,7 +13,8 @@ from greente import (
     is_spr_routable,
 )
 from greente import mspnd
-from greente.lp import LpSolution, solve_lp
+from greente.bnb import BnbConfig
+from greente.lp import INT_TOL, LpSolution, solve_lp
 from greente.mspnd import (
     DisconnectedPair,
     DuplicatePath,
@@ -33,6 +36,7 @@ from conftest import (
     all_pairs_traffic,
     complete_digraph,
     digraphs,
+    duplex_digraphs,
     enumerate_paths,
     random_routable_instance,
 )
@@ -609,3 +613,138 @@ def test_spr_completion_adds_the_missing_routing_path(monkeypatch):
     assert model.lp.n_cols == n_cols + 1
     assert (1, 2) in model.pairs[(0, 2)].entries
     assert mspnd._complete_spr_paths(model, sol) == []
+
+
+def _demand_components(traffic):
+    """Terminal sets of the undirected demand graph, by lowest terminal."""
+    components = {v: {v} for pair in traffic.terminals for v in pair}
+    for s, t in traffic.terminals:
+        if components[s] is not components[t]:
+            merged = components[s] | components[t]
+            for v in merged:
+                components[v] = merged
+    return sorted({id(c): c for c in components.values()}.values(), key=min)
+
+
+def _steiner_point(model, activation, n_cols):
+    """The oracle's activation as a point of the full-duplex rows: y from the
+    active links, and per demand component a BFS tree of the active network
+    oriented away from its lowest terminal r, z on the tree arcs and f^t on
+    the tree path from r to t.  Columns follow ``_add_steiner_rows``'s
+    layout from ``n_cols`` on."""
+    net = model.net
+    point = {model.y_col[a]: int(chi > 0) for a, chi in enumerate(activation.counts)}
+    col = n_cols
+    for component in _demand_components(model.traffic):
+        r, *others = sorted(component)
+        parent_arc, queue = {r: None}, [r]
+        for v in queue:
+            for arc in net.out_arcs[v]:
+                if activation.counts[arc.id] and arc.head not in parent_arc:
+                    parent_arc[arc.head] = arc.id
+                    queue.append(arc.head)
+        z_col, col = col, col + net.n_arcs
+        for a in parent_arc.values():
+            if a is not None:
+                point[z_col + a] = 1
+        for t in others:
+            v = t
+            while parent_arc[v] is not None:
+                point[col + parent_arc[v]] = 1
+                v = net.arcs[parent_arc[v]].tail
+            col += net.n_arcs
+    return point
+
+
+def _holds(lhs, sense, rhs) -> bool:
+    return {">=": lhs >= rhs, "<=": lhs <= rhs, "=": lhs == rhs}[sense]
+
+
+@settings(max_examples=150, deadline=None)
+@given(duplex_digraphs(n_max=5, links_max=5), st.data())
+def test_steiner_rows_hold_at_the_oracle_optimum(net, data):
+    n = net.n_vertices
+    pairs = data.draw(st.lists(
+        st.sampled_from([(s, t) for s in range(n) for t in range(n) if s != t]),
+        min_size=1, max_size=4, unique=True,
+    ))
+    traffic = TrafficMatrix({p: data.draw(st.sampled_from([Fraction(1, 2), 1, 2])) for p in pairs})
+    try:
+        best = brute_force_mspnd(net, traffic)
+    except NotRoutableInFull:
+        return
+    model = build_root_model(net, traffic)
+    n_rows, n_cols = model.lp.n_rows, model.lp.n_cols
+    mspnd._add_steiner_rows(model)
+    y_cols = {model.y_col[a] for a, _ in net.links}
+    point = _steiner_point(model, best, n_cols)
+    for i in range(n_rows, model.lp.n_rows):
+        coefs = model.lp.row_coefs[i]
+        assert all(j in y_cols or j >= n_cols for j in coefs)  # y and new columns only
+        lhs = sum(v * point.get(j, 0) for j, v in coefs.items())
+        assert _holds(lhs, model.lp.senses[i], model.lp.rhs[i])
+    assert all(model.lp.objective[j] == 0 for j in range(n_cols, model.lp.n_cols))
+    assert solve_mspnd(net, traffic).value == best.value
+
+
+def four_cycle_three_neighbour_demands():
+    """A full-duplex 4-cycle 0-1-2-3-0 with demands on three of its links:
+    every demand needs its own link, but the paper's root spreads y over the
+    cycle at 4 against an optimum of 6."""
+    specs = []
+    for u, v in [(0, 1), (1, 2), (2, 3), (3, 0)]:
+        specs += [(u, v, 1, 1, 1), (v, u, 1, 1, 1)]
+    net = build_network(specs, "full-duplex")
+    return net, TrafficMatrix({(2, 1): Fraction(1, 4), (3, 0): Fraction(1, 4), (0, 1): Fraction(1, 4)})
+
+
+def test_steiner_rows_lift_the_first_node_bound_to_the_optimum(monkeypatch):
+    net, traffic = four_cycle_three_neighbour_demands()
+    assert brute_force_mspnd(net, traffic).value == 6
+    assert root_lp_value(net, traffic, strengthening=True, mode="exact") == 4
+    real, roots = mspnd.branch_and_bound, []
+
+    def spy(lp_model, int_cols, config):
+        # the first node's relaxation, priced out, on the model the search gets
+        roots.append(real(lp_model, [], BnbConfig(refine=config.refine)).incumbent.objective)
+        return real(lp_model, int_cols, config)
+
+    monkeypatch.setattr(mspnd, "branch_and_bound", spy)
+    res = solve_mspnd(net, traffic)
+    assert res.status == "optimal" and res.value == 6
+    [root] = roots
+    assert 4 < root and math.ceil(root / 2 - INT_TOL) * 2 == 6
+
+
+@pytest.mark.parametrize("instance", ["gadget", "k6"])
+def test_simplex_models_get_no_steiner_rows(monkeypatch, instance, overlap_gadget, overlap_traffic):
+    net, traffic = {
+        "gadget": (overlap_gadget, overlap_traffic),
+        "k6": (complete_digraph(6), all_pairs_traffic(6)),
+    }[instance]
+    real, sizes = mspnd.branch_and_bound, []
+
+    def spy(lp_model, int_cols, config):
+        sizes.append((lp_model.n_rows, lp_model.n_cols))
+        return real(lp_model, int_cols, config)
+
+    monkeypatch.setattr(mspnd, "branch_and_bound", spy)
+    solve_mspnd(net, traffic)
+    root = build_root_model(net, traffic).lp
+    assert sizes == [(root.n_rows, root.n_cols)]
+
+
+def test_the_time_limit_counts_from_entry(monkeypatch, triangle):
+    # a root build that outlasts the limit leaves the search no time, so the
+    # F-MSPND start (3) stands although the optimum (2) is one node away
+    traffic = TrafficMatrix({(0, 2): 3})
+    build = mspnd.build_root_model
+
+    def slow_build(*args):
+        time.sleep(0.2)
+        return build(*args)
+
+    monkeypatch.setattr(mspnd, "build_root_model", slow_build)
+    res = solve_mspnd(triangle, traffic, time_limit=0.1)
+    assert res.status == "timeout" and res.bound == 0
+    assert res.activation == solve_f_mspnd(triangle, traffic) and res.value == 3
