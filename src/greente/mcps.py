@@ -2,12 +2,15 @@
 
 The cut family is exponential, so constraints are separated lazily: for each
 pending pair an early-terminating max-flow certifies the retention target or
-yields two violated cuts (front and back).  Separation, the all-pairs
-values and the retention audit run their max-flows once per unordered pair
-on full-duplex networks, whose capacities are link-symmetric: the cuts of
-(t,s) are the reversed cuts of (s,t).  Cut selection prefers fewer arcs
-through an integer-arithmetic capacity perturbation that never reorders cuts
-of different unperturbed capacity.  Each pair's integer target lives on the
+yields two violated cuts (front and back).  ``make_instance`` decides once
+which pairs are checked: every ordered pair with lambda > 0 on a simplex
+network, only those with s < t on a full-duplex one.  There a link's arcs
+share ``ccap``, ``mu`` and one LP column, so every capacity vector checked is
+link-symmetric: reversing every arc maps the network onto itself, lambda(t,s)
+equals lambda(s,t), and the cuts of (t,s) are the reversed cuts of (s,t),
+which give the same LP rows.  Cut selection prefers fewer arcs through an
+integer-arithmetic capacity perturbation that never reorders cuts of
+different unperturbed capacity.  Each pair's integer target lives on the
 instance, in units of ``1 / net.ccap_scale``; preprocessing and the retention
 audit run their max-flows on integers against it, and the preprocessing
 bounds are lower bounds on the activation columns.
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bnb import BnbConfig, branch_and_bound, time_left
-from .flows import all_pairs_maxflow, extract_cut, max_flow, mirror
+from .flows import all_pairs_maxflow, extract_cut, max_flow
 from .lp import GE, LpModel
 from .model import Activation, Network, Result, decode_activation
 
@@ -30,9 +33,9 @@ class McpsInstance:
     net: Network
     rho: Fraction
     lam: dict[tuple[int, int], Fraction]  # all-pairs max-flow at full activation
-    # rho * lam in units of 1 / net.ccap_scale, rounded up, for each pair with
-    # lam > 0 in pair order: an integer flow meets it iff the unscaled flow
-    # meets rho * lam
+    # rho * lam in units of 1 / net.ccap_scale, rounded up, for each checked
+    # pair (lam > 0, and s < t on full-duplex nets) in pair order: an integer
+    # flow meets it iff the unscaled flow meets rho * lam
     targets: dict[tuple[int, int], int]
 
 
@@ -55,25 +58,21 @@ def make_instance(net: Network, rho) -> McpsInstance:
     if not 0 < rho < 1:
         raise ValueError("rho must lie strictly between 0 and 1")
     lam = all_pairs_maxflow(net)
+    duplex = net.link_pair is not None  # (t,s) is checked by (s,t)
     targets = {
-        pair: math.ceil(rho * lam[pair] * net.ccap_scale) for pair in sorted(lam) if lam[pair] > 0
+        (s, t): math.ceil(rho * lam[s, t] * net.ccap_scale)
+        for s, t in sorted(lam) if lam[s, t] > 0 and (s < t or not duplex)
     }
     return McpsInstance(net, rho, lam, targets)
 
 
 def _unmet(instance: McpsInstance, counts):
-    """Pairs, in order, whose integer max-flow misses its target when arc a
-    has ``counts[a]`` connections; (s,t) reuses (t,s) when the counts mirror."""
+    """The instance's pairs, in order, whose integer max-flow misses its
+    target when arc a has ``counts[a]`` connections."""
     net = instance.net
     ecap = {a.id: int(a.ccap * net.ccap_scale) * counts[a.id] for a in net.arcs}
-    symmetric = mirror(net, ecap) is not None
-    met: dict[tuple[int, int], bool] = {}
     for (s, t), target in instance.targets.items():
-        if symmetric and (t, s) in met:
-            met[(s, t)] = met[(t, s)]
-        else:
-            met[(s, t)] = max_flow(net, ecap, s, t, target=target).value >= target
-        if not met[(s, t)]:
+        if max_flow(net, ecap, s, t, target=target).value < target:
             yield (s, t)
 
 
@@ -84,26 +83,24 @@ def precompute_lower_bounds(instance: McpsInstance):
     active, that keeps the s-t max-flow at or above rho * lambda(s,t); pairs
     whose target is met with every arc at its bound never enter separation.
     Every s-t cut holds a, so that flow is chi(a) times a's connection
-    capacity plus the flow with a off: one max-flow per arc gives the bound.
-    The flows run on integer capacities against the instance's targets, and
-    ``solve_mcps`` puts the bounds on the activation columns.  Both arcs of a
-    full-duplex link get one bound from one max-flow: the reversed network is
-    the network itself.
+    capacity plus the flow with a off: one max-flow gives the bound.  Each
+    link gets one bound, from its arc with tail < head: on a full-duplex
+    link the reversed network is the network itself.  The flows run on
+    integer capacities against the instance's targets, and ``solve_mcps``
+    puts the bounds on the activation columns.
     """
     net, targets = instance.net, instance.targets
     unit = [int(a.ccap * net.ccap_scale) for a in net.arcs]
     ecap = {a.id: unit[a.id] * a.mu for a in net.arcs}
-    rev = mirror(net, ecap)
     lb: dict[int, int] = {}
-    for arc in net.arcs:
-        if rev is not None and rev[arc.id] in lb:
-            lb[arc.id] = lb[rev[arc.id]]
-            continue
+    for link in net.links:
+        arc = min((net.arcs[a] for a in link), key=lambda a: a.tail)
         target = targets[(arc.tail, arc.head)]
         ecap[arc.id] = 0
         rest = max_flow(net, ecap, arc.tail, arc.head, target=target).value
         ecap[arc.id] = unit[arc.id] * arc.mu
-        lb[arc.id] = max(0, -((rest - target) // unit[arc.id]))  # exact ceiling
+        bound = max(0, -((rest - target) // unit[arc.id]))  # exact ceiling
+        lb.update((a, bound) for a in link)
     return lb, set(targets) - set(_unmet(instance, lb))
 
 
@@ -112,8 +109,12 @@ def separate_cuts(
 ) -> list[CutConstraint]:
     """Violated front/back cut constraints for the given fractional point.
 
-    Empty result certifies that every pending pair meets its target, hence
-    (with the preprocessing bounds) every constraint of the full family holds.
+    An empty result certifies that every pending pair meets its target.
+    ``solve_mcps`` passes the instance's pairs that the preprocessing bounds
+    leave unmet, so there it certifies every constraint of the full family.
+    On a full-duplex network that needs a link-symmetric point, since the
+    instance checks (s,t) for (t,s); ``solve_mcps``'s shared link columns
+    make every point so.
 
     The flows run on integer capacities: the point's capacities and every
     pending pair's target are scaled by ``(n_arcs + 1)`` times the lcm of all
@@ -123,10 +124,6 @@ def separate_cuts(
     unperturbed flow meets ``target``.  The front and back cuts are the
     unique extreme ones among the fewest-arc minimum cuts, so the scale does
     not change them either.
-
-    When the point's capacities mirror (see ``flows.mirror``), the front cut
-    of (s,t) is the reversed back cut of (t,s) and the back cut the reversed
-    front cut, so each unordered pair needs one max-flow and two extractions.
     """
     net, rho = instance.net, instance.rho
     pairs = sorted(pending_pairs)
@@ -134,32 +131,28 @@ def separate_cuts(
     ecap = [a.ccap * Fraction(xhat.get(a.id, 0)) for a in net.arcs]
     scale = (net.n_arcs + 1) * math.lcm(*(c.denominator for c in ecap + targets))
     pcap = {a: c.numerator * (scale // c.denominator) + 1 for a, c in enumerate(ecap)}
-    rev = mirror(net, pcap)
-    sides: dict[tuple[int, int], tuple[frozenset[int], ...] | None] = {}  # None: target met
     cuts: list[CutConstraint] = []
     for (s, t), target in zip(pairs, targets):
-        if rev is not None and (t, s) in sides:
-            # front of (s,t) = reversed back of (t,s), and back = reversed front
-            other = sides[(t, s)]
-            sides[(s, t)] = other and tuple(
-                frozenset(rev[a] for a in arcs) for arcs in reversed(other)
-            )
-        else:
-            ptarget = target.numerator * (scale // target.denominator)
-            result = max_flow(net, pcap, s, t, target=ptarget)
-            sides[(s, t)] = None if result.value >= ptarget else tuple(
-                extract_cut(net, pcap, result, s, t, side).arc_ids for side in ("front", "back")
-            )
-        if sides[(s, t)]:
-            front, back = sides[(s, t)]
-            cuts.append(CutConstraint((s, t), front, target))
-            if back != front:
-                cuts.append(CutConstraint((s, t), back, target))
+        ptarget = target.numerator * (scale // target.denominator)
+        result = max_flow(net, pcap, s, t, target=ptarget)
+        if result.value >= ptarget:
+            continue
+        front, back = (
+            extract_cut(net, pcap, result, s, t, side).arc_ids for side in ("front", "back")
+        )
+        cuts.append(CutConstraint((s, t), front, target))
+        if back != front:
+            cuts.append(CutConstraint((s, t), back, target))
     return cuts
 
 
 def audit_retention(instance: McpsInstance, activation: Activation) -> bool:
-    """Independent all-pairs check lambda_H(s,t) >= rho * lambda_G(s,t)."""
+    """All-pairs check lambda_H(s,t) >= rho * lambda_G(s,t).
+
+    The activation is validated first (``ValueError`` if it is not one of
+    the network's): on a full-duplex network a link's arcs then carry one
+    count, so checking (s,t) checks (t,s) too."""
+    activation.validate(instance.net)
     return next(_unmet(instance, activation.counts), None) is None
 
 

@@ -22,6 +22,10 @@ from greente.mcps import (
 from conftest import complete_digraph, digraphs, duplex_digraphs, random_net
 
 
+RING5 = [(i, (i + 1) % 5, 1, 1, 2) for i in range(5)]
+RING5_DUPLEX = RING5 + [(v, u, c, l, m) for u, v, c, l, m in RING5]
+
+
 def brute_force_mcps_value(net, rho):
     """Exhaustive minimum over activation vectors passing the all-pairs audit."""
     inst = make_instance(net, rho)
@@ -247,7 +251,7 @@ def _per_link(net, draw_value):
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(duplex_digraphs(n_max=6, links_max=7), st.sampled_from([3, 5, 7]), st.data())
 def test_integer_separation_matches_fraction_reference_on_duplex_nets(net, tenths, data):
-    # link-symmetric points take the mirrored path: one max-flow per unordered pair
+    # link-symmetric points, as the shared link columns of solve_mcps give them
     xhat = dict(enumerate(_per_link(net, lambda arc: data.draw(_coordinates) * arc.mu)))
     _assert_separation_matches_reference(net, tenths, xhat)
 
@@ -282,12 +286,15 @@ def reference_audit(net, rho, lam, counts):
 
 
 def _assert_preprocessing_matches_reference(net, tenths, counts):
+    """Preprocessing gives the reference's satisfied pairs among the
+    instance's pairs; returns the reference's whole set."""
     rho = Fraction(tenths, 10)
     inst = make_instance(net, rho)
     lam, lb, satisfied = reference_preprocessing(net, rho)
     assert inst.lam == lam
-    assert precompute_lower_bounds(inst) == (lb, satisfied)
+    assert precompute_lower_bounds(inst) == (lb, satisfied & set(inst.targets))
     assert audit_retention(inst, Activation(counts)) == reference_audit(net, rho, lam, counts)
+    return satisfied
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -312,7 +319,34 @@ def test_integer_preprocessing_matches_fraction_reference(base, tenths, data):
 )
 def test_integer_preprocessing_matches_fraction_reference_on_duplex_nets(net, tenths, data):
     counts = tuple(_per_link(net, lambda arc: data.draw(st.integers(0, arc.mu))))
-    _assert_preprocessing_matches_reference(net, tenths, counts)
+    satisfied = _assert_preprocessing_matches_reference(net, tenths, counts)
+    # so checking s < t only leaves out no answer
+    assert satisfied == {(t, s) for s, t in satisfied}
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(digraphs(n_max=5, arcs_max=10))
+def test_simplex_instances_check_every_ordered_pair(net):
+    inst = make_instance(net, Fraction(1, 2))
+    assert list(inst.targets) == sorted(p for p, lam in inst.lam.items() if lam > 0)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(duplex_digraphs(n_max=6, links_max=7))
+def test_duplex_instances_check_each_unordered_pair_once(net):
+    inst = make_instance(net, Fraction(1, 2))
+    assert list(inst.targets) == sorted(
+        (s, t) for (s, t), lam in inst.lam.items() if lam > 0 and s < t
+    )
+    assert all(lam == inst.lam[t, s] for (s, t), lam in inst.lam.items())
+
+
+def test_audit_rejects_an_invalid_activation():
+    inst = make_instance(build_network(RING5_DUPLEX, duplex_mode="full-duplex"), Fraction(1, 2))
+    with pytest.raises(ValueError, match="asymmetry"):
+        audit_retention(inst, Activation((2,) * 5 + (0,) * 5))
+    with pytest.raises(ValueError, match="length"):
+        audit_retention(inst, Activation((2,) * 9))
 
 
 def test_a_timeout_before_the_first_solve_reports_the_zero_dual_bound():
@@ -369,11 +403,8 @@ def test_preprocessing_bounds_are_column_lower_bounds(monkeypatch, mode):
     assert seen == [(0, expected)] and 0 < max(expected)
 
 
-RING5 = [(i, (i + 1) % 5, 1, 1, 2) for i in range(5)]
-
-
 @pytest.mark.parametrize("net", [
-    build_network(RING5 + [(v, u, c, l, m) for u, v, c, l, m in RING5], duplex_mode="full-duplex"),
+    build_network(RING5_DUPLEX, duplex_mode="full-duplex"),
     complete_digraph(4, ccap=1, mu=2),
 ], ids=["duplex-ring", "simplex-k4"])
 def test_each_distinct_cut_row_enters_the_lp_once(monkeypatch, net):
@@ -389,3 +420,19 @@ def test_each_distinct_cut_row_enters_the_lp_once(monkeypatch, net):
     res = solve_mcps(net, Fraction(1, 2))
     assert res.status == "optimal" and rows
     assert all(rows[i] != rows[j] for j in range(len(rows)) for i in range(j))
+
+
+def test_duplex_max_flows_run_from_the_lower_vertex(monkeypatch):
+    # (t,s) is checked by (s,t), so neither the preprocessing, separation nor
+    # the audit runs a flow from a higher vertex to a lower one
+    calls = []
+    flow = mcps.max_flow
+
+    def spy(net, ecap, s, t, target=None):
+        calls.append((s, t))
+        return flow(net, ecap, s, t, target=target)
+
+    monkeypatch.setattr(mcps, "max_flow", spy)
+    res = solve_mcps(build_network(RING5_DUPLEX, duplex_mode="full-duplex"), Fraction(1, 2))
+    assert res.status == "optimal" and calls
+    assert all(s < t for s, t in calls)
