@@ -234,12 +234,3 @@ def emit_report(rows, fmt: str = "csv") -> str:
     """Report text, one row per run: csv under ``CSV_HEADER``, or json."""
     return emit_table(CSV_HEADER.split(","), map(astuple, rows), fmt)
 
-
-def parse_report_json(text: str) -> list[ReportRow]:
-    rows = []
-    for d in json.loads(text):
-        d["mlu"] = tuple(math.inf if v == "inf" else v for v in d["mlu"])
-        if isinstance(d["bound"], str):
-            d["bound"] = float(d["bound"])
-        rows.append(ReportRow(**d))
-    return rows

@@ -32,6 +32,8 @@ from typing import Callable
 
 from .lp import INT_TOL, LpModel, LpSolution, _dual_bound, frac_dist, solve_lp
 
+PRUNE_SLACK = 1e-9  # a float bound this close below the incumbent still prunes
+
 
 class IncumbentRejected(RuntimeError):
     """An integral node passed all callbacks yet the incumbent filter said no."""
@@ -110,8 +112,8 @@ def branch_and_bound(model: LpModel, integer_columns, config: BnbConfig) -> BnbR
             return b > 0
         g = objective_step()
         if g:
-            return math.ceil(b / g - INT_TOL) * g >= incumbent_value - 1e-9
-        return b >= incumbent_value - 1e-9 * (1 + abs(incumbent_value))
+            return math.ceil(b / g - INT_TOL) * g >= incumbent_value - PRUNE_SLACK
+        return b >= incumbent_value - PRUNE_SLACK * (1 + abs(incumbent_value))
 
     # nodes: (bound estimate, seq, {col: (lb, ub)})
     seq = 0

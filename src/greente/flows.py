@@ -3,15 +3,17 @@
 Flows are exact: capacities run as given, ``int`` or
 :class:`fractions.Fraction` (a float becomes its exact Fraction), so
 separation on fractional LP points stays exact, and callers that scale
-capacities to integers get plain integer arithmetic.  Cut extraction walks
-the same cached residual graph as Dinic and returns the front cut (near the
-source) or the back cut (near the sink, the front cut of the reversed graph);
-both are full delta-out sets of a vertex bipartition, so the emitted
-constraints are valid for the cut family.
+capacities to integers get plain integer arithmetic.  ``max_flow`` augments
+along shortest paths (Edmonds-Karp), at most |V|.|E|/2 times whatever the
+capacities.  Cut extraction walks the same cached residual graph and returns
+the front cut (near the source) or the back cut (near the sink, the front cut
+of the reversed graph).  These are the two extreme minimum cuts, the
+residual-reachable sides of any maximum flow, so they do not depend on which
+maximum flow was found.  Both are full delta-out sets of a vertex
+bipartition, so the emitted constraints are valid for the cut family.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
@@ -41,90 +43,53 @@ def _exact(value) -> Rational:
     return Fraction(value) if isinstance(value, float) else value
 
 
-class _Dinic:
-    """Dinic on the network's cached residual graph; only capacities are
-    per flow (``cap[2a]`` along arc ``a``, ``cap[2a + 1]`` against it)."""
-
-    def __init__(self, net: Network, ecap):
-        self.n = net.n_vertices
-        self.to, self.adj = net.residual_edges
-        self.cap: list[Rational] = [0] * (2 * net.n_arcs)
-        self.cap[::2] = [_exact(ecap.get(a, 0)) for a in range(net.n_arcs)]
-
-    def _levels(self, s: int) -> list[int]:
-        """BFS distance from s over edges with residual capacity (-1: unreached)."""
-        to, adj, cap = self.to, self.adj, self.cap
-        level = [-1] * self.n
-        level[s] = 0
-        q = deque([s])
-        while q:
-            v = q.popleft()
-            for eid in adj[v]:
-                w = to[eid]
-                if cap[eid] > 0 and level[w] < 0:
-                    level[w] = level[v] + 1
-                    q.append(w)
-        return level
-
-    def run(self, s: int, t: int, target) -> tuple[Rational, bool]:
-        """Augment along shortest paths until none is left or ``target`` is met.
-
-        Each augmentation is the first path of a depth-first search from s
-        in the level graph that resumes every vertex at its current edge
-        (``it``) and retreats past dead vertices.
-        """
-        to, adj, cap = self.to, self.adj, self.cap
-        total = 0
-        while True:
-            level = self._levels(s)
-            if level[t] < 0:
-                return total, False
-            it = [0] * self.n
-            path: list[int] = []  # edge ids from s to v
-            v = s
-            while True:
-                if v == t:
-                    got = min(cap[eid] for eid in path)
-                    for eid in path:
-                        cap[eid] -= got
-                        cap[eid ^ 1] += got
-                    total += got
-                    if target is not None and total >= target:
-                        return total, True
-                    path.clear()
-                    v = s
-                    continue
-                edges, i, nxt = adj[v], it[v], level[v] + 1
-                while i < len(edges) and not (cap[edges[i]] > 0 and level[to[edges[i]]] == nxt):
-                    i += 1
-                it[v] = i
-                if i < len(edges):
-                    path.append(edges[i])
-                    v = to[edges[i]]
-                elif path:  # v is dead: retreat and skip the edge into it
-                    v = to[path.pop() ^ 1]
-                    it[v] += 1
-                else:  # s is dead: the level graph is blocked
-                    break
-
-    def flows(self) -> dict[int, Rational]:
-        # the reverse residual of an arc's edge equals the flow sent along it
-        return {a: f for a, f in enumerate(self.cap[1::2]) if f > 0}
-
-
 def max_flow(net: Network, ecap, s: int, t: int, target=None) -> FlowResult:
     """Maximum s-t flow under effective capacities, stopping early at ``target``.
 
-    With a reachable target the result is any feasible flow of value >= target
-    and ``terminated_early`` is set; otherwise the flow is maximum.
+    Shortest augmenting paths (Edmonds-Karp): each augmentation is one
+    breadth-first search from s over the network's cached residual edges,
+    cut short once t is reached, and at most |V|.|E|/2 augmentations run
+    whatever the capacities.  Only the capacities are per flow: ``cap[2a]``
+    is the residual along arc ``a``, ``cap[2a + 1]`` the residual against
+    it, which is the flow on ``a``.
+
+    ``terminated_early`` is set iff ``target`` is at most the maximum value;
+    the flow then has value >= target.  Otherwise the flow is maximum.
     """
     if s == t:
         raise ValueError("source equals sink")
     if target is not None:
         target = _exact(target)
-    dinic = _Dinic(net, ecap)
-    value, early = dinic.run(s, t, target)
-    return FlowResult(dinic.flows(), value, early)
+    heads, adj = net.residual_edges
+    cap: list[Rational] = [0] * (2 * net.n_arcs)
+    cap[::2] = [_exact(ecap.get(a, 0)) for a in range(net.n_arcs)]
+    total = 0
+    while target is None or total < target:
+        into = [-1] * net.n_vertices  # the residual edge a BFS reached each vertex by
+        into[s] = 0  # reached; the walk back from t stops before reading it
+        frontier = [s]
+        for v in frontier:
+            for eid in adj[v]:
+                w = heads[eid]
+                if into[w] < 0 and cap[eid] > 0:
+                    into[w] = eid
+                    frontier.append(w)
+            if into[t] >= 0:
+                break
+        if into[t] < 0:
+            break  # no augmenting path: the flow is maximum
+        path = []
+        v = t
+        while v != s:
+            path.append(into[v])
+            v = heads[into[v] ^ 1]
+        got = min(cap[eid] for eid in path)
+        for eid in path:
+            cap[eid] -= got
+            cap[eid ^ 1] += got
+        total += got
+    flow = {a: f for a, f in enumerate(cap[1::2]) if f > 0}
+    return FlowResult(flow, total, target is not None and total >= target)
 
 
 def _reach(net: Network, start: int, usable, blocked) -> set[int]:

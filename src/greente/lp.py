@@ -542,13 +542,16 @@ def linprog(highs) -> LpSolution:
     )
 
 
+ROUNDOFF_TOL = 1e-7  # float mode: the roundoff the dual bound and the audit forgive
+
+
 def _dual_bound(model: LpModel, dual: dict, costs, exact: bool) -> tuple[object, bool]:
     """Bounded-variable dual objective y.b + sum_j d_j * (l_j if d_j > 0 else u_j)
     with d = costs - A^T y.  A term whose bound is infinite is left out, so the
     second value says whether none was: only then is the first a true bound.
-    In float mode a d_j within 1e-7 of zero counts as roundoff, which excuses
-    an infinite bound but not a finite one: times a large bound it may not be
-    small."""
+    In float mode a d_j within ``ROUNDOFF_TOL`` of zero counts as roundoff,
+    which excuses an infinite bound but not a finite one: times a large bound
+    it may not be small."""
     q = Fraction if exact else float
     zero = q(0)
     dual_obj = zero
@@ -567,14 +570,14 @@ def _dual_bound(model: LpModel, dual: dict, costs, exact: bool) -> tuple[object,
         bound = model.lower[j] if r > zero else model.upper[j]
         if bound is not None:
             dual_obj += r * q(bound)
-        elif exact or abs(r) > 1e-7:
+        elif exact or abs(r) > ROUNDOFF_TOL:
             finite = False
     return dual_obj, finite
 
 
 def _audit(model: LpModel, sol: LpSolution, exact: bool) -> None:
     """An optimum obeys weak duality; an infeasible solve's ray proves it."""
-    tol = 0 if exact else 1e-7
+    tol = 0 if exact else ROUNDOFF_TOL
     if sol.status == "optimal":
         dual_obj, _ = _dual_bound(model, sol.dual, model.objective, exact)
         if dual_obj > sol.objective + tol * (1 + abs(sol.objective)):

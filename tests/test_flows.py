@@ -119,26 +119,26 @@ def test_cut_duality_on_random_graphs():
             assert max_flow(net, remaining, s, t).value == 0
 
 
+def assert_feasible(net, caps, s, t, result):
+    """The flow keeps within capacities and is conserved outside s and t,
+    where it leaves and enters ``result.value``."""
+    net_out = {v: 0 for v in range(net.n_vertices)}
+    for a in net.arcs:
+        f = result.flow.get(a.id, 0)
+        assert 0 <= f <= caps.get(a.id, 0)
+        net_out[a.tail] += f
+        net_out[a.head] -= f
+    for v in range(net.n_vertices):
+        assert net_out[v] == {s: result.value, t: -result.value}.get(v, 0)
+
+
 def test_flow_respects_capacities_and_conservation():
     rng = random.Random(8)
     for _ in range(30):
         net = random_net(rng, n_max=6, arcs_max=10)
         caps = {a.id: Fraction(rng.randint(0, 5)) for a in net.arcs}
         s, t = 0, net.n_vertices - 1
-        result = max_flow(net, caps, s, t)
-        net_out = {v: Fraction(0) for v in range(net.n_vertices)}
-        for a in net.arcs:
-            f = result.flow.get(a.id, Fraction(0))
-            assert 0 <= f <= caps[a.id]
-            net_out[a.tail] += f
-            net_out[a.head] -= f
-        for v in range(net.n_vertices):
-            if v == s:
-                assert net_out[v] == result.value
-            elif v == t:
-                assert net_out[v] == -result.value
-            else:
-                assert net_out[v] == 0
+        assert_feasible(net, caps, s, t, max_flow(net, caps, s, t))
 
 
 def test_residual_edges_follow_the_arcs(diamond, triangle):
@@ -190,7 +190,7 @@ def test_int_and_fraction_capacities_flow_alike(problem):
 def test_back_cut_is_the_front_cut_of_the_reversed_graph(problem):
     """The residual-reachable side of a maximum flow does not depend on which
     maximum flow was found, so each cut of (G, s, t) is the other cut of
-    (reverse G, t, s), even where Dinic finds a different flow there."""
+    (reverse G, t, s), even where the search finds a different flow there."""
     net, caps, s, t, _ = problem
     rev = build_network(
         [(a.head, a.tail, a.ccap, a.length, a.mu) for a in net.arcs],
@@ -202,3 +202,23 @@ def test_back_cut_is_the_front_cut_of_the_reversed_graph(problem):
         assert extract_cut(net, caps, flow, s, t, side) == extract_cut(
             rev, caps, rev_flow, t, s, mirror
         )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(flow_problems())
+def test_early_termination_contract_on_random_graphs(problem):
+    """A flow stops early iff its target is at most the maximum value, and then
+    reaches the target; a flow that runs to the end is maximum.  MCPS's
+    separation and preprocessing read a met target off exactly this."""
+    net, caps, s, t, target = problem
+    full = max_flow(net, caps, s, t)
+    assert not full.terminated_early
+    assert_feasible(net, caps, s, t, full)
+    for goal in (full.value, full.value + 1) if target is None else (target,):
+        result = max_flow(net, caps, s, t, target=goal)
+        assert result.terminated_early == (goal <= full.value)
+        if result.terminated_early:
+            assert result.value >= goal
+        else:
+            assert result.value == full.value
+        assert_feasible(net, caps, s, t, result)
