@@ -55,9 +55,12 @@ class ConfigError(ValueError):
 def as_rho(value) -> Fraction:
     """rho as every solver takes it: the nearest fraction with denominator at
     most 10**6, which must lie strictly between 0 and 1."""
-    rho = Fraction(value).limit_denominator(10**6) if math.isfinite(value) else None
-    if rho is None or not 0 < rho < 1:
+    if not math.isfinite(value):
         raise ConfigError(f"rho {value} outside (0,1)")
+    rho = Fraction(value).limit_denominator(10**6)
+    if not 0 < rho < 1:
+        rounded = "" if rho == value else f" rounds to {rho} at denominator 10**6,"
+        raise ConfigError(f"rho {value}{rounded} outside (0,1)")
     return rho
 
 

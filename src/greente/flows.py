@@ -11,6 +11,9 @@ of the reversed graph).  These are the two extreme minimum cuts, the
 residual-reachable sides of any maximum flow, so they do not depend on which
 maximum flow was found.  Both are full delta-out sets of a vertex
 bipartition, so the emitted constraints are valid for the cut family.
+Under capacities that are symmetric per full-duplex link, ``cut_tree`` gives
+every pair's min-cut value from n - 1 max-flows (Gusfield's flow-equivalent
+tree), and ``all_pairs_maxflow`` uses it on full-duplex networks.
 """
 from __future__ import annotations
 
@@ -107,6 +110,19 @@ def _reach(net: Network, start: int, usable, blocked) -> set[int]:
     return seen
 
 
+def _residual(net: Network, ecap, flow_result: FlowResult, back: int) -> list[bool]:
+    """Usable flags of a flow's residual edges for a walk from the source
+    (``back`` 0) or backwards from the sink (``back`` 1): edge ``2a + back``
+    runs along arc ``a`` of the walked graph, which is reversed for a backward
+    walk.  Python compares a float capacity with an exact flow exactly."""
+    m = net.n_arcs
+    flow = [flow_result.flow.get(a, 0) for a in range(m)]
+    residual = [False] * (2 * m)
+    residual[back::2] = [ecap.get(a, 0) > f for a, f in enumerate(flow)]
+    residual[1 - back::2] = [f > 0 for f in flow]
+    return residual
+
+
 def extract_cut(
     net: Network, ecap, flow_result: FlowResult, s: int, t: int, side: str
 ) -> Cut:
@@ -128,13 +144,7 @@ def extract_cut(
     if back:
         s, t = t, s
     m = net.n_arcs
-    flow = [flow_result.flow.get(a, 0) for a in range(m)]
-    # edge 2a + back runs along arc a of the walked graph (reversed for back);
-    # Python compares a float capacity with an exact flow exactly
-    residual = [False] * (2 * m)
-    residual[back::2] = [ecap.get(a, 0) > f for a, f in enumerate(flow)]
-    residual[1 - back::2] = [f > 0 for f in flow]
-    marked = _reach(net, s, residual, set())
+    marked = _reach(net, s, _residual(net, ecap, flow_result, back), set())
     walked = _reach(net, t, (back, 1 - back) * m, marked)
     heads = net.residual_edges[0]
     cut = frozenset(
@@ -144,19 +154,47 @@ def extract_cut(
     return Cut(cut, sum(_exact(ecap.get(a, 0)) for a in cut))
 
 
+def cut_tree(net: Network, ecap) -> dict[tuple[int, int], Rational]:
+    """lambda(s,t) for every vertex pair s < t under capacities that are
+    symmetric per full-duplex link, from n - 1 max-flows (Gusfield's
+    flow-equivalent tree).
+
+    With ``cap(u,v) = cap(v,u)`` every cut function is symmetric, so
+    lambda(s,t) = lambda(t,s) and the minimum over the tree path between two
+    vertices is their min-cut value (Gomory & Hu 1961).  Vertex s hangs below
+    ``parent[s] < s``: its flow runs from ``parent[s]`` to s, and the later
+    vertices on s's side of that minimum cut (the vertices that reach s in
+    the residual graph) that shared s's parent move below s.  A subtree thus
+    holds only higher ids, and the path from s to any j < s leaves through
+    ``parent[s]``, which gives the values row by row."""
+    n = net.n_vertices
+    parent = [0] * n
+    lam: dict[tuple[int, int], Rational] = {}
+    for s in range(1, n):
+        p = parent[s]
+        result = max_flow(net, ecap, p, s)
+        side = _reach(net, s, _residual(net, ecap, result, 1), set())
+        for j in range(s + 1, n):
+            if parent[j] == p and j in side:
+                parent[j] = s
+        for j in range(s):
+            lam[j, s] = result.value if j == p else min(result.value, lam[min(j, p), max(j, p)])
+    return lam
+
+
 def all_pairs_maxflow(net: Network) -> dict[tuple[int, int], Fraction]:
     """lambda_G(s,t) for every ordered vertex pair under full capacities.
 
-    A full-duplex link's arcs share ``ccap`` and ``mu``, so reversing every
-    arc maps the network onto itself and lambda(t,s) = lambda(s,t): one
-    max-flow per unordered pair gives both.  The flows run on integers, the
-    capacities scaled by ``net.ccap_scale``; dividing the values back keeps
-    them exact."""
+    A full-duplex link's arcs share ``ccap`` and ``mu``, so the capacities are
+    link-symmetric and one cut tree gives every value; a simplex network runs
+    one max-flow per ordered pair.  The flows run on integers, the capacities
+    scaled by ``net.ccap_scale``; dividing the values back keeps them exact."""
     scale = net.ccap_scale
     icap = {arc.id: int(arc.fcap * scale) for arc in net.arcs}
-    duplex = net.link_pair is not None
-    lam: dict[tuple[int, int], Fraction] = {}
-    for s, t in permutations(range(net.n_vertices), 2):  # (t,s) comes first if t < s
-        mirrored = duplex and t < s
-        lam[s, t] = lam[t, s] if mirrored else Fraction(max_flow(net, icap, s, t).value, scale)
-    return lam
+    pairs = list(permutations(range(net.n_vertices), 2))
+    if net.link_pair is None:
+        values = [max_flow(net, icap, s, t).value for s, t in pairs]
+    else:
+        tree = cut_tree(net, icap)
+        values = [tree[min(pair), max(pair)] for pair in pairs]
+    return {pair: Fraction(value, scale) for pair, value in zip(pairs, values)}

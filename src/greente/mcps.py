@@ -8,7 +8,9 @@ network, only those with s < t on a full-duplex one.  There a link's arcs
 share ``ccap``, ``mu`` and one LP column, so every capacity vector checked is
 link-symmetric: reversing every arc maps the network onto itself, lambda(t,s)
 equals lambda(s,t), and the cuts of (t,s) are the reversed cuts of (s,t),
-which give the same LP rows.  Cut selection prefers fewer arcs through an
+which give the same LP rows.  There separation first builds one cut tree
+per LP point and runs a directed flow only for the pairs whose tree value
+misses the target.  Cut selection prefers fewer arcs through an
 integer-arithmetic capacity perturbation that never reorders cuts of
 different unperturbed capacity.  Each pair's integer target lives on the
 instance, in units of ``1 / net.ccap_scale``; preprocessing and the retention
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bnb import BnbConfig, branch_and_bound, time_left
-from .flows import all_pairs_maxflow, extract_cut, max_flow
+from .flows import all_pairs_maxflow, cut_tree, extract_cut, max_flow
 from .lp import GE, LpModel
 from .model import Activation, Network, Result, decode_activation
 
@@ -124,6 +126,14 @@ def separate_cuts(
     unperturbed flow meets ``target``.  The front and back cuts are the
     unique extreme ones among the fewest-arc minimum cuts, so the scale does
     not change them either.
+
+    On a full-duplex network one cut tree (``flows.cut_tree``, n - 1 flows)
+    screens the pairs first.  It is built with both arcs of a link at the
+    smaller of their perturbed capacities, so a pair's tree value is at most
+    its directed max-flow either way, and a pair whose tree value meets the
+    scaled target is met at any point.  On a link-symmetric point the tree
+    value is the max-flow itself: the screen passes exactly the pairs the
+    directed flow would, and the cuts do not change.
     """
     net, rho = instance.net, instance.rho
     pairs = sorted(pending_pairs)
@@ -131,9 +141,14 @@ def separate_cuts(
     ecap = [a.ccap * Fraction(xhat.get(a.id, 0)) for a in net.arcs]
     scale = (net.n_arcs + 1) * math.lcm(*(c.denominator for c in ecap + targets))
     pcap = {a: c.numerator * (scale // c.denominator) + 1 for a, c in enumerate(ecap)}
+    screen = {}
+    if net.link_pair is not None and pairs:
+        screen = cut_tree(net, {a: min(c, pcap[net.link_pair[a]]) for a, c in pcap.items()})
     cuts: list[CutConstraint] = []
     for (s, t), target in zip(pairs, targets):
         ptarget = target.numerator * (scale // target.denominator)
+        if screen.get((min(s, t), max(s, t)), 0) >= ptarget:
+            continue
         result = max_flow(net, pcap, s, t, target=ptarget)
         if result.value >= ptarget:
             continue

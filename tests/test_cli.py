@@ -346,6 +346,18 @@ def test_oracle_on_unroutable_instance_exits_2(instance_files, capsys, monkeypat
     assert capsys.readouterr().err == "input error: no feasible activation exists\n"
 
 
+@pytest.mark.parametrize("rho, rounded", [("0.99999999", "1"), ("0.00000001", "0")])
+def test_rho_that_rounds_to_an_end_says_so(instance_files, capsys, rho, rounded):
+    # rho is taken at denominator 10**6, so these lie inside (0,1) but round out
+    graph, demands = instance_files
+    assert main(["solve", "--algorithm", "mcf", "--graph", str(graph),
+                 "--demands", str(demands), "--rho", rho]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: --rho {float(rho)} rounds to {rounded} at denominator 10**6,"
+        " outside (0,1)\n"
+    )
+
+
 @pytest.mark.parametrize("rho", ["nan", "inf"])
 @pytest.mark.parametrize("command", ["solve", "evaluate", "oracle"])
 def test_non_finite_rho_exits_2(tmp_path, instance_files, capsys, command, rho):

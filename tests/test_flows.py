@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from greente import SIMPLEX, all_pairs_maxflow, build_network, extract_cut, max_flow
-from greente.flows import Cut, NotMaximum
-from conftest import digraphs, random_net
+from greente.flows import Cut, NotMaximum, cut_tree
+from conftest import digraphs, duplex_digraphs, random_net
 
 
 def unit_caps(net):
@@ -222,3 +222,36 @@ def test_early_termination_contract_on_random_graphs(problem):
         else:
             assert result.value == full.value
         assert_feasible(net, caps, s, t, result)
+
+
+@st.composite
+def duplex_capacities(draw, symmetric):
+    """A full-duplex network and integer arc capacities, one per link or, if
+    not ``symmetric``, one per arc."""
+    net = draw(duplex_digraphs(n_max=7, links_max=10))
+    caps = {}
+    for link in net.links:
+        value = draw(st.integers(0, 9))
+        for a in link:
+            caps[a] = value if symmetric else draw(st.integers(0, 9))
+    return net, caps
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(duplex_capacities(symmetric=True))
+def test_cut_tree_gives_every_pairs_max_flow_on_link_symmetric_capacities(problem):
+    net, caps = problem
+    lam = cut_tree(net, caps)
+    assert sorted(lam) == list(itertools.combinations(range(net.n_vertices), 2))
+    for (s, t), value in lam.items():
+        assert value == max_flow(net, caps, s, t).value == max_flow(net, caps, t, s).value
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(duplex_capacities(symmetric=False))
+def test_cut_tree_on_per_link_minima_bounds_both_directed_flows(problem):
+    """MCPS separation screens pairs with this bound on any point."""
+    net, caps = problem
+    lam = cut_tree(net, {a: min(c, caps[net.link_pair[a]]) for a, c in caps.items()})
+    for (s, t), value in lam.items():
+        assert value <= min(max_flow(net, caps, s, t).value, max_flow(net, caps, t, s).value)

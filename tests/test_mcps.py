@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from greente import Activation, build_network, extract_cut, full_activation, max_flow, mcps
+from greente import Activation, build_network, extract_cut, flows, full_activation, max_flow, mcps
 from greente.bnb import branch_and_bound
 from greente.lp import LpModel
 from greente.mcps import (
@@ -93,6 +93,28 @@ def test_separation_front_and_back_sides(diamond):
     sides = {c.arc_ids for c in cuts}
     assert sides == {frozenset({0, 1}), frozenset({2, 3})}
     assert all(c.rhs == Fraction(7, 5) for c in cuts)
+
+
+def test_duplex_separation_screens_pairs_with_one_cut_tree(monkeypatch):
+    # link 0-1 off and link 1-2 at half: only the pairs split by {1} miss
+    # their target, and the n - 1 tree flows clear the other six
+    net = build_network(RING5_DUPLEX, duplex_mode="full-duplex")
+    inst = make_instance(net, Fraction(1, 2))
+    xhat = {a.id: a.mu for a in net.arcs} | {0: 0, 5: 0, 1: 1, 6: 1}
+    calls = []
+
+    def counting(flow):
+        def spy(net, ecap, s, t, target=None):
+            calls.append((s, t))
+            return flow(net, ecap, s, t, target=target)
+        return spy
+
+    for module in (mcps, flows):  # the tree's flows run through flows.max_flow
+        monkeypatch.setattr(module, "max_flow", counting(module.max_flow))
+    cuts = separate_cuts(inst, xhat, list(inst.targets))
+    cut_pairs = {cut.pair for cut in cuts}
+    assert cut_pairs == {(0, 1), (1, 2), (1, 3), (1, 4)}
+    assert len(calls) <= net.n_vertices - 1 + len(cut_pairs) < len(inst.targets)
 
 
 def test_emitted_cuts_are_violated_by_their_point():
