@@ -8,7 +8,13 @@ connectivity dual (its bound) and per-arc dual costs straight from the LP
 solution, and ``routing.ordered_paths``, the label search that also seeds
 the root at zero cost, returns the order-first new path below that bound.
 Optional subpath rows (a chosen path forces its prefixes and suffixes to be
-chosen between their endpoints too) tighten the relaxation.  On full-duplex
+chosen between their endpoints too) tighten the relaxation.  A strengthened
+model leaves out the rows that others imply (see ``add_path_column``): each
+path is tied to its longest prefix and suffix, which ties it to every
+shorter one by transitivity; an ordering row waits for its pair's first
+longer path, as ``y <= 1`` implies it until then; and a subpath-only pair
+gets an arc's edge-buying row once two of its columns use the arc, since
+one column is held below ``y`` by the paths it is tied to.  On full-duplex
 networks ``solve_mspnd`` adds Steiner-forest connectivity rows on the link
 indicators, which close the gap that the paper's relaxation leaves there
 (it can spread ``y`` thinly over a cycle).  The trivial fixed-routing solver
@@ -21,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from bisect import insort
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -72,7 +78,7 @@ class TooLarge(RuntimeError):
 @dataclass
 class _PathEntry:
     column: int
-    short_row: int
+    short_row: int | None  # None until the pair has a longer column
 
 
 class _PairData:
@@ -82,6 +88,7 @@ class _PairData:
         self.demand = demand
         self.conn_row = conn_row
         self.eb_row: dict[int, int] = {}
+        self.eb_first: dict[int, int] = {}  # auxiliary pair: arc -> its one column
         self.entries: dict[tuple[int, ...], _PathEntry] = {}
         self.order: list[tuple[tuple, tuple[int, ...]]] = []  # (order key, arcs)
 
@@ -147,16 +154,31 @@ def build_root_model(net: Network, traffic: TrafficMatrix, strengthening: bool =
 
 
 def add_path_column(model: MspndModel, pair: tuple[int, int], path: Path) -> int:
-    """Add one path column with its ordering row, updating coupled rows.
+    """Add one path column, updating the rows it couples to.
 
     The new column enters the pair's connectivity row, its arcs' edge-buying
-    rows (created on first use) and capacity rows, and the ordering rows of
-    all shorter model paths; its own ordering row caps the longer ones.  With
-    strengthening on, prefix/suffix subpaths at every interior vertex are
-    added recursively and tied to the new column; single-arc subpath rows are
-    dropped under one-shortest lengths.
+    and capacity rows, and the ordering rows of the pair's shorter paths; its
+    own ordering row caps the longer ones.  With strengthening on, three
+    rules leave out rows that other rows or bounds imply, so every LP over
+    the same columns and bounds keeps its optimal value:
+
+    - An ordering row is created just before the pair's first longer column
+      is added.  Until then it reads ``sum of y <= hops``, which ``y <= 1``
+      implies.
+    - On an auxiliary pair (no connectivity row) the edge-buying row of an
+      arc is created only when a second column of the pair uses it, as
+      ``y_a >= first + second``.  An auxiliary column S has no connectivity
+      row and no capacity coefficient, so lowering ``x_S`` to the largest
+      column tied to it relaxes every row S is in; each of those columns
+      holds the arc too and keeps ``y_a`` above itself the same way.
+    - A path of h >= 2 hops is tied (``sub >= path``) to its longest prefix
+      and its longest suffix only, each added first if missing.  The
+      recursion through those two still adds every contiguous subpath as a
+      column, and the other 2h - 4 prefix and suffix ties follow by
+      transitivity.  Single-arc subpaths get no tie under one-shortest
+      lengths.
     """
-    net = model.net
+    net, lp = model.net, model.lp
     pd = model.ensure_pair(pair)
     if path.arcs in pd.entries:
         raise DuplicatePath(f"path {path.arcs} already priced for pair {pair}")
@@ -164,36 +186,48 @@ def add_path_column(model: MspndModel, pair: tuple[int, int], path: Path) -> int
     coefs: dict[int, object] = {}
     if pd.conn_row is not None:
         coefs[pd.conn_row] = 1
+    alone = []  # arcs of an auxiliary pair that no other column uses yet
     for aid in path.arcs:
         row = pd.eb_row.get(aid)
         if row is None:
-            row = model.lp.add_row({model.y_col[aid]: 1}, GE, 0)
-            pd.eb_row[aid] = row
+            eb = {model.y_col[aid]: 1}
+            if pd.conn_row is None:
+                if aid not in pd.eb_first:
+                    alone.append(aid)
+                    continue
+                eb[pd.eb_first.pop(aid)] = -1
+            row = pd.eb_row[aid] = lp.add_row(eb, GE, 0)
         coefs[row] = -1
         if pd.demand > 0:
             coefs[model.cap_row[aid]] = -pd.demand
-    for okey, arcs in pd.order:
-        if okey < key:
-            coefs[pd.entries[arcs].short_row] = -1
-    column = model.lp.add_column(obj=0, lb=0, ub=None, coefs=coefs)
-    short_coefs: dict[int, object] = {model.y_col[aid]: -1 for aid in path.arcs}
-    for okey, arcs in pd.order:
-        if okey > key:
-            short_coefs[pd.entries[arcs].column] = -1
-    short_row = model.lp.add_row(short_coefs, GE, -path.hops)
+    at = bisect_left(pd.order, (key,))  # pd.order[:at] are the shorter paths
+    for _, arcs in pd.order[:at]:
+        entry = pd.entries[arcs]
+        if entry.short_row is None:
+            entry.short_row = lp.add_row({model.y_col[a]: -1 for a in arcs}, GE, -len(arcs))
+        coefs[entry.short_row] = -1
+    column = lp.add_column(obj=0, lb=0, ub=None, coefs=coefs)
+    pd.eb_first.update(dict.fromkeys(alone, column))
+    longer = [pd.entries[arcs].column for _, arcs in pd.order[at:]]
+    short_row = None
+    if longer or not model.strengthening:
+        short_coefs: dict[int, object] = {model.y_col[aid]: -1 for aid in path.arcs}
+        short_coefs.update(dict.fromkeys(longer, -1))
+        short_row = lp.add_row(short_coefs, GE, -path.hops)
     pd.entries[path.arcs] = _PathEntry(column, short_row)
-    insort(pd.order, (key, path.arcs))
+    pd.order.insert(at, (key, path.arcs))
 
     if model.strengthening and path.hops >= 2:
-        for cut in range(1, path.hops):
-            for sub_arcs in (path.arcs[:cut], path.arcs[cut:]):
-                if len(sub_arcs) == 1 and model.one_shortest:
-                    continue
-                sub = make_path(net, sub_arcs)
-                sub_pd = model.ensure_pair((sub.source, sub.target))
-                if sub.arcs not in sub_pd.entries:
-                    add_path_column(model, (sub.source, sub.target), sub)
-                model.lp.add_row({sub_pd.entries[sub.arcs].column: 1, column: -1}, GE, 0)
+        first, last = net.arcs[path.arcs[0]], net.arcs[path.arcs[-1]]
+        prefix = Path(path.source, last.tail, path.arcs[:-1], path.length - last.length)
+        suffix = Path(first.head, path.target, path.arcs[1:], path.length - first.length)
+        for sub in (prefix, suffix):
+            if sub.hops == 1 and model.one_shortest:
+                continue
+            sub_pd = model.ensure_pair((sub.source, sub.target))
+            if sub.arcs not in sub_pd.entries:
+                add_path_column(model, (sub.source, sub.target), sub)
+            lp.add_row({sub_pd.entries[sub.arcs].column: 1, column: -1}, GE, 0)
     return column
 
 

@@ -411,8 +411,9 @@ def test_branch_and_price_solves_like_fresh_loads(monkeypatch):
     """Pricing adds columns and rows and branching moves bounds, yet every
     float solve of the live HiGHS model lands on the vertex a fresh load of
     the same model finds, with the same presolve setting.  The LP-guided drop
-    heuristic is off, since it closes K5 in about ten solves; tight
-    capacities keep the search long."""
+    heuristic is off, since it closes K5 in about ten solves.  A directed
+    5-cycle loads each of its arcs with 1, so ccap 9/10 rules that optimum
+    out and keeps the search long."""
     monkeypatch.setattr(mspnd, "_lp_drop", lambda model, routed, sol: None)
     solve_float = lp._solve_float
     solves = []
@@ -426,8 +427,8 @@ def test_branch_and_price_solves_like_fresh_loads(monkeypatch):
         return live
 
     monkeypatch.setattr(lp, "_solve_float", checked)
-    net, traffic = complete_digraph(5, ccap=1), all_pairs_traffic(5, Fraction(1, 10))
-    assert solve_mspnd(net, traffic).value == 5
+    net, traffic = complete_digraph(5, ccap=Fraction(9, 10)), all_pairs_traffic(5, Fraction(1, 10))
+    assert solve_mspnd(net, traffic).value == 6
     assert len(solves) > 30
     assert not any(solves)  # every node LP skipped presolve
 

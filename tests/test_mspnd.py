@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import time
@@ -14,7 +15,7 @@ from greente import (
 )
 from greente import mspnd
 from greente.bnb import BnbConfig
-from greente.lp import INT_TOL, LpSolution, solve_lp
+from greente.lp import GE, INT_TOL, LpModel, LpSolution, solve_lp
 from greente.mspnd import (
     DisconnectedPair,
     DuplicatePath,
@@ -181,31 +182,216 @@ def test_duplicate_path_rejected(single_arc):
         add_path_column(model, (0, 1), make_path(single_arc, (0,)))
 
 
+def _rows(model):
+    """The model's rows as sorted (coefficients, sense, rhs) triples."""
+    lp = model.lp
+    return sorted((sorted(c.items()), s, r) for c, s, r in zip(lp.row_coefs, lp.senses, lp.rhs))
+
+
 def test_no_subpath_rows_for_single_arcs_under_one_shortest(diamond):
     traffic = TrafficMatrix({(0, 3): 1})
     plain = build_root_model(diamond, traffic, strengthening=False)
     strengthened = build_root_model(diamond, traffic, strengthening=True)
     # both diamond paths have only single-arc subpaths; unit lengths are
-    # one-shortest, so strengthening adds nothing at all
-    assert strengthened.lp.n_rows == plain.lp.n_rows
+    # one-shortest, so strengthening adds no column and no tie row.  It only
+    # leaves out the longer path's ordering row, sum of y <= 2, which y <= 1
+    # implies.
     assert strengthened.lp.n_cols == plain.lp.n_cols
+    longer = plain.pairs[(0, 3)].entries[(1, 3)]
+    assert strengthened.pairs[(0, 3)].entries[(1, 3)].short_row is None
+    skipped = plain.lp.row_coefs[longer.short_row]
+    assert skipped == {plain.y_col[1]: -1, plain.y_col[3]: -1}
+    rows = _rows(plain)
+    rows.remove((sorted(skipped.items()), GE, -2))
+    assert _rows(strengthened) == rows
+
+
+def _entry(model, arcs):
+    path = make_path(model.net, arcs)
+    return model.pairs[(path.source, path.target)].entries[arcs]
 
 
 def test_subpath_columns_materialize(overlap_gadget, overlap_traffic):
     model = build_root_model(overlap_gadget, overlap_traffic, strengthening=True)
-    # the five-hop s-t path forces its two-hop s-v prefix into the model and
-    # ties them; auxiliary pairs appear for the interior subpaths
+    # the five-hop s-t path forces every subpath of two or more arcs into the
+    # model, auxiliary pairs included; tie rows lead from it down to its
+    # two-hop s-v prefix through its four- and three-hop prefixes
     aux = [p for p, pd in model.pairs.items() if pd.conn_row is None]
     assert aux
+    long_arcs = (1, 2, 3, 4, 5)
+    for i, j in itertools.combinations(range(len(long_arcs) + 1), 2):
+        sub = make_path(overlap_gadget, long_arcs[i:j])
+        if sub.hops >= 2:
+            assert sub.arcs in model.pairs[(sub.source, sub.target)].entries
     assert (1, 2) in model.pairs[(0, 2)].entries
-    long_path = model.pairs[(0, 5)].entries[(1, 2, 3, 4, 5)]
-    prefix = model.pairs[(0, 2)].entries[(1, 2)]
-    tie_rows = [
-        i
-        for i in range(model.lp.n_rows)
-        if model.lp.row_coefs[i] == {prefix.column: 1, long_path.column: -1}
+    chain = [_entry(model, long_arcs[:k]).column for k in (5, 4, 3, 2)]
+    for longer, shorter in zip(chain, chain[1:]):
+        assert {shorter: 1, longer: -1} in model.lp.row_coefs
+
+
+def test_an_ordering_row_appears_with_the_first_longer_path():
+    # direct 0->3 (one hop) and two-hop routes 0->1->3 and 0->2->3
+    net = build_network([(0, 3, 1, 1, 1), (0, 1, 1, 1, 1), (1, 3, 1, 1, 1), (0, 2, 1, 1, 1), (2, 3, 1, 1, 1)])
+    model = MspndModel(net, TrafficMatrix({(0, 3): 1}), strengthening=True)
+    y = model.y_col
+    pd = model.ensure_pair((0, 3))
+    middle = add_path_column(model, (0, 3), make_path(net, (1, 2)))
+    assert pd.entries[(1, 2)].short_row is None
+    add_path_column(model, (0, 3), make_path(net, (0,)))
+    # a shorter path gets its row at once, since a longer one exists
+    direct_row = pd.entries[(0,)].short_row
+    assert model.lp.row_coefs[direct_row] == {y[0]: -1, middle: -1}
+    assert pd.entries[(1, 2)].short_row is None
+    n_rows = model.lp.n_rows
+    longest = add_path_column(model, (0, 3), make_path(net, (3, 4)))
+    middle_row = pd.entries[(1, 2)].short_row
+    assert middle_row is not None and middle_row >= n_rows
+    assert model.lp.row_coefs[middle_row] == {y[1]: -1, y[2]: -1, longest: -1}
+    assert model.lp.rhs[middle_row] == -2
+    assert model.lp.row_coefs[direct_row] == {y[0]: -1, middle: -1, longest: -1}
+    assert pd.entries[(3, 4)].short_row is None
+
+
+def test_an_auxiliary_edge_buying_row_appears_with_the_second_column_on_its_arc():
+    # arcs 0: 0->1, 1: 1->2, 2: 2->3, 3: 1->4, 4: 4->2; the s-t paths
+    # 0->1->2->3 and 0->1->4->2->3 have the auxiliary pairs (0, 2) and (1, 3)
+    net = build_network([(0, 1, 1, 1, 1), (1, 2, 1, 1, 1), (2, 3, 1, 1, 1), (1, 4, 1, 1, 1), (4, 2, 1, 1, 1)])
+    model = MspndModel(net, TrafficMatrix({(0, 3): 1}), strengthening=True)
+    y = model.y_col
+    add_path_column(model, (0, 3), make_path(net, (0, 1, 2)))
+    front, back = model.pairs[(0, 2)], model.pairs[(1, 3)]
+    assert front.conn_row is None and back.conn_row is None
+    assert front.eb_row == {} and back.eb_row == {}
+    add_path_column(model, (0, 3), make_path(net, (0, 3, 4, 2)))
+    # only the arc both columns of an auxiliary pair use gets a row
+    assert list(front.eb_row) == [0] and list(back.eb_row) == [2]
+    assert model.lp.row_coefs[front.eb_row[0]] == {
+        y[0]: 1, front.entries[(0, 1)].column: -1, front.entries[(0, 3, 4)].column: -1,
+    }
+    assert model.lp.row_coefs[back.eb_row[2]] == {
+        y[2]: 1, back.entries[(1, 2)].column: -1, back.entries[(3, 4, 2)].column: -1,
+    }
+    assert model.pairs[(1, 2)].eb_row == {}  # one column, 1->4->2
+    # the terminal pair keeps a row on every arc it uses
+    assert sorted(model.pairs[(0, 3)].eb_row) == [0, 1, 2, 3, 4]
+
+
+def _priced_strengthened_root(net, traffic, mode):
+    model = build_root_model(net, traffic, strengthening=True)
+    while _price_round(model, solve_lp(model.lp, mode)):
+        pass
+    return model
+
+
+def _copy_with_eager_rows(model) -> tuple[LpModel, int]:
+    """A copy of the model's LP plus the rows an eager build would have: all
+    prefix and suffix tie rows, every path's full ordering row, and every
+    edge-buying row of an auxiliary pair.  Rows already there are not added
+    again; also returns how many were added."""
+    lp = model.lp
+    full = LpModel()
+    for j in range(lp.n_cols):
+        full.add_column(obj=lp.objective[j], lb=lp.lower[j], ub=lp.upper[j])
+    have = set()
+
+    def add(coefs, sense, rhs):
+        key = (tuple(sorted(coefs.items())), sense, rhs)
+        if key not in have:
+            have.add(key)
+            full.add_row(coefs, sense, rhs)
+
+    for i in range(lp.n_rows):
+        add(lp.row_coefs[i], lp.senses[i], lp.rhs[i])
+    n_rows = full.n_rows
+    for pd in model.pairs.values():
+        for key, arcs in pd.order:
+            column = pd.entries[arcs].column
+            for cut in range(1, len(arcs)):
+                for sub in (arcs[:cut], arcs[cut:]):
+                    if len(sub) > 1 or not model.one_shortest:
+                        add({_entry(model, sub).column: 1, column: -1}, GE, 0)
+            short = {model.y_col[a]: -1 for a in arcs}
+            short.update({pd.entries[b].column: -1 for k, b in pd.order if k > key})
+            add(short, GE, -len(arcs))
+        if pd.conn_row is None:
+            for a in sorted({a for arcs in pd.entries for a in arcs}):
+                eb = {model.y_col[a]: 1}
+                eb.update({e.column: -1 for arcs, e in pd.entries.items() if a in arcs})
+                add(eb, GE, 0)
+    return full, full.n_rows - n_rows
+
+
+def _lowered_point(model, primal) -> dict:
+    """``primal`` with every auxiliary column lowered, longest first, to the
+    largest column tied to it as its longest prefix or suffix (0 if none)."""
+    point = dict(primal)
+    tied_to: dict[int, list[int]] = {}
+    aux = []
+    for pd in model.pairs.values():
+        for arcs, entry in pd.entries.items():
+            if pd.conn_row is None:
+                aux.append((len(arcs), entry.column))
+            for sub in (arcs[:-1], arcs[1:]) if len(arcs) >= 2 else ():
+                if len(sub) > 1 or not model.one_shortest:
+                    tied_to.setdefault(_entry(model, sub).column, []).append(entry.column)
+    for _, column in sorted(aux, reverse=True):
+        point[column] = max((point[j] for j in tied_to.get(column, ())), default=0)
+    return point
+
+
+def _assert_skipped_rows_are_implied(net, traffic, mode, rng, fixings):
+    """The lean root and its copy with the eager rows reach the same status
+    and value, at the root and under random fixings of x and y.
+    The copy only adds rows, so in exact mode it is not solved (the exact
+    simplex is slow on the gadget's 370 eager rows): the lean optimum,
+    lowered by ``_lowered_point``, must satisfy every row of the copy at the
+    same value.
+    """
+    model = _priced_strengthened_root(net, traffic, mode)
+    full, added = _copy_with_eager_rows(model)
+    bounds = [
+        (col, ub)
+        for link in net.links
+        for col, ub in ((model.x_col[link[0]], net.arcs[link[0]].mu), (model.y_col[link[0]], 1))
     ]
-    assert len(tie_rows) == 1
+    statuses = []
+    for k in range(fixings + 1):  # the root first, then one to four columns fixed
+        fixed = dict(rng.sample(bounds, rng.randint(1, min(4, len(bounds))))) if k else {}
+        for col, ub in bounds:
+            v = rng.choice([0, ub]) if col in fixed else None
+            for m in (model.lp, full):
+                m.set_bounds(col, *((0, ub) if v is None else (v, v)))
+        lean = solve_lp(model.lp, mode)
+        statuses.append(lean.status)
+        if mode == "float":
+            eager = solve_lp(full, mode)
+            assert lean.status == eager.status
+            if lean.status == "optimal":
+                assert lean.objective == pytest.approx(eager.objective, abs=1e-7)
+        elif lean.status == "optimal":
+            point = _lowered_point(model, lean.primal)
+            assert sum(c * point[j] for j, c in enumerate(full.objective)) == lean.objective
+            for coefs, sense, rhs in zip(full.row_coefs, full.senses, full.rhs):
+                assert _holds(sum(v * point[j] for j, v in coefs.items()), sense, rhs)
+    return added, statuses
+
+
+def test_skipped_rows_are_implied_on_the_gadget(overlap_gadget, overlap_traffic):
+    added, statuses = _assert_skipped_rows_are_implied(
+        overlap_gadget, overlap_traffic, "exact", random.Random(5), fixings=3,
+    )
+    assert added > 100 and statuses.count("optimal") >= 2
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1))
+def test_skipped_rows_are_implied(seed):
+    rng = random.Random(seed)
+    net, traffic = random_routable_instance(rng, n_max=7, arcs_max=12, pairs_max=4)
+    if rng.random() < 0.5:  # longer arcs may have a shorter parallel route
+        specs = [(a.tail, a.head, a.ccap, rng.randint(1, 4), a.mu) for a in net.arcs]
+        net = build_network(specs, net.duplex_mode, vertices=range(net.n_vertices))
+    _assert_skipped_rows_are_implied(net, traffic, "float", rng, fixings=4)
 
 
 def test_root_value_single_arc_is_integral(single_arc):
