@@ -47,13 +47,6 @@ class CutConstraint:
     arc_ids: frozenset[int]
     rhs: Fraction
 
-    def violated_by(self, net: Network, xhat) -> bool:
-        lhs = sum(
-            (net.arcs[a].ccap * Fraction(xhat.get(a, 0)) for a in self.arc_ids),
-            Fraction(0),
-        )
-        return lhs < self.rhs
-
 
 def make_instance(net: Network, rho) -> McpsInstance:
     rho = Fraction(rho)

@@ -14,7 +14,12 @@ path is tied to its longest prefix and suffix, which ties it to every
 shorter one by transitivity; an ordering row waits for its pair's first
 longer path, as ``y <= 1`` implies it until then; and a subpath-only pair
 gets an arc's edge-buying row once two of its columns use the arc, since
-one column is held below ``y`` by the paths it is tied to.  On full-duplex
+one column is held below ``y`` by the paths it is tied to.  A path of more
+than ``EAGER_HOPS`` hops gets those ties, and with them its subpath columns,
+only once its column is positive at an optimal LP (Muter, Birbil & Bülbül,
+Math. Prog. 2013: rows that exist once their columns are needed); until
+then the model holds a subset of the eager model's rows, so it is a
+relaxation and every bound stays valid.  On full-duplex
 networks ``solve_mspnd`` adds Steiner-forest connectivity rows on the link
 indicators, which close the gap that the paper's relaxation leaves there
 (it can spread ``y`` thinly over a cycle).  The trivial fixed-routing solver
@@ -57,6 +62,7 @@ from .routing import (
 )
 
 INITIAL_PATHS = 5
+EAGER_HOPS = 4  # longer paths get their subpath closure once their column is positive
 
 
 class NotRoutableInFull(RuntimeError):
@@ -106,6 +112,7 @@ class MspndModel:
         self.y_col: list[int] = [0] * net.n_arcs
         self.cap_row: list[int] = [0] * net.n_arcs
         self.pairs: dict[tuple[int, int], _PairData] = {}
+        self.deferred: dict[int, Path] = {}  # column -> its path, closure not yet added
         # full-network shortest lengths into every vertex, dist_to[v][u] from u
         lengths = [a.length for a in net.arcs]
         self.dist_to = [costs_to(net, lengths, v) for v in range(net.n_vertices)]
@@ -176,9 +183,13 @@ def add_path_column(model: MspndModel, pair: tuple[int, int], path: Path) -> int
       recursion through those two still adds every contiguous subpath as a
       column, and the other 2h - 4 prefix and suffix ties follow by
       transitivity.  Single-arc subpaths get no tie under one-shortest
-      lengths.
+      lengths.  A path of more than ``EAGER_HOPS`` hops waits in
+      ``model.deferred`` until ``_refine_round`` sees its column positive
+      at an optimal LP; it then gets these ties, and its long subpaths
+      wait in turn.  Leaving rows out only relaxes the LP, and integral
+      nodes are still checked exactly, so no optimum is lost.
     """
-    net, lp = model.net, model.lp
+    lp = model.lp
     pd = model.ensure_pair(pair)
     if path.arcs in pd.entries:
         raise DuplicatePath(f"path {path.arcs} already priced for pair {pair}")
@@ -218,17 +229,40 @@ def add_path_column(model: MspndModel, pair: tuple[int, int], path: Path) -> int
     pd.order.insert(at, (key, path.arcs))
 
     if model.strengthening and path.hops >= 2:
-        first, last = net.arcs[path.arcs[0]], net.arcs[path.arcs[-1]]
-        prefix = Path(path.source, last.tail, path.arcs[:-1], path.length - last.length)
-        suffix = Path(first.head, path.target, path.arcs[1:], path.length - first.length)
-        for sub in (prefix, suffix):
-            if sub.hops == 1 and model.one_shortest:
-                continue
-            sub_pd = model.ensure_pair((sub.source, sub.target))
-            if sub.arcs not in sub_pd.entries:
-                add_path_column(model, (sub.source, sub.target), sub)
-            lp.add_row({sub_pd.entries[sub.arcs].column: 1, column: -1}, GE, 0)
+        if path.hops <= EAGER_HOPS:
+            _expand(model, path, column)
+        else:
+            model.deferred[column] = path
     return column
+
+
+def _expand(model: MspndModel, path: Path, column: int) -> None:
+    """Tie ``column`` (holding ``path``) to its longest prefix and suffix,
+    adding either first if the model lacks it."""
+    arcs = model.net.arcs
+    first, last = arcs[path.arcs[0]], arcs[path.arcs[-1]]
+    prefix = Path(path.source, last.tail, path.arcs[:-1], path.length - last.length)
+    suffix = Path(first.head, path.target, path.arcs[1:], path.length - first.length)
+    for sub in (prefix, suffix):
+        if sub.hops == 1 and model.one_shortest:
+            continue
+        sub_pd = model.ensure_pair((sub.source, sub.target))
+        if sub.arcs not in sub_pd.entries:
+            add_path_column(model, (sub.source, sub.target), sub)
+        model.lp.add_row({sub_pd.entries[sub.arcs].column: 1, column: -1}, GE, 0)
+
+
+def _refine_round(model: MspndModel, sol: LpSolution) -> list[int]:
+    """One pricing round, then, at an optimal master, the closure of every
+    deferred column the LP uses (above ``INT_TOL``); returns the columns
+    priced and expanded."""
+    added = _price_round(model, sol)
+    if sol.status == "optimal":
+        used = [j for j in model.deferred if sol.primal.get(j, 0) > INT_TOL]
+        for j in used:
+            _expand(model, model.deferred.pop(j), j)
+        added += used
+    return added
 
 
 def price_paths(model: MspndModel, pair: tuple[int, int], bound, dcost) -> Path | None:
@@ -369,7 +403,7 @@ def root_lp_value(net: Network, traffic: TrafficMatrix, strengthening: bool, mod
     """Root relaxation value once pricing is exhausted (no branching); an
     infeasible restricted master is priced against its Farkas ray."""
     model = build_root_model(net, traffic, strengthening)
-    config = BnbConfig(mode=mode, refine=lambda _, sol: _price_round(model, sol))
+    config = BnbConfig(mode=mode, refine=lambda _, sol: _refine_round(model, sol))
     result = branch_and_bound(model.lp, [], config)
     if result.incumbent is None:
         raise NotRoutableInFull("relaxation infeasible: no activation can route the demands")
@@ -470,7 +504,7 @@ def solve_mspnd(
     int_cols = sorted(set(model.x_col + model.y_col))
 
     def refine(lp_model, sol):  # optimal or infeasible; SPR completion needs a primal
-        added = _price_round(model, sol)
+        added = _refine_round(model, sol)
         if not added and sol.status == "optimal":
             if all(frac_dist(sol.primal[j]) <= INT_TOL for j in int_cols):
                 added = _complete_spr_paths(model, sol)

@@ -128,7 +128,8 @@ def test_emitted_cuts_are_violated_by_their_point():
         }
         xhat = {aid: min(v, net.arcs[aid].mu) for aid, v in xhat.items()}
         for cut in separate_cuts(inst, xhat, pending):
-            assert cut.violated_by(net, xhat)
+            lhs = sum(net.arcs[a].ccap * xhat[a] for a in cut.arc_ids)
+            assert lhs < cut.rhs
 
 
 def test_solver_fixture_values(single_arc, diamond):

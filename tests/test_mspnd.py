@@ -213,12 +213,22 @@ def _entry(model, arcs):
 
 def test_subpath_columns_materialize(overlap_gadget, overlap_traffic):
     model = build_root_model(overlap_gadget, overlap_traffic, strengthening=True)
-    # the five-hop s-t path forces every subpath of two or more arcs into the
-    # model, auxiliary pairs included; tie rows lead from it down to its
+    # the five-hop s-t path is longer than EAGER_HOPS: the root holds its
+    # column without its closure until an optimal LP uses it
+    long_arcs = (1, 2, 3, 4, 5)
+    assert mspnd.EAGER_HOPS < len(long_arcs)
+    column = _entry(model, long_arcs).column
+    assert model.deferred[column].arcs == long_arcs
+    assert (0, 4) in model.pairs and long_arcs[:-1] not in model.pairs[(0, 4)].entries
+    assert (1, 5) not in model.pairs
+    # one expansion forces every subpath of two or more arcs into the model,
+    # auxiliary pairs included; tie rows lead from the path down to its
     # two-hop s-v prefix through its four- and three-hop prefixes
+    used = LpSolution("optimal", {column: 1.0}, {}, 0.0)
+    assert mspnd._refine_round(model, used) == [column]
+    assert column not in model.deferred
     aux = [p for p, pd in model.pairs.items() if pd.conn_row is None]
     assert aux
-    long_arcs = (1, 2, 3, 4, 5)
     for i, j in itertools.combinations(range(len(long_arcs) + 1), 2):
         sub = make_path(overlap_gadget, long_arcs[i:j])
         if sub.hops >= 2:
@@ -277,10 +287,14 @@ def test_an_auxiliary_edge_buying_row_appears_with_the_second_column_on_its_arc(
 
 
 def _priced_strengthened_root(net, traffic, mode):
+    """The strengthened root, priced out with every deferred closure added."""
     model = build_root_model(net, traffic, strengthening=True)
-    while _price_round(model, solve_lp(model.lp, mode)):
-        pass
-    return model
+    while True:
+        while model.deferred:  # an expansion may defer long subpaths in turn
+            column, path = model.deferred.popitem()
+            mspnd._expand(model, path, column)
+        if not _price_round(model, solve_lp(model.lp, mode)):
+            return model
 
 
 def _copy_with_eager_rows(model) -> tuple[LpModel, int]:
@@ -402,8 +416,9 @@ def test_root_value_single_arc_is_integral(single_arc):
 def test_root_value_gap_closes_with_subpath_rows(overlap_gadget, overlap_traffic):
     plain = root_lp_value(overlap_gadget, overlap_traffic, strengthening=False, mode="exact")
     assert plain == Fraction(17, 2)
+    # the five-hop s-t path starts deferred, so this is the lazy root
     strengthened = root_lp_value(overlap_gadget, overlap_traffic, strengthening=True, mode="float")
-    assert strengthened >= 9 - 1e-9
+    assert strengthened == pytest.approx(9, abs=1e-9)
 
 
 def test_solver_fixture_values(overlap_gadget, overlap_traffic, single_arc, triangle):
@@ -456,6 +471,22 @@ def test_subpath_rows_never_change_the_optimum_and_never_lower_the_root():
         r0 = root_lp_value(net, traffic, strengthening=False, mode="float")
         r1 = root_lp_value(net, traffic, strengthening=True, mode="float")
         assert r1 >= r0 - 1e-7
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4))
+def test_a_deferred_closure_keeps_the_root_between_plain_and_eager(seed, eager_hops):
+    rng = random.Random(seed)
+    net, traffic = random_routable_instance(rng, n_max=6, arcs_max=9)
+    plain = root_lp_value(net, traffic, strengthening=False, mode="float")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mspnd, "EAGER_HOPS", net.n_arcs)  # every closure at once
+        eager = root_lp_value(net, traffic, strengthening=True, mode="float")
+        mp.setattr(mspnd, "EAGER_HOPS", eager_hops)
+        lazy = root_lp_value(net, traffic, strengthening=True, mode="float")
+        value = solve_mspnd(net, traffic).value
+    assert plain - 1e-7 <= lazy <= eager + 1e-7
+    assert value == brute_force_mspnd(net, traffic).value
 
 
 def test_path_choices_become_binary_once_activation_is_fixed():
