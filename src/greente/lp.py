@@ -2,21 +2,31 @@
 
 Two interchangeable backends sit behind one model type:
 
-* ``exact`` -- a bounded-variable two-phase revised simplex over rationals.
-  Deterministic, exact duals, meant for small fixtures where values like 17/2
-  must come out exactly.
-* ``float`` -- HiGHS dual simplex for larger models.  Each model keeps one
-  live HiGHS instance (scipy's bundled ``_highspy``), created on its first
-  float solve.  Later solves push only what changed since the last one --
-  new columns, new rows, changed bounds -- and re-solve cold.  A cold solve
-  reloads the model, so it reaches the vertex a fresh load with the same
-  presolve setting reaches.  HiGHS presolve runs unless the solve is called
+* ``float`` -- HiGHS dual simplex.  Each model keeps one live HiGHS instance
+  (scipy's bundled ``_highspy``), created on its first solve in either mode.
+  Later solves push only what changed since the last one -- new columns,
+  new rows, changed bounds -- and re-solve cold.  A cold solve reloads the
+  model, so it reaches the vertex a fresh load with the same presolve
+  setting reaches.  HiGHS presolve runs unless the solve is called
   with ``presolve=False``, as branch-and-bound's node LPs are; the setting
   holds for one solve, not for the model.  The one exception to cold solves
   is ``solve_lp(..., warm=True)``: HiGHS then starts from its last basis, and
   the vertex it reaches may depend on the solves before.  Branch-and-bound
   stays cold, so a node's bound and the vertex the heuristics see do not
   depend on the order in which nodes were visited.
+* ``exact`` -- the same cold HiGHS solve, then a certificate in rationals:
+  the vertex and row duals of HiGHS's final basis are rebuilt in
+  ``Fraction``s from the model's own data, and returned only if they prove
+  optimality exactly (a feasible point, sign-feasible duals, a finite dual
+  bound equal to the point's value).  An infeasible model is proven so by
+  the row duals of an elastic copy, a Farkas ray.  "Unbounded" is HiGHS's
+  status, unchecked.  A failed check raises NumericalFailure, so exact mode
+  never returns a value it has not proven.  HiGHS drops matrix entries up to
+  ``HIGHS_MIN_COEF`` and rejects entries from ``HIGHS_MAX_COEF`` up, in both
+  modes; where a dropped entry moves the optimum, float mode returns the
+  wrong value and exact mode raises.  ``model.build_network`` keeps every
+  ``ccap``, ``mu`` and ``ccap * mu`` of a network LP inside this range, and
+  the CLI and ``bench`` solve in float mode only.
 
 Dual sign convention: a >=-row of a minimization has a nonnegative dual, a
 <=-row a nonpositive one.  An infeasible solve carries a Farkas ray in
@@ -179,234 +189,7 @@ class LpSolution:
 
 
 # ---------------------------------------------------------------------------
-# exact backend: bounded-variable two-phase revised simplex
-# ---------------------------------------------------------------------------
-
-_BLAND_AFTER = 400
-
-
-class _ExactSimplex:
-    """Dense-inverse revised simplex over exact rationals.
-
-    Columns = structurals, then one slack per row, then one artificial per
-    row.  Phase 1 minimizes the artificial sum from the all-artificial basis;
-    phase 2 restores true costs with artificials fixed to zero.  Dantzig
-    pricing with a Bland fallback guarantees termination.
-    """
-
-    def __init__(self, model: LpModel):
-        n, m = model.n_cols, model.n_rows
-        self.n, self.m = n, m
-        self.total = n + 2 * m
-        self.cost = [Fraction(c) for c in model.objective] + [Fraction(0)] * (2 * m)
-        self.lb: list = [None if v is None else Fraction(v) for v in model.lower]
-        self.ub: list = [None if v is None else Fraction(v) for v in model.upper]
-        self.b = [Fraction(v) for v in model.rhs]
-        # column-sparse matrix: structural columns from the row dicts
-        cols: list[list[tuple[int, object]]] = [[] for _ in range(self.total)]
-        for i in range(m):
-            for j, v in model.row_coefs[i].items():
-                cols[j].append((i, Fraction(v)))
-        for i, sense in enumerate(model.senses):
-            sj = n + i
-            cols[sj] = [(i, Fraction(1))]
-            if sense == LE:
-                self.lb.append(Fraction(0)); self.ub.append(None)
-            elif sense == GE:
-                self.lb.append(None); self.ub.append(Fraction(0))
-            else:
-                self.lb.append(Fraction(0)); self.ub.append(Fraction(0))
-        self.art0 = n + m
-        for i in range(m):
-            cols[self.art0 + i] = [(i, Fraction(1))]  # sign fixed in solve()
-            self.lb.append(Fraction(0)); self.ub.append(None)
-        self.cols = cols
-
-    def solve(self) -> tuple[str, list, list, object]:
-        n, m = self.n, self.m
-        # nonbasic start: every non-artificial column at a finite bound
-        self.status = []
-        self.value = []
-        for j in range(self.art0):
-            lo, hi = self.lb[j], self.ub[j]
-            if lo is not None:
-                self.status.append("L"); self.value.append(lo)
-            elif hi is not None:
-                self.status.append("U"); self.value.append(hi)
-            else:
-                self.status.append("F"); self.value.append(Fraction(0))
-        resid = list(self.b)
-        for j in range(self.art0):
-            v = self.value[j]
-            if v != 0:
-                for i, a in self.cols[j]:
-                    resid[i] -= a * v
-        # artificial basis with signs matching the residuals
-        self.basis = []
-        self.xb = []
-        self.binv = [[Fraction(0)] * m for _ in range(m)]
-        for i in range(m):
-            sigma = Fraction(1) if resid[i] >= 0 else Fraction(-1)
-            self.cols[self.art0 + i] = [(i, sigma)]
-            self.basis.append(self.art0 + i)
-            self.xb.append(abs(resid[i]))
-            self.binv[i][i] = sigma
-            self.status.append("B"); self.value.append(abs(resid[i]))
-        self.in_basis = [False] * self.total
-        for j in self.basis:
-            self.in_basis[j] = True
-
-        phase1 = [Fraction(0)] * self.art0 + [Fraction(1)] * m
-        res = self._iterate(phase1, phase=1)
-        if res == "unbounded":  # pragma: no cover - phase 1 is bounded below
-            raise NumericalFailure("phase 1 reported unbounded")
-        if sum((self.xb[i] for i in range(m) if self.basis[i] >= self.art0), Fraction(0)) > 0:
-            return "infeasible", [], self._duals(phase1), None
-        for i in range(m):  # artificials pinned at zero for phase 2
-            self.ub[self.art0 + i] = Fraction(0)
-        res = self._iterate(self.cost, phase=2)
-        if res == "unbounded":
-            return "unbounded", [], [], None
-        primal = [self._col_value(j) for j in range(n)]
-        y = self._duals(self.cost)
-        objective = sum((self.cost[j] * primal[j] for j in range(n)), Fraction(0))
-        return "optimal", primal, y, objective
-
-    def _col_value(self, j):
-        if self.in_basis[j]:
-            return self.xb[self.basis.index(j)]
-        return self.value[j]
-
-    def _duals(self, cost):
-        m = self.m
-        y = [Fraction(0)] * m
-        for r in range(m):
-            cb = cost[self.basis[r]]
-            if cb != 0:
-                row = self.binv[r]
-                for i in range(m):
-                    if row[i] != 0:
-                        y[i] += cb * row[i]
-        return y
-
-    def _iterate(self, cost, phase: int) -> str:
-        m = self.m
-        iters = 0
-        while True:
-            iters += 1
-            if iters > 200_000:
-                raise NumericalFailure("simplex iteration limit exceeded")
-            bland = iters > _BLAND_AFTER
-            if phase == 1 and all(
-                self.xb[i] == 0 or self.basis[i] < self.art0 for i in range(m)
-            ):
-                return "optimal"
-            y = self._duals(cost)
-            enter, direction, best = -1, 0, Fraction(0)
-            for j in range(self.total):
-                if self.in_basis[j]:
-                    continue
-                lo, hi = self.lb[j], self.ub[j]
-                if lo is not None and hi is not None and lo == hi:
-                    continue
-                rc = cost[j]
-                for i, a in self.cols[j]:
-                    rc -= y[i] * a
-                st = self.status[j]
-                if st == "L" and rc < 0:
-                    cand, d = -rc, 1
-                elif st == "U" and rc > 0:
-                    cand, d = rc, -1
-                elif st == "F" and rc != 0:
-                    cand, d = abs(rc), (1 if rc < 0 else -1)
-                else:
-                    continue
-                if bland:
-                    enter, direction = j, d
-                    break
-                if cand > best:
-                    best, enter, direction = cand, j, d
-            if enter < 0:
-                return "optimal"
-            # direction of basic change: x_B -= sigma * d * t
-            dvec = [Fraction(0)] * m
-            for i, a in self.cols[enter]:
-                if a != 0:
-                    for r in range(m):
-                        brv = self.binv[r][i]
-                        if brv != 0:
-                            dvec[r] += a * brv
-            sigma = direction
-            lo_e, hi_e = self.lb[enter], self.ub[enter]
-            span = None
-            if lo_e is not None and hi_e is not None:
-                span = hi_e - lo_e
-            t_best, blocker, leave_to = span, -1, ""
-            for r in range(m):
-                g = -sigma * dvec[r]
-                if g > 0:
-                    hb = self.ub[self.basis[r]]
-                    if hb is None:
-                        continue
-                    lim = (hb - self.xb[r]) / g
-                    side = "U"
-                elif g < 0:
-                    lb_ = self.lb[self.basis[r]]
-                    if lb_ is None:
-                        continue
-                    lim = (self.xb[r] - lb_) / (-g)
-                    side = "L"
-                else:
-                    continue
-                if (
-                    t_best is None
-                    or lim < t_best
-                    or (lim == t_best and (blocker < 0 or self.basis[r] < self.basis[blocker]))
-                ):
-                    t_best, blocker, leave_to = lim, r, side
-            if t_best is None:
-                return "unbounded"
-            if t_best > 0:
-                for r in range(m):
-                    if dvec[r] != 0:
-                        self.xb[r] -= sigma * dvec[r] * t_best
-                self.value[enter] = self.value[enter] + sigma * t_best
-            if blocker < 0:  # bound flip: entering hit its other bound
-                self.status[enter] = "U" if self.status[enter] == "L" else "L"
-                continue
-            leaving = self.basis[blocker]
-            self.status[leaving] = leave_to
-            self.value[leaving] = self.lb[leaving] if leave_to == "L" else self.ub[leaving]
-            self.in_basis[leaving] = False
-            piv = dvec[blocker]
-            prow = self.binv[blocker]
-            inv_piv = Fraction(1) / piv
-            self.binv[blocker] = [v * inv_piv for v in prow]
-            prow = self.binv[blocker]
-            for r in range(m):
-                if r != blocker and dvec[r] != 0:
-                    f = dvec[r]
-                    row = self.binv[r]
-                    for i in range(m):
-                        if prow[i] != 0:
-                            row[i] -= f * prow[i]
-            self.basis[blocker] = enter
-            self.xb[blocker] = self.value[enter]
-            self.in_basis[enter] = True
-            self.status[enter] = "B"
-
-
-def _solve_exact(model: LpModel) -> LpSolution:
-    status, primal, y, obj = _ExactSimplex(model).solve()
-    if status == "unbounded":
-        return LpSolution(status)
-    sol = LpSolution(status, dict(enumerate(primal)), dict(enumerate(y)), obj)
-    _audit(model, sol, exact=True)
-    return sol
-
-
-# ---------------------------------------------------------------------------
-# float backend: one live HiGHS model per LpModel
+# HiGHS: one live model per LpModel, behind both backends
 # ---------------------------------------------------------------------------
 
 _INF = _highs.kHighsInf
@@ -489,7 +272,8 @@ class _HighsMirror:
         self.dirty.clear()
 
 
-def _solve_float(model: LpModel, warm: bool = False, presolve: bool = True) -> LpSolution:
+def _run_highs(model: LpModel, warm: bool, presolve: bool) -> LpSolution:
+    """Bring the model's live HiGHS copy up to date and solve it."""
     if model._mirror is None:
         model._mirror = _HighsMirror()
     model._mirror.sync(model)
@@ -497,7 +281,11 @@ def _solve_float(model: LpModel, warm: bool = False, presolve: bool = True) -> L
     highs.setOptionValue("presolve", "on" if presolve else "off")  # per solve, not per model
     if not warm:  # reload: the vertex of a fresh load with the same presolve setting
         _check(highs.passModel(highs.getLp()), "passModel")
-    sol = linprog(highs)
+    return linprog(highs)
+
+
+def _solve_float(model: LpModel, warm: bool = False, presolve: bool = True) -> LpSolution:
+    sol = _run_highs(model, warm, presolve)
     if sol.status == "infeasible" and not sol.dual:
         sol.dual = _empty_row_ray(model)
     if sol.status != "unbounded":
@@ -596,15 +384,143 @@ def _audit(model: LpModel, sol: LpSolution, exact: bool) -> None:
         raise NumericalFailure(f"infeasibility not proven: Farkas bound {dual_obj}")
 
 
+# ---------------------------------------------------------------------------
+# exact backend: HiGHS's final basis, certified in rationals
+# ---------------------------------------------------------------------------
+
+def _solve_exact(model: LpModel, presolve: bool) -> LpSolution:
+    sol = _run_highs(model, warm=False, presolve=presolve)
+    if sol.status == "unbounded":
+        return sol
+    if sol.status == "optimal":
+        return _certified_vertex(model)
+    elastic = _elastic_copy(model)
+    if _run_highs(elastic, warm=False, presolve=presolve).status != "optimal":
+        raise NumericalFailure("certificate failed: HiGHS did not solve the elastic copy")
+    sol = LpSolution("infeasible", dual=_certified_vertex(elastic).dual)
+    _audit(model, sol, exact=True)
+    return sol
+
+
+def _elastic_copy(model: LpModel) -> LpModel:
+    """The model with zero costs and one unit-cost slack column per direction
+    in which a row can be violated.  The copy is feasible and bounded below
+    by 0; its optimum is positive exactly when the model is infeasible, and
+    its row duals are then a Farkas ray of the model."""
+    copy = LpModel([0] * model.n_cols, list(model.lower), list(model.upper),
+                   [dict(coefs) for coefs in model.row_coefs], list(model.senses), list(model.rhs))
+    for i, sense in enumerate(model.senses):
+        for sign in {GE: (1,), LE: (-1,), EQ: (1, -1)}[sense]:
+            copy.add_column(obj=1, coefs={i: sign})
+    return copy
+
+
+def _certified_vertex(model: LpModel) -> LpSolution:
+    """The vertex of HiGHS's last basis and its row duals, rebuilt in
+    rationals from the model's own data.  Each nonbasic column sits at the
+    bound its status names and each nonbasic row is tight; the basic columns
+    solve the tight rows, and the transposed system gives the duals of the
+    tight rows (0 on basic rows).  Returned only as a proof of optimality: a
+    feasible point, sign-feasible duals, and a finite dual bound equal to the
+    point's value.  Otherwise raises NumericalFailure."""
+    basis = model._mirror.highs.getBasis()
+    if not basis.valid:
+        raise NumericalFailure("certificate failed: HiGHS kept no basis")
+    status = _highs.HighsBasisStatus
+    x, basic = {}, {}
+    for j, st in enumerate(basis.col_status):
+        if st == status.kBasic:
+            basic[j] = {}  # the column's entries in the tight rows
+            continue
+        at = {status.kLower: model.lower[j], status.kUpper: model.upper[j], status.kZero: 0}.get(st)
+        if at is None:
+            raise NumericalFailure(f"certificate failed: column {j} is nonbasic at no finite bound")
+        x[j] = Fraction(at)
+    tight = []  # B x_B = b - N x_N, one equation per nonbasic row
+    for i, st in enumerate(basis.row_status):
+        if st == status.kBasic:
+            continue
+        coefs, rhs = {}, Fraction(model.rhs[i])
+        for j, a in model.row_coefs[i].items():
+            if j in basic:
+                coefs[j] = basic[j][i] = Fraction(a)
+            else:
+                rhs -= Fraction(a) * x[j]
+        tight.append((coefs, rhs))
+    if len(tight) != len(basic):
+        raise NumericalFailure("certificate failed: the basis is not square")
+    x.update(_solve_square(tight))
+    y = dict.fromkeys(range(model.n_rows), Fraction(0))
+    y.update(_solve_square([(coefs, Fraction(model.objective[j])) for j, coefs in basic.items()]))
+
+    for j, v in x.items():
+        lo, hi = model.lower[j], model.upper[j]
+        if (lo is not None and v < Fraction(lo)) or (hi is not None and v > Fraction(hi)):
+            raise NumericalFailure(f"certificate failed: column {j} leaves its bounds")
+    for i, coefs in enumerate(model.row_coefs):
+        sense, rhs = model.senses[i], Fraction(model.rhs[i])
+        activity = sum((Fraction(a) * x[j] for j, a in coefs.items()), Fraction(0))
+        if (sense != LE and activity < rhs) or (sense != GE and activity > rhs):
+            raise NumericalFailure(f"certificate failed: row {i} is violated")
+        if (sense == GE and y[i] < 0) or (sense == LE and y[i] > 0):
+            raise NumericalFailure(f"certificate failed: the dual of row {i} has the wrong sign")
+    objective = sum((Fraction(c) * x[j] for j, c in enumerate(model.objective)), Fraction(0))
+    bound, finite = _dual_bound(model, y, model.objective, exact=True)
+    if not (finite and bound == objective):
+        raise NumericalFailure(f"certificate failed: dual bound {bound} is not the primal {objective}")
+    return LpSolution("optimal", {j: x[j] for j in range(model.n_cols)}, y, objective)
+
+
+def _solve_square(equations: list[tuple[dict, Fraction]]) -> dict:
+    """The unique solution of a square system of (coefficients by unknown,
+    right-hand side) equations, by exact Gaussian elimination.  The pivot is
+    the shortest equation left and, in it, the unknown that the fewest other
+    equations hold, which keeps network bases sparse.  Raises NumericalFailure
+    if the system is singular."""
+    holders: dict = {}  # unknown -> the equations not yet pivoted that hold it
+    for e, (coefs, _) in enumerate(equations):
+        for v in coefs:
+            holders.setdefault(v, set()).add(e)
+    left, pivots = set(range(len(equations))), []
+    while left:
+        e = min(left, key=lambda e: len(equations[e][0]))
+        coefs, rhs = equations[e]
+        if not coefs:
+            raise NumericalFailure("certificate failed: the basis is singular")
+        left.remove(e)
+        for v in coefs:
+            holders[v].discard(e)
+        pivot = min(coefs, key=lambda v: len(holders[v]))
+        for f in list(holders[pivot]):
+            other, other_rhs = equations[f]
+            ratio = other[pivot] / coefs[pivot]
+            for v, a in coefs.items():
+                new = other.get(v, 0) - ratio * a
+                if new:
+                    holders[v].add(f)
+                    other[v] = new
+                else:
+                    holders[v].discard(f)
+                    del other[v]
+            equations[f] = (other, other_rhs - ratio * rhs)
+        pivots.append((e, pivot))
+    solution = {}
+    for e, pivot in reversed(pivots):
+        coefs, rhs = equations[e]
+        rest = sum((a * solution[v] for v, a in coefs.items() if v != pivot), Fraction(0))
+        solution[pivot] = (rhs - rest) / coefs[pivot]
+    return solution
+
+
 def solve_lp(model: LpModel, mode: str = "float", *, warm: bool = False,
              presolve: bool = True) -> LpSolution:
     """Solve to a basic optimum with duals; deterministic given equal models
     and ``presolve`` (with ``warm=True``, float only, given equal models and
-    solve histories).  ``presolve`` is a float option; exact mode has none."""
+    solve histories).  ``presolve`` applies to both modes."""
     if mode == "exact":
         if warm:
             raise ValueError("warm starts exist only in float mode")
-        return _solve_exact(model)
+        return _solve_exact(model, presolve)
     if mode == "float":
         return _solve_float(model, warm=warm, presolve=presolve)
     raise ValueError(f"unknown mode {mode!r}")

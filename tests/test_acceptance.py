@@ -47,13 +47,13 @@ def test_criterion_1_overlap_gadget_lp_values():
     traffic = TrafficMatrix({(0, 5): 2, (0, 2): 1})
     plain = root_lp_value(net, traffic, strengthening=False, mode="exact")
     assert plain == Fraction(17, 2)
-    strengthened = root_lp_value(net, traffic, strengthening=True, mode="float")
-    assert strengthened >= 9 - 1e-9
+    strengthened = root_lp_value(net, traffic, strengthening=True, mode="exact")
+    assert strengthened == 9
     result = solve_mspnd(net, traffic)
     assert result.status == "optimal" and result.value == 9
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
-    print(f"\nCRITERION 1 PASS: root {plain} / strengthened {strengthened:.9f} / "
+    print(f"\nCRITERION 1 PASS: root {plain} / strengthened {strengthened} / "
           f"optimum {result.value} in {elapsed:.2f}s")
 
 
@@ -88,7 +88,7 @@ def test_criterion_3_pricing_reaches_the_full_model_value():
                 add_path_column(model, pair, make_path(net, arcs))
         full_value = solve_lp(model.lp, "exact").objective
         cg_value = root_lp_value(net, traffic, strengthening=False, mode="exact")
-        assert abs(cg_value - full_value) <= Fraction(1, 10**9), f"instance {i}"
+        assert cg_value == full_value, f"instance {i}"
     print(f"\nCRITERION 3 PASS: 25/25 column-generation values equal full enumeration "
           f"in {time.perf_counter()-start:.1f}s")
 

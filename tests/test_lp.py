@@ -291,6 +291,18 @@ def test_highs_min_coef_is_highs_small_matrix_value():
     assert lp._highs._Highs().getOptionValue("small_matrix_value")[1] == lp.HIGHS_MIN_COEF
 
 
+def test_exact_mode_raises_where_highs_drops_a_coefficient():
+    # HiGHS drops the 1e-12 (below HIGHS_MIN_COEF) and finds x = 1; with it,
+    # y = 1e12 meets the row and the optimum is 0.  The basis certificate fails.
+    m = LpModel()
+    x = m.add_column(obj=1, lb=0)
+    y = m.add_column(obj=0, lb=0, ub=1e13)
+    m.add_row({x: 1, y: 1e-12}, GE, 1)
+    for presolve in (True, False):
+        with pytest.raises(NumericalFailure, match="certificate failed"):
+            solve_lp(m, "exact", presolve=presolve)
+
+
 def test_crossed_bounds_are_rejected_and_leave_the_model_as_it_was():
     m = LpModel()
     x = m.add_column(obj=1, lb=0, ub=1)

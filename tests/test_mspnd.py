@@ -356,10 +356,8 @@ def _lowered_point(model, primal) -> dict:
 def _assert_skipped_rows_are_implied(net, traffic, mode, rng, fixings):
     """The lean root and its copy with the eager rows reach the same status
     and value, at the root and under random fixings of x and y.
-    The copy only adds rows, so in exact mode it is not solved (the exact
-    simplex is slow on the gadget's 370 eager rows): the lean optimum,
-    lowered by ``_lowered_point``, must satisfy every row of the copy at the
-    same value.
+    In exact mode the lean optimum, lowered by ``_lowered_point``, must also
+    satisfy every row of the copy at the same value.
     """
     model = _priced_strengthened_root(net, traffic, mode)
     full, added = _copy_with_eager_rows(model)
@@ -375,14 +373,15 @@ def _assert_skipped_rows_are_implied(net, traffic, mode, rng, fixings):
             v = rng.choice([0, ub]) if col in fixed else None
             for m in (model.lp, full):
                 m.set_bounds(col, *((0, ub) if v is None else (v, v)))
-        lean = solve_lp(model.lp, mode)
+        lean, eager = solve_lp(model.lp, mode), solve_lp(full, mode)
         statuses.append(lean.status)
+        assert lean.status == eager.status
+        if lean.status != "optimal":
+            continue
         if mode == "float":
-            eager = solve_lp(full, mode)
-            assert lean.status == eager.status
-            if lean.status == "optimal":
-                assert lean.objective == pytest.approx(eager.objective, abs=1e-7)
-        elif lean.status == "optimal":
+            assert lean.objective == pytest.approx(eager.objective, abs=1e-7)
+        else:
+            assert lean.objective == eager.objective
             point = _lowered_point(model, lean.primal)
             assert sum(c * point[j] for j, c in enumerate(full.objective)) == lean.objective
             for coefs, sense, rhs in zip(full.row_coefs, full.senses, full.rhs):
@@ -417,8 +416,14 @@ def test_root_value_gap_closes_with_subpath_rows(overlap_gadget, overlap_traffic
     plain = root_lp_value(overlap_gadget, overlap_traffic, strengthening=False, mode="exact")
     assert plain == Fraction(17, 2)
     # the five-hop s-t path starts deferred, so this is the lazy root
-    strengthened = root_lp_value(overlap_gadget, overlap_traffic, strengthening=True, mode="float")
-    assert strengthened == pytest.approx(9, abs=1e-9)
+    assert root_lp_value(overlap_gadget, overlap_traffic, strengthening=True, mode="exact") == 9
+
+
+def test_k6_plain_root_is_exactly_six():
+    net, traffic = complete_digraph(6, ccap=1000), all_pairs_traffic(6, Fraction(1, 100))
+    start = time.perf_counter()
+    assert root_lp_value(net, traffic, strengthening=False, mode="exact") == 6
+    assert time.perf_counter() - start < 10
 
 
 def test_solver_fixture_values(overlap_gadget, overlap_traffic, single_arc, triangle):
