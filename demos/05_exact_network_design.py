@@ -34,7 +34,7 @@ gadget = build_network([
 ])
 demands = TrafficMatrix({(0, 5): 2, (0, 2): 1})
 print("\nroot relaxation, plain:       ", root_lp_value(gadget, demands, strengthening=False, mode="exact"))
-print("root relaxation, strengthened:", root_lp_value(gadget, demands, strengthening=True, mode="float"))
+print("root relaxation, strengthened:", root_lp_value(gadget, demands, strengthening=True, mode="exact"))
 print("integer optimum:              ", solve_mspnd(gadget, demands).value)
 
 # Complete digraph: fixed routing must keep every link alive, while a single

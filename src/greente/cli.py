@@ -66,14 +66,17 @@ def _add_instance_args(p: argparse.ArgumentParser, multi_demands: bool) -> None:
     p.add_argument("--lengths", choices=sorted(LENGTH_NAMES), default="given")
 
 
-def _load_preprocessed(args, demand_path: str):
+def _load_preprocessed(args, demand_paths: list[str]):
+    """(network, traffic) for each demand file; the graph file is parsed once."""
     precursor = parse_repetita_graph(Path(args.graph).read_text())
-    traffic = parse_repetita_demands(
-        Path(demand_path).read_text(), num_nodes=len(precursor.nodes)
-    )
-    return preprocess(
-        precursor, traffic, MODE_NAMES[args.mode], LENGTH_NAMES[args.lengths], args.mu
-    )
+    return [
+        preprocess(
+            precursor,
+            parse_repetita_demands(Path(path).read_text(), num_nodes=len(precursor.nodes)),
+            MODE_NAMES[args.mode], LENGTH_NAMES[args.lengths], args.mu,
+        )
+        for path in demand_paths
+    ]
 
 
 def _activation_csv(activation: Activation) -> str:
@@ -141,7 +144,7 @@ def _write(text: str, out: str | None) -> None:
 
 def _cmd_solve(args) -> int:
     rho = _parse_rho(args.rho)
-    net, traffic = _load_preprocessed(args, args.demands)
+    [(net, traffic)] = _load_preprocessed(args, [args.demands])
     scaled = scale_traffic(traffic, rho)
     matrix = "0" if args.algorithm in TRAFFIC_AWARE else "-"  # as bench names it
     key = (Path(args.graph).stem, matrix, args.algorithm, rho, args.mu, MODE_NAMES[args.mode])
@@ -185,7 +188,7 @@ def _cmd_bench(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     rho = _parse_rho(args.rho)
-    loaded = [_load_preprocessed(args, demand_path) for demand_path in args.demands]
+    loaded = _load_preprocessed(args, args.demands)
     net = loaded[0][0]  # the network does not depend on the demand file
     activation = _read_activation_csv(Path(args.chi).read_text(), net)
     records = [
@@ -198,7 +201,7 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_oracle(args) -> int:
     rho = _parse_rho(args.rho)
-    net, traffic = _load_preprocessed(args, args.demands)
+    [(net, traffic)] = _load_preprocessed(args, [args.demands])
     activation = brute_force_mspnd(net, scale_traffic(traffic, rho))
     _write(_activation_csv(activation), args.out)
     return 0

@@ -1,16 +1,16 @@
 """Max-flow with early termination and residual-graph cut extraction.
 
-Flows are exact: capacities run as given, ``int`` or
-:class:`fractions.Fraction` (a float becomes its exact Fraction), so
-separation on fractional LP points stays exact, and callers that scale
-capacities to integers get plain integer arithmetic.  ``max_flow`` augments
-along shortest paths (Edmonds-Karp), at most |V|.|E|/2 times whatever the
-capacities.  Cut extraction walks the same cached residual graph and returns
-the front cut (near the source) or the back cut (near the sink, the front cut
-of the reversed graph).  These are the two extreme minimum cuts, the
-residual-reachable sides of any maximum flow, so they do not depend on which
-maximum flow was found.  Both are full delta-out sets of a vertex
-bipartition, so the emitted constraints are valid for the cut family.
+Flows are exact: capacities and targets run as given, ``int`` or
+:class:`fractions.Fraction`, so separation on fractional LP points stays
+exact, and callers that scale capacities to integers get plain integer
+arithmetic.  ``max_flow`` augments along shortest paths (Edmonds-Karp), at
+most |V|.|E|/2 times whatever the capacities, and returns its residual
+graph.  Cut extraction reads that residual graph (Picard & Queyranne 1980):
+the front cut is the arcs that leave the vertices residual-reachable from
+the source, the back cut the arcs that enter the vertices that residually
+reach the sink.  These are the two extreme minimum cuts, so they do not
+depend on which maximum flow was found.  Both are full delta-out sets of a
+vertex bipartition, so the emitted constraints are valid for the cut family.
 Under capacities that are symmetric per full-duplex link, ``cut_tree`` gives
 every pair's min-cut value from n - 1 max-flows (Gusfield's flow-equivalent
 tree), and ``all_pairs_maxflow`` uses it on full-duplex networks.
@@ -30,9 +30,18 @@ class NotMaximum(RuntimeError):
 
 @dataclass(frozen=True)
 class FlowResult:
-    flow: dict[int, Rational]
+    """A flow with its residual graph: ``residual[2a]`` is the residual
+    along arc ``a``, ``residual[2a + 1]`` the residual against it, which is
+    the flow on ``a``."""
+
+    residual: list[Rational]
     value: Rational
     terminated_early: bool
+
+    @property
+    def flow(self) -> dict[int, Rational]:
+        """The flow on each arc that carries any."""
+        return {a: f for a, f in enumerate(self.residual[1::2]) if f > 0}
 
 
 @dataclass(frozen=True)
@@ -41,31 +50,23 @@ class Cut:
     capacity: Rational
 
 
-def _exact(value) -> Rational:
-    """``value`` as given if exact; a float becomes its exact Fraction."""
-    return Fraction(value) if isinstance(value, float) else value
-
-
 def max_flow(net: Network, ecap, s: int, t: int, target=None) -> FlowResult:
     """Maximum s-t flow under effective capacities, stopping early at ``target``.
 
     Shortest augmenting paths (Edmonds-Karp): each augmentation is one
     breadth-first search from s over the network's cached residual edges,
     cut short once t is reached, and at most |V|.|E|/2 augmentations run
-    whatever the capacities.  Only the capacities are per flow: ``cap[2a]``
-    is the residual along arc ``a``, ``cap[2a + 1]`` the residual against
-    it, which is the flow on ``a``.
+    whatever the capacities.  Only the capacities are per flow, and they are
+    returned as the result's ``residual``.
 
     ``terminated_early`` is set iff ``target`` is at most the maximum value;
     the flow then has value >= target.  Otherwise the flow is maximum.
     """
     if s == t:
         raise ValueError("source equals sink")
-    if target is not None:
-        target = _exact(target)
     heads, adj = net.residual_edges
     cap: list[Rational] = [0] * (2 * net.n_arcs)
-    cap[::2] = [_exact(ecap.get(a, 0)) for a in range(net.n_arcs)]
+    cap[::2] = [ecap.get(a, 0) for a in range(net.n_arcs)]
     total = 0
     while target is None or total < target:
         into = [-1] * net.n_vertices  # the residual edge a BFS reached each vertex by
@@ -91,36 +92,24 @@ def max_flow(net: Network, ecap, s: int, t: int, target=None) -> FlowResult:
             cap[eid] -= got
             cap[eid ^ 1] += got
         total += got
-    flow = {a: f for a, f in enumerate(cap[1::2]) if f > 0}
-    return FlowResult(flow, total, target is not None and total >= target)
+    return FlowResult(cap, total, target is not None and total >= target)
 
 
-def _reach(net: Network, start: int, usable, blocked) -> set[int]:
-    """Vertices reached from ``start`` over the residual edges ``e`` with
-    ``usable[e]``, never entering ``blocked``."""
+def _reach(net: Network, start: int, flow_result: FlowResult, back: int) -> set[int]:
+    """The vertices ``start`` reaches in a flow's residual graph (``back``
+    0), or those that reach ``start`` (``back`` 1): edge ``e`` is walked
+    when ``residual[e ^ back]`` is positive, the edge itself or its reverse."""
     heads, adj = net.residual_edges
-    seen = {start} - blocked
-    stack = list(seen)
+    residual = flow_result.residual
+    seen = {start}
+    stack = [start]
     while stack:
         for eid in adj[stack.pop()]:
             w = heads[eid]
-            if usable[eid] and w not in seen and w not in blocked:
+            if residual[eid ^ back] > 0 and w not in seen:
                 seen.add(w)
                 stack.append(w)
     return seen
-
-
-def _residual(net: Network, ecap, flow_result: FlowResult, back: int) -> list[bool]:
-    """Usable flags of a flow's residual edges for a walk from the source
-    (``back`` 0) or backwards from the sink (``back`` 1): edge ``2a + back``
-    runs along arc ``a`` of the walked graph, which is reversed for a backward
-    walk.  Python compares a float capacity with an exact flow exactly."""
-    m = net.n_arcs
-    flow = [flow_result.flow.get(a, 0) for a in range(m)]
-    residual = [False] * (2 * m)
-    residual[back::2] = [ecap.get(a, 0) > f for a, f in enumerate(flow)]
-    residual[1 - back::2] = [f > 0 for f in flow]
-    return residual
 
 
 def extract_cut(
@@ -128,30 +117,26 @@ def extract_cut(
 ) -> Cut:
     """Front or back minimum cut from the residual graph of a maximum flow.
 
-    Front: mark the vertices residual-reachable from s, walk the original
-    graph backwards from t through unmarked vertices, and collect the arcs
-    from marked to walked vertices.  The back cut of ``(G, s, t)`` is the
-    front cut of ``(reverse G, t, s)``: on the residual edges that swaps the
-    usable flags of ``2a`` and ``2a + 1``, and the original-graph walk
-    follows ``2a`` instead of ``2a + 1``.  Either arc set is the full
-    boundary of a bipartition, and its capacity equals the max-flow value.
+    Front: the arcs that leave the vertices residual-reachable from s.
+    Back: the arcs that enter the vertices that residually reach t.  Either
+    arc set is the full boundary of a bipartition, and its capacity, the
+    sum of ``ecap`` over it, equals the max-flow value.  Under positive
+    capacities each cut holds only arcs on some s-t route; a zero-capacity
+    arc off every route may join it at no capacity.
     """
     if flow_result.terminated_early:
         raise NotMaximum("flow was early-terminated; rerun without a target")
     if side not in ("front", "back"):
         raise ValueError("side must be 'front' or 'back'")
     back = int(side == "back")
-    if back:
-        s, t = t, s
-    m = net.n_arcs
-    marked = _reach(net, s, _residual(net, ecap, flow_result, back), set())
-    walked = _reach(net, t, (back, 1 - back) * m, marked)
-    heads = net.residual_edges[0]
+    inside = _reach(net, t if back else s, flow_result, back)
+    heads, adj = net.residual_edges
+    # edge 2a leaves arc a's tail along it, edge 2a + 1 leaves its head against it
     cut = frozenset(
-        eid >> 1 for eid in range(back, 2 * m, 2)
-        if heads[eid ^ 1] in marked and heads[eid] in walked
+        eid >> 1 for v in inside for eid in adj[v]
+        if eid & 1 == back and heads[eid] not in inside
     )
-    return Cut(cut, sum(_exact(ecap.get(a, 0)) for a in cut))
+    return Cut(cut, sum(ecap.get(a, 0) for a in cut))
 
 
 def cut_tree(net: Network, ecap) -> dict[tuple[int, int], Rational]:
@@ -173,7 +158,7 @@ def cut_tree(net: Network, ecap) -> dict[tuple[int, int], Rational]:
     for s in range(1, n):
         p = parent[s]
         result = max_flow(net, ecap, p, s)
-        side = _reach(net, s, _residual(net, ecap, result, 1), set())
+        side = _reach(net, s, result, 1)
         for j in range(s + 1, n):
             if parent[j] == p and j in side:
                 parent[j] = s

@@ -118,7 +118,11 @@ def separate_cuts(
     denominators: the perturbed flow meets the scaled target iff the
     unperturbed flow meets ``target``.  The front and back cuts are the
     unique extreme ones among the fewest-arc minimum cuts, so the scale does
-    not change them either.
+    not change them either.  The +1 also keeps every capacity positive,
+    and the cuts rely on it: then every arc of a front or back cut lies on
+    some s-t route, whereas ``flows.extract_cut`` would let an arc at
+    capacity 0 off every route join a cut, at no capacity, and weaken its
+    row.
 
     On a full-duplex network one cut tree (``flows.cut_tree``, n - 1 flows)
     screens the pairs first.  It is built with both arcs of a link at the

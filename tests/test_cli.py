@@ -124,6 +124,28 @@ def test_evaluate_reports_mlu(tmp_path, instance_files, capsys):
     assert float(out[1].split(",")[1]) <= 1.0
 
 
+def test_evaluate_parses_the_graph_once_for_all_demand_files(
+    tmp_path, instance_files, capsys, monkeypatch
+):
+    graph, demands = instance_files
+    other = tmp_path / "matrix.1.demands"
+    other.write_text("DEMANDS 1\nlabel src dest bw\nd0 0 1 1\n")
+    chi = tmp_path / "chi.csv"
+    chi.write_text("arc_id,chi\n0,1\n1,1\n2,1\n")
+    calls = []
+
+    def spy(text):
+        calls.append(text)
+        return parse_repetita_graph(text)
+
+    monkeypatch.setattr(greente.cli, "parse_repetita_graph", spy)
+    code = main(["evaluate", "--graph", str(graph), "--demands", str(demands), str(other),
+                 "--chi", str(chi), "--rho", "0.5"])
+    assert code == 0
+    assert calls == [GRAPH]
+    assert capsys.readouterr().out.splitlines() == ["matrix,mlu", "0,0.500000", "1,0.500000"]
+
+
 def test_bench_runs_config(tmp_path, instance_files, capsys):
     graph, demands = instance_files
     config = {

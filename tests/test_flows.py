@@ -78,14 +78,16 @@ def test_two_hop_front_and_back_cuts():
     assert extract_cut(net, caps, flow, 0, 2, "back").arc_ids == frozenset({1})
 
 
-def test_cuts_leave_out_arcs_off_every_s_t_route():
+def test_cuts_take_zero_capacity_arcs_off_every_s_t_route():
     """Zero-capacity arcs 0->3 (into a dead end) and 4->2 (from a vertex s
-    cannot reach) leave the cut sides but lie on no s-t route."""
+    cannot reach) lie on no s-t route, but the front cut holds every arc
+    that leaves s's residual side, and the back cut every arc that enters
+    t's; they add nothing to either cut's capacity."""
     net = build_network([(0, 1, 1, 1, 1), (1, 2, 1, 1, 1), (0, 3, 1, 1, 1), (4, 2, 1, 1, 1)])
     caps = {0: 1, 1: 1, 2: 0, 3: 0}
     flow = max_flow(net, caps, 0, 2)
-    assert extract_cut(net, caps, flow, 0, 2, "front") == Cut(frozenset({0}), 1)
-    assert extract_cut(net, caps, flow, 0, 2, "back") == Cut(frozenset({1}), 1)
+    assert extract_cut(net, caps, flow, 0, 2, "front") == Cut(frozenset({0, 2}), 1)
+    assert extract_cut(net, caps, flow, 0, 2, "back") == Cut(frozenset({1, 3}), 1)
 
 
 def test_diamond_front_cut_is_source_side(diamond):
@@ -154,9 +156,9 @@ def test_residual_edges_follow_the_arcs(diamond, triangle):
 
 
 @st.composite
-def flow_problems(draw):
+def flow_problems(draw, min_cap=0):
     net = draw(digraphs())
-    caps = {a.id: draw(st.integers(0, 9)) for a in net.arcs}
+    caps = {a.id: draw(st.integers(min_cap, 9)) for a in net.arcs}
     s, t = draw(st.lists(st.integers(0, net.n_vertices - 1), min_size=2, max_size=2, unique=True))
     target = draw(st.none() | st.integers(0, 20))
     return net, caps, s, t, target
@@ -202,6 +204,53 @@ def test_back_cut_is_the_front_cut_of_the_reversed_graph(problem):
         assert extract_cut(net, caps, flow, s, t, side) == extract_cut(
             rev, caps, rev_flow, t, s, mirror
         )
+
+
+def walked_cut(net, caps, result, s, t, side):
+    """The cut that a walk back from t picks: the arcs from the vertices s
+    reaches in the residual graph to the vertices that reach t in the graph
+    without passing through them.  The back cut is the front cut of
+    (reverse G, t, s)."""
+    arcs = [(a.id, a.tail, a.head) for a in net.arcs]
+    if side == "back":
+        arcs = [(a, v, u) for a, u, v in arcs]
+        s, t = t, s
+    residual, into = {}, {}
+    for a, u, v in arcs:
+        f = result.flow.get(a, 0)
+        if caps.get(a, 0) > f:
+            residual.setdefault(u, []).append(v)
+        if f > 0:
+            residual.setdefault(v, []).append(u)
+        into.setdefault(v, []).append(u)
+
+    def reach(start, steps, blocked):
+        seen = {start} - blocked
+        stack = list(seen)
+        while stack:
+            for w in steps.get(stack.pop(), ()):
+                if w not in seen and w not in blocked:
+                    seen.add(w)
+                    stack.append(w)
+        return seen
+
+    marked = reach(s, residual, set())
+    walked = reach(t, into, marked)
+    cut = frozenset(a for a, u, v in arcs if u in marked and v in walked)
+    return Cut(cut, sum(caps[a] for a in cut))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(flow_problems(min_cap=1))
+def test_cuts_on_positive_capacities_are_the_walked_cuts(problem):
+    """With every capacity positive, an arc that leaves s's residual side
+    carries flow that cannot come back, so its head reaches t: both cuts
+    are the walked ones, which MCPS separation (every arc at least 1)
+    relies on."""
+    net, caps, s, t, _ = problem
+    flow = max_flow(net, caps, s, t)
+    for side in ("front", "back"):
+        assert extract_cut(net, caps, flow, s, t, side) == walked_cut(net, caps, flow, s, t, side)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
