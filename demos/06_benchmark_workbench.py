@@ -49,9 +49,10 @@ MATRICES = [
 precursor = parse_repetita_graph(GRAPH)
 matrices = tuple(parse_repetita_demands(m, num_nodes=5) for m in MATRICES)
 
-# Preprocessing normalizes each matrix so the full network sits exactly at
-# utilization 1; the experiment then scales by rho to emulate off-peak load.
-net, scaled = preprocess(precursor, matrices[0], "simplex", "unit", 5)
+# Preprocessing builds the network once per (duplex mode, length mode, mu) and
+# normalizes each matrix so the full network sits exactly at utilization 1; the
+# experiment then scales by rho to emulate off-peak load.
+net, (scaled,) = preprocess(precursor, matrices[:1], "simplex", "unit", 5)
 print("preprocessed ccap per arc:", str(net.arcs[0].ccap), "| mu:", net.arcs[0].mu)
 
 instance = RepetitaInstance("demo", precursor, matrices)

@@ -2,11 +2,13 @@
 
 Traffic-aware algorithms solve once per matrix on the rho-scaled demand and
 are evaluated for utilization against every matrix of the instance; oblivious
-algorithms run once per parameter cell.  Failures become per-row statuses,
-never batch aborts.
+algorithms run once per parameter cell.  An instance is preprocessed once per
+(duplex mode, mu), and every rho reuses that network.  Failures become per-row
+statuses, never batch aborts.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import time
@@ -17,7 +19,7 @@ from typing import Callable
 from .mcps import solve_mcps
 from .model import FULL_DUPLEX, SIMPLEX, Result, full_activation, scale_traffic
 from .mspnd import solve_f_mspnd, solve_mspnd
-from .repetita import GraphPrecursor, preprocess
+from .repetita import LENGTH_MODES, GraphPrecursor, preprocess
 from .routing import mlu
 from .toca import alg_mcf, alg_mcf_pp
 
@@ -95,6 +97,10 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown mode {mode!r}")
         if not self.time_limit > 0:  # also true for nan
             raise ConfigError("time limit must be positive")
+        if self.length_mode not in LENGTH_MODES:
+            raise ConfigError(f"unknown length mode {self.length_mode!r}")
+        if not isinstance(self.strengthening, bool):
+            raise ConfigError("strengthening must be a JSON true or false")
 
 
 def _round6(v: float) -> float:
@@ -165,28 +171,27 @@ def run_experiment(config: ExperimentConfig, instances) -> list[ReportRow]:
     config.validate()
     rows: list[ReportRow] = []
     for inst in sorted(instances, key=lambda i: i.instance_id):
-        for mode in config.modes:
-            for mu in config.mus:
-                for rho in config.rhos:
-                    rows.extend(_run_cell(config, inst, mode, mu, rho))
+        for mode, mu in itertools.product(config.modes, config.mus):
+            try:
+                net, normalized = preprocess(
+                    inst.precursor, inst.matrices, mode, config.length_mode, mu
+                )
+            except Exception as exc:
+                status = f"error:{type(exc).__name__}"
+                rows.extend(
+                    make_row(inst.instance_id, "-", alg, rho, mu, mode, status)
+                    for rho in config.rhos for alg in config.algorithms
+                )
+                continue
+            for rho in config.rhos:
+                rows.extend(_run_cell(config, inst, net, normalized, mode, mu, rho))
     rows.sort(key=ReportRow.sort_key)
     return rows
 
 
-def _run_cell(config, inst, mode, mu, rho) -> list[ReportRow]:
-    try:
-        prepped = [
-            preprocess(inst.precursor, raw, mode, config.length_mode, mu)
-            for raw in inst.matrices
-        ]
-    except Exception as exc:
-        return [
-            make_row(inst.instance_id, "-", alg, rho, mu, mode, f"error:{type(exc).__name__}")
-            for alg in config.algorithms
-        ]
-    net = prepped[0][0]
+def _run_cell(config, inst, net, normalized, mode, mu, rho) -> list[ReportRow]:
     rho_frac = as_rho(rho)
-    scaled = [scale_traffic(traffic, rho_frac) for _, traffic in prepped]
+    scaled = [scale_traffic(traffic, rho_frac) for traffic in normalized]
     rows = []
     for alg in config.algorithms:
         runs = enumerate(scaled) if SOLVERS[alg].traffic_aware else [("-", None)]

@@ -67,16 +67,13 @@ def _add_instance_args(p: argparse.ArgumentParser, multi_demands: bool) -> None:
 
 
 def _load_preprocessed(args, demand_paths: list[str]):
-    """(network, traffic) for each demand file; the graph file is parsed once."""
+    """The network and each demand file's normalized traffic: one parse, one build."""
     precursor = parse_repetita_graph(Path(args.graph).read_text())
-    return [
-        preprocess(
-            precursor,
-            parse_repetita_demands(Path(path).read_text(), num_nodes=len(precursor.nodes)),
-            MODE_NAMES[args.mode], LENGTH_NAMES[args.lengths], args.mu,
-        )
-        for path in demand_paths
-    ]
+    n = len(precursor.nodes)
+    matrices = [parse_repetita_demands(Path(p).read_text(), num_nodes=n) for p in demand_paths]
+    return preprocess(
+        precursor, matrices, MODE_NAMES[args.mode], LENGTH_NAMES[args.lengths], args.mu
+    )
 
 
 def _activation_csv(activation: Activation) -> str:
@@ -116,12 +113,6 @@ def _parse_rho(value: float) -> Fraction:
         raise ConfigError(f"--{exc}") from None
 
 
-def _strengthening(value) -> bool:
-    if not isinstance(value, bool):
-        raise TypeError(f"strengthening must be a JSON true or false, not {value!r}")
-    return value
-
-
 # bench config key -> (ExperimentConfig field, conversion); a key the config
 # leaves out keeps the field's default
 CONFIG_KEYS = {
@@ -131,7 +122,7 @@ CONFIG_KEYS = {
     "modes": ("modes", lambda names: tuple(MODE_NAMES[m] for m in names)),
     "time_limit": ("time_limit", float),
     "lengths": ("length_mode", LENGTH_NAMES.__getitem__),
-    "strengthening": ("strengthening", _strengthening),
+    "strengthening": ("strengthening", lambda value: value),  # validate checks the type
 }
 
 
@@ -144,7 +135,7 @@ def _write(text: str, out: str | None) -> None:
 
 def _cmd_solve(args) -> int:
     rho = _parse_rho(args.rho)
-    [(net, traffic)] = _load_preprocessed(args, [args.demands])
+    net, [traffic] = _load_preprocessed(args, [args.demands])
     scaled = scale_traffic(traffic, rho)
     matrix = "0" if args.algorithm in TRAFFIC_AWARE else "-"  # as bench names it
     key = (Path(args.graph).stem, matrix, args.algorithm, rho, args.mu, MODE_NAMES[args.mode])
@@ -188,12 +179,11 @@ def _cmd_bench(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     rho = _parse_rho(args.rho)
-    loaded = _load_preprocessed(args, args.demands)
-    net = loaded[0][0]  # the network does not depend on the demand file
+    net, traffics = _load_preprocessed(args, args.demands)
     activation = _read_activation_csv(Path(args.chi).read_text(), net)
     records = [
         (str(k), round(float(mlu(net, activation, scale_traffic(traffic, rho))), 6))
-        for k, (_, traffic) in enumerate(loaded)
+        for k, traffic in enumerate(traffics)
     ]
     _write(emit_table(("matrix", "mlu"), records, args.format), args.out)
     return 0
@@ -201,7 +191,7 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_oracle(args) -> int:
     rho = _parse_rho(args.rho)
-    [(net, traffic)] = _load_preprocessed(args, [args.demands])
+    net, [traffic] = _load_preprocessed(args, [args.demands])
     activation = brute_force_mspnd(net, scale_traffic(traffic, rho))
     _write(_activation_csv(activation), args.out)
     return 0

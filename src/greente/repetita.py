@@ -20,15 +20,17 @@ Demand files::
     label src dest bw
     <label> <src> <dest> <bw>
 
-Preprocessing merges parallel arcs (capacities add, weights take the min),
-applies the requested length mode and per-link connection count, and scales
-the matrix so the fully active network runs at a maximum utilization of
-exactly one.
+Preprocessing merges parallel arcs (capacities add, weights take the min) and
+applies the requested duplex mode, length mode and per-link connection count
+once per network, then scales each matrix so the fully active network runs at
+a maximum utilization of exactly one.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
+from math import inf
 
 from .model import (
     Network,
@@ -153,13 +155,13 @@ def merge_parallel_edges(precursor: GraphPrecursor) -> dict[tuple[int, int], tup
 
 def preprocess(
     precursor: GraphPrecursor,
-    traffic: TrafficMatrix,
+    matrices: Iterable[TrafficMatrix],
     duplex_mode: str = SIMPLEX,
     length_mode: str = "asGiven",
     mu: int = 1,
-) -> tuple[Network, TrafficMatrix]:
-    """Build the benchmark network and normalize traffic to a full-network
-    utilization of exactly one."""
+) -> tuple[Network, tuple[TrafficMatrix, ...]]:
+    """Build the benchmark network once, and normalize each traffic matrix in
+    ``matrices`` to a full-network utilization of exactly one, in order."""
     if length_mode not in LENGTH_MODES:
         raise ValueError(f"unknown length mode {length_mode!r}")
     if mu < 1:
@@ -176,14 +178,17 @@ def preprocess(
             length = weight
         specs.append((src, dst, bw / mu, length, mu))
     net = build_network(specs, duplex_mode, vertices=precursor.nodes)
-    for (s, t) in traffic.terminals:
-        if not (0 <= s < net.n_vertices and 0 <= t < net.n_vertices):
-            raise UnknownNode(f"demand endpoint {s}->{t} outside the topology")
-    try:
-        spr_route(net, full_activation(net), traffic)
-    except Disconnected as exc:
-        raise DisconnectedDemand(str(exc)) from exc
-    utilization = mlu(net, full_activation(net), traffic)
-    if utilization > 0:
-        traffic = scale_traffic(traffic, Fraction(1) / utilization)
-    return net, traffic
+    full = full_activation(net)
+    normalized = []
+    for traffic in matrices:
+        for (s, t) in traffic.terminals:
+            if not (0 <= s < net.n_vertices and 0 <= t < net.n_vertices):
+                raise UnknownNode(f"demand endpoint {s}->{t} outside the topology")
+        utilization = mlu(net, full, traffic)
+        if utilization == inf:  # routing again names the disconnected pair
+            try:
+                spr_route(net, full, traffic)
+            except Disconnected as exc:
+                raise DisconnectedDemand(str(exc)) from exc
+        normalized.append(scale_traffic(traffic, 1 / utilization) if utilization > 0 else traffic)
+    return net, tuple(normalized)

@@ -4,18 +4,19 @@ import math
 
 import pytest
 
-from greente import Activation, bench
+from greente import Activation, bench, repetita
 from greente.bench import (
     ALGORITHMS,
     CSV_HEADER,
     SOLVERS,
+    ConfigError,
     ExperimentConfig,
     RepetitaInstance,
     emit_report,
     make_row,
     run_experiment,
 )
-from greente.model import SIMPLEX
+from greente.model import FULL_DUPLEX, SIMPLEX
 from greente.repetita import parse_repetita_demands, parse_repetita_graph
 
 RING_GRAPH = """\
@@ -118,6 +119,55 @@ def test_error_rows_do_not_abort_the_batch():
     good_rows = [r for r in rows if r.instance == "ring"]
     assert broken_rows and all(r.status.startswith("error:") for r in broken_rows)
     assert good_rows and all(not r.status.startswith("error:") for r in good_rows)
+
+
+def test_one_network_per_mode_and_mu_serves_every_matrix_and_rho(monkeypatch):
+    built, build = [], repetita.build_network
+
+    def spy(*args, **kwargs):
+        built.append(args[1])
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(repetita, "build_network", spy)
+    config = ExperimentConfig(
+        algorithms=("f-mspnd", "mcf"), rhos=(0.3, 0.5), mus=(1, 2),
+        modes=(SIMPLEX, FULL_DUPLEX), time_limit=60,
+    )
+    rows = run_experiment(config, [ring_instance(3)])
+    assert sorted(built) == sorted([SIMPLEX, SIMPLEX, FULL_DUPLEX, FULL_DUPLEX])
+    assert len(rows) == 2 * 2 * 2 * (3 + 1)  # mode x mu x rho x (3 matrices + mcf)
+    assert all(r.status == "optimal" and len(r.mlu) == 3 for r in rows)
+
+
+def test_full_duplex_without_reverse_arcs_gives_one_error_row_per_rho_and_algorithm():
+    one_way = parse_repetita_graph(
+        "NODES 2\nlabel x y\na 0 0\nb 1 0\n\n"
+        "EDGES 1\nlabel src dest weight bw delay\ne0 0 1 1 10 0\n"
+    )
+    matrix = parse_repetita_demands("DEMANDS 1\nheader\nd0 0 1 2\n", num_nodes=2)
+    config = ExperimentConfig(
+        algorithms=("mspnd", "mcps", "mcf"), rhos=(0.3, 0.5), mus=(1,),
+        modes=(FULL_DUPLEX,), time_limit=60,
+    )
+    rows = run_experiment(config, [RepetitaInstance("one-way", one_way, (matrix, matrix))])
+    assert sorted((r.algorithm, r.rho) for r in rows) == sorted(
+        (alg, rho) for alg in ("mspnd", "mcps", "mcf") for rho in (0.3, 0.5)
+    )
+    assert {(r.matrix, r.status) for r in rows} == {("-", "error:MissingReverseArc")}
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("length_mode", "bogus", "unknown length mode 'bogus'"),
+    ("strengthening", "off", "strengthening must be a JSON true or false"),
+    ("strengthening", 0, "strengthening must be a JSON true or false"),
+    ("strengthening", None, "strengthening must be a JSON true or false"),
+])
+def test_config_rejects_a_bad_length_mode_or_strengthening(field, value, message):
+    config = ExperimentConfig(**{field: value})
+    with pytest.raises(ConfigError, match=message):
+        config.validate()
+    with pytest.raises(ConfigError, match=message):
+        run_experiment(config, [ring_instance(1)])
 
 
 def test_rows_sorted_deterministically():

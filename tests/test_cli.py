@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import greente.cli
+import greente.repetita
 from greente.bench import (
     ALGORITHMS,
     TRAFFIC_AWARE,
@@ -16,6 +17,7 @@ from greente.bench import (
     run_experiment,
 )
 from greente.cli import main
+from greente.model import build_network
 from greente.mspnd import NotRoutableInFull
 from greente.repetita import parse_repetita_demands, parse_repetita_graph
 
@@ -144,6 +146,30 @@ def test_evaluate_parses_the_graph_once_for_all_demand_files(
     assert code == 0
     assert calls == [GRAPH]
     assert capsys.readouterr().out.splitlines() == ["matrix,mlu", "0,0.500000", "1,0.500000"]
+
+
+def test_evaluate_builds_the_network_once_for_all_demand_files(
+    tmp_path, instance_files, capsys, monkeypatch
+):
+    graph, demands = instance_files
+    other = tmp_path / "matrix.1.demands"
+    other.write_text("DEMANDS 1\nlabel src dest bw\nd0 0 1 1\n")
+    chi = tmp_path / "chi.csv"
+    chi.write_text("arc_id,chi\n0,1\n1,1\n2,1\n")
+    built = []
+
+    def spy(*args, **kwargs):
+        built.append(args)
+        return build_network(*args, **kwargs)
+
+    monkeypatch.setattr(greente.repetita, "build_network", spy)
+    code = main(["evaluate", "--graph", str(graph), "--demands", str(demands), str(other),
+                 str(demands), "--chi", str(chi), "--rho", "0.5"])
+    assert code == 0
+    assert len(built) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "matrix,mlu", "0,0.500000", "1,0.500000", "2,0.500000"
+    ]
 
 
 def test_bench_runs_config(tmp_path, instance_files, capsys):

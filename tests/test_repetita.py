@@ -98,7 +98,7 @@ def test_parse_demands_malformed():
 def test_preprocess_scales_to_unit_utilization():
     g = parse_repetita_graph(TWO_NODE_GRAPH)
     t = parse_repetita_demands("DEMANDS 1\nheader\nd0 0 1 6\n", num_nodes=2)
-    net, traffic = preprocess(g, t, SIMPLEX, "asGiven", 5)
+    net, [traffic] = preprocess(g, [t], SIMPLEX, "asGiven", 5)
     assert net.arcs[0].mu == 5
     assert net.arcs[0].ccap == 2  # 10 / 5
     assert traffic.demand(0, 1) == 10  # rescaled from 6 so utilization is 1
@@ -112,7 +112,7 @@ def _arc(net, tail, head):
 def test_preprocess_merges_parallel_arcs():
     g = parse_repetita_graph(SQUARE_GRAPH)
     t = parse_repetita_demands("DEMANDS 1\nheader\nd0 0 1 1\n", num_nodes=4)
-    net, _ = preprocess(g, t, SIMPLEX, "asGiven", 5)
+    net, _ = preprocess(g, [t], SIMPLEX, "asGiven", 5)
     arc = _arc(net, 0, 1)
     assert arc.fcap == 16 and arc.ccap == Fraction(16, 5)
 
@@ -120,9 +120,9 @@ def test_preprocess_merges_parallel_arcs():
 def test_preprocess_length_modes():
     g = parse_repetita_graph(SQUARE_GRAPH)
     t = parse_repetita_demands("DEMANDS 1\nheader\nd0 0 3 1\n", num_nodes=4)
-    net, _ = preprocess(g, t, SIMPLEX, "unit", 1)
+    net, _ = preprocess(g, [t], SIMPLEX, "unit", 1)
     assert all(a.length == 1 for a in net.arcs)
-    net, _ = preprocess(g, t, SIMPLEX, "inverseCapacity", 1)
+    net, _ = preprocess(g, [t], SIMPLEX, "inverseCapacity", 1)
     # max fcap is 16, so lengths are ceil(16 / fcap)
     assert _arc(net, 0, 1).length == 1
     assert _arc(net, 0, 2).length == 4
@@ -132,14 +132,14 @@ def test_preprocess_duplex_requires_reverse():
     g = parse_repetita_graph(TWO_NODE_GRAPH)
     t = parse_repetita_demands("DEMANDS 1\nheader\nd0 0 1 1\n", num_nodes=2)
     with pytest.raises(MissingReverseArc):
-        preprocess(g, t, FULL_DUPLEX, "asGiven", 1)
+        preprocess(g, [t], FULL_DUPLEX, "asGiven", 1)
 
 
 def test_preprocess_rejects_disconnected_demand():
     g = parse_repetita_graph(TWO_NODE_GRAPH)
     t = parse_repetita_demands("DEMANDS 1\nheader\nd0 1 0 2\n", num_nodes=2)
     with pytest.raises(DisconnectedDemand):
-        preprocess(g, t, SIMPLEX, "asGiven", 1)
+        preprocess(g, [t], SIMPLEX, "asGiven", 1)
 
 
 def test_preprocess_parallel_merge_splits_capacity_over_connections():
@@ -150,7 +150,7 @@ def test_preprocess_parallel_merge_splits_capacity_over_connections():
     )
     g = parse_repetita_graph(text)
     t = parse_repetita_demands("DEMANDS 1\nheader\nd0 0 1 1\n", num_nodes=2)
-    net, _ = preprocess(g, t, SIMPLEX, "asGiven", 5)
+    net, _ = preprocess(g, [t], SIMPLEX, "asGiven", 5)
     arc = net.arcs[0]
     assert arc.fcap == 10 and arc.ccap == 2 and arc.mu == 5 and arc.length == 2
 
