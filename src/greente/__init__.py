@@ -35,7 +35,7 @@ from .routing import (
 )
 from .flows import Cut, FlowResult, all_pairs_maxflow, extract_cut, max_flow
 from .lp import LpModel, LpSolution, solve_lp
-from .bnb import BnbConfig, BnbResult, branch_and_bound
+from .bnb import BnbResult, branch_and_bound
 from .mcps import McpsInstance, precompute_lower_bounds, separate_cuts, solve_mcps
 from .toca import alg_mcf, alg_mcf_pp, build_toca_lp, supports_scaled_traffic
 from .mspnd import (
@@ -56,7 +56,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Activation",
     "Arc",
-    "BnbConfig",
     "BnbResult",
     "Cut",
     "ExperimentConfig",

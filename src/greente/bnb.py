@@ -9,7 +9,8 @@ columns can restore feasibility.  The root starts at the zero-dual bound
 first solve still reports a finite bound; columns refine adds must not lower it.
 The heuristic callback sees every optimal relaxation, before refine; a
 feasible point it returns that beats the incumbent replaces it, so the node's
-prune check already uses it.
+prune check already uses it.  The hooks are keyword arguments, and so is the
+``deadline``: an instant, which each solver fixes once at its entry.
 
 When every costed column is an integer column with an integer cost, every
 feasible value is a multiple of g, the gcd of the costs, so a node's bound
@@ -40,18 +41,6 @@ class IncumbentRejected(RuntimeError):
 
 
 @dataclass
-class BnbConfig:
-    time_limit: float | None = None
-    mode: str = "float"
-    # sees optimal and infeasible relaxations; returns the columns or rows it added
-    refine: Callable[[LpModel, LpSolution], list[int]] | None = None
-    # a feasible (value, primal) read off an optimal relaxation, or None
-    heuristic: Callable[[LpSolution], tuple[object, dict] | None] | None = None
-    accept_incumbent: Callable[[LpSolution], bool] | None = None
-    initial_incumbent: tuple[object, dict] | None = None  # (value, primal)
-
-
-@dataclass
 class BnbResult:
     status: str  # optimal | infeasible | timeout
     incumbent: LpSolution | None
@@ -60,19 +49,24 @@ class BnbResult:
     bound_history: list = field(default_factory=list)
 
 
-def time_left(time_limit: float | None, start: float) -> float | None:
-    """What remains of ``time_limit`` seconds counted from ``start`` (a
-    ``time.perf_counter()`` reading), never below 0; None for no limit."""
-    if time_limit is None:
-        return None
-    return max(0.0, time_limit - (time.perf_counter() - start))
+def branch_and_bound(
+    model: LpModel, integer_columns, *, deadline: float | None = None, mode: str = "float",
+    refine: Callable[[LpModel, LpSolution], list[int]] | None = None,
+    heuristic: Callable[[LpSolution], tuple[object, dict] | None] | None = None,
+    accept_incumbent: Callable[[LpSolution], bool] | None = None,
+    initial_incumbent: tuple[object, dict] | None = None,
+) -> BnbResult:
+    """Exact optimum over integer assignments of ``integer_columns``.
 
-
-def branch_and_bound(model: LpModel, integer_columns, config: BnbConfig) -> BnbResult:
-    """Exact optimum over integer assignments of ``integer_columns``."""
+    ``deadline`` is a ``time.perf_counter()`` instant after which the search
+    stops with status ``timeout`` (None: no limit); ``mode`` goes to every
+    ``solve_lp``.  ``refine(model, sol)`` sees optimal and infeasible
+    relaxations and returns the columns or rows it added; ``heuristic(sol)``
+    returns a feasible ``(value, primal)`` or None; ``accept_incumbent(sol)``
+    judges an integral node that refine left alone (``IncumbentRejected`` if
+    it says no); ``initial_incumbent`` is a known feasible ``(value, primal)``.
+    """
     integer_columns = list(integer_columns)
-    start = time.perf_counter()
-    deadline = None if config.time_limit is None else start + config.time_limit
 
     incumbent: LpSolution | None = None
     incumbent_value = math.inf
@@ -84,8 +78,8 @@ def branch_and_bound(model: LpModel, integer_columns, config: BnbConfig) -> BnbR
             incumbent = LpSolution("optimal", dict(primal), {}, value)
             incumbent_value = float(value)
 
-    if config.initial_incumbent is not None:
-        offer(*config.initial_incumbent)
+    if initial_incumbent is not None:
+        offer(*initial_incumbent)
 
     integer_set = set(integer_columns)
 
@@ -117,7 +111,7 @@ def branch_and_bound(model: LpModel, integer_columns, config: BnbConfig) -> BnbR
 
     # nodes: (bound estimate, seq, {col: (lb, ub)})
     seq = 0
-    root, finite = _dual_bound(model, {}, model.objective, config.mode == "exact")
+    root, finite = _dual_bound(model, {}, model.objective, mode == "exact")
     open_nodes: list[tuple[float, int, dict]] = [(float(root) if finite else -math.inf, seq, {})]
     nodes_done = 0
     history: list[float] = []
@@ -144,7 +138,7 @@ def branch_and_bound(model: LpModel, integer_columns, config: BnbConfig) -> BnbR
             model.set_bounds(col, lo, hi)
         try:
             while True:
-                sol = solve_lp(model, config.mode, presolve=False)
+                sol = solve_lp(model, mode, presolve=False)
                 if sol.status == "unbounded":
                     raise RuntimeError("node relaxation is unbounded")
                 optimal = sol.status == "optimal"
@@ -152,11 +146,11 @@ def branch_and_bound(model: LpModel, integer_columns, config: BnbConfig) -> BnbR
                     seq += 1
                     heapq.heappush(open_nodes, (bound_est, seq, overrides))
                     return finish("timeout")  # finally still restores the bounds
-                if optimal and config.heuristic is not None:
-                    found = config.heuristic(sol)
+                if optimal and heuristic is not None:
+                    found = heuristic(sol)
                     if found is not None:
                         offer(*found)
-                if config.refine is not None and config.refine(model, sol):
+                if refine is not None and refine(model, sol):
                     continue
                 break
             nodes_done += 1
@@ -169,13 +163,8 @@ def branch_and_bound(model: LpModel, integer_columns, config: BnbConfig) -> BnbR
                 continue
             fractional = [j for j in integer_columns if frac_dist(sol.primal[j]) > INT_TOL]
             if not fractional:
-                ok = True
-                if config.accept_incumbent is not None:
-                    ok = config.accept_incumbent(sol)
-                if not ok:
-                    raise IncumbentRejected(
-                        "integral node rejected with no remaining refinement"
-                    )
+                if accept_incumbent is not None and not accept_incumbent(sol):
+                    raise IncumbentRejected("integral node rejected with no remaining refinement")
                 offer(sol.objective, sol.primal)
                 record_bound()
                 continue

@@ -86,7 +86,10 @@ def _read_activation_csv(text: str, net: Network) -> Activation:
     """Inverse of :func:`_activation_csv`: every arc exactly once, with an
     integer count valid for ``net``."""
     counts: dict[int, int] = {}
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    if lines[:1] != ["arc_id,chi"]:
+        header = lines[0] if lines else ""
+        raise ConfigError(f"activation csv: expected the header 'arc_id,chi', got {header!r}")
     for ln in lines[1:]:
         try:
             aid, chi = (int(field) for field in ln.split(","))

@@ -24,7 +24,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bnb import BnbConfig, branch_and_bound, time_left
+from .bnb import branch_and_bound
 from .flows import all_pairs_maxflow, cut_tree, extract_cut, max_flow
 from .lp import GE, LpModel
 from .model import Activation, Network, Result, decode_activation
@@ -173,7 +173,7 @@ def solve_mcps(net: Network, rho, time_limit: float | None = None) -> Result:
     full-network value; always feasible (full activation qualifies).  The
     time limit counts from entry, so it covers the all-pairs max-flows and
     the preprocessing too."""
-    start = time.perf_counter()
+    deadline = None if time_limit is None else time.perf_counter() + time_limit
     instance = make_instance(net, rho)
     lb, satisfied = precompute_lower_bounds(instance)
     pending = [p for p in instance.targets if p not in satisfied]
@@ -206,19 +206,12 @@ def solve_mcps(net: Network, rho, time_limit: float | None = None) -> Result:
         return new_rows
 
     def accept(sol):
-        return audit_retention(instance, decode_activation(sol.primal, x_col))
+        return audit_retention(instance, decode_activation(net, sol.primal, x_col))
 
-    config = BnbConfig(
-        time_limit=time_left(time_limit, start),
-        refine=separate,
-        accept_incumbent=accept,
-        initial_incumbent=(
-            sum(a.mu for a in net.arcs),
-            {x_col[a.id]: a.mu for a in net.arcs},
-        ),
+    result = branch_and_bound(
+        model, sorted(set(x_col)), deadline=deadline, refine=separate, accept_incumbent=accept,
+        initial_incumbent=(sum(a.mu for a in net.arcs), {x_col[a.id]: a.mu for a in net.arcs}),
     )
-    result = branch_and_bound(model, sorted(set(x_col)), config)
     assert result.incumbent is not None  # full activation is always feasible
-    activation = decode_activation(result.incumbent.primal, x_col)
-    activation.validate(net)
+    activation = decode_activation(net, result.incumbent.primal, x_col)
     return Result(activation, result.status, float(result.bound))

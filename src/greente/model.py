@@ -163,9 +163,12 @@ class Activation:
                 raise ValueError(f"duplex asymmetry on arc {link[0]}")
 
 
-def decode_activation(primal: Mapping[int, object], columns: Iterable[int]) -> Activation:
-    """Nearest-integer counts of an LP point; ``columns`` lists each arc's column."""
-    return Activation(tuple(int(round(float(primal.get(j, 0)))) for j in columns))
+def decode_activation(net: Network, primal: Mapping, columns: Iterable[int]) -> Activation:
+    """Nearest-integer counts of an LP point, validated on ``net``; ``columns``
+    lists each arc's column."""
+    activation = Activation(tuple(int(round(float(primal.get(j, 0)))) for j in columns))
+    activation.validate(net)
+    return activation
 
 
 @dataclass(frozen=True)

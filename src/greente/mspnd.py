@@ -36,7 +36,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bnb import BnbConfig, branch_and_bound, time_left
+from .bnb import branch_and_bound
 from .lp import EQ, GE, INT_TOL, LpModel, LpSolution, frac_dist
 from .lp import solve_lp  # noqa: F401 -- unused here; perfbench/layers.py wraps mspnd.solve_lp
 from .model import (
@@ -327,7 +327,7 @@ def _complete_spr_paths(model: MspndModel, sol: LpSolution) -> list[int]:
     shortest active path of some pair is missing, its ordering row is what
     cuts the bogus point off, so adding the column restores correctness.
     """
-    activation = decode_activation(sol.primal, model.x_col)
+    activation = decode_activation(model.net, sol.primal, model.x_col)
     added = []
     for pair in model.terminal_pairs:
         path = shortest_path_unique(model.net, activation, pair[0], pair[1])
@@ -403,8 +403,7 @@ def root_lp_value(net: Network, traffic: TrafficMatrix, strengthening: bool, mod
     """Root relaxation value once pricing is exhausted (no branching); an
     infeasible restricted master is priced against its Farkas ray."""
     model = build_root_model(net, traffic, strengthening)
-    config = BnbConfig(mode=mode, refine=lambda _, sol: _refine_round(model, sol))
-    result = branch_and_bound(model.lp, [], config)
+    result = branch_and_bound(model.lp, [], mode=mode, refine=lambda _, s: _refine_round(model, s))
     if result.incumbent is None:
         raise NotRoutableInFull("relaxation infeasible: no activation can route the demands")
     return result.incumbent.objective
@@ -494,7 +493,7 @@ def solve_mspnd(
     columns, so branching ignores them.  The heuristics and ``root_lp_value``
     (the paper's relaxation) never see them.
     """
-    start = time.perf_counter()
+    deadline = None if time_limit is None else time.perf_counter() + time_limit
     if not traffic.demands:
         act = Activation((0,) * net.n_arcs)
         return Result(act, "optimal", 0.0)
@@ -511,25 +510,26 @@ def solve_mspnd(
         return added
 
     def accept(sol):
-        return is_spr_routable(net, decode_activation(sol.primal, model.x_col), traffic)
+        return is_spr_routable(net, decode_activation(net, sol.primal, model.x_col), traffic)
 
-    config = BnbConfig(refine=refine, accept_incumbent=accept)
+    initial, drop = None, None
     try:
         warm = solve_f_mspnd(net, traffic)
     except NotRoutableInFull:
         pass  # the fixed-routing bound and the drop start need full-network routing
     else:
         routed = spr_route(net, warm, traffic)  # F-MSPND keeps every full-network path
-        config.initial_incumbent = (warm.value, _activation_primal(model, warm.counts))
-        config.heuristic = lambda sol: _lp_drop(model, routed, sol)
-    config.time_limit = time_left(time_limit, start)
-    result = branch_and_bound(model.lp, int_cols, config)
+        initial = (warm.value, _activation_primal(model, warm.counts))
+        drop = lambda sol: _lp_drop(model, routed, sol)
+    result = branch_and_bound(
+        model.lp, int_cols, deadline=deadline, refine=refine, heuristic=drop,
+        accept_incumbent=accept, initial_incumbent=initial,
+    )
     if result.incumbent is None:
         if result.status == "infeasible":
             raise NotRoutableInFull("no activation can route the demands")
         raise RuntimeError("time limit reached before any feasible activation was found")
-    activation = decode_activation(result.incumbent.primal, model.x_col)
-    activation.validate(net)
+    activation = decode_activation(net, result.incumbent.primal, model.x_col)
     if not is_spr_routable(net, activation, traffic):
         raise RuntimeError("the final activation does not route its traffic")
     return Result(activation, result.status, float(result.bound))

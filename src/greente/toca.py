@@ -75,9 +75,7 @@ def alg_mcf(net: Network, rho) -> Activation:
     if sol.status != "optimal":
         raise RuntimeError(f"activation LP is {sol.status}")
     up = {t.x_col[a]: _ceil_tol(sol.primal[t.x_col[a]], net.arcs[a].mu) for a, *_ in net.links}
-    activation = decode_activation(up, t.x_col)
-    activation.validate(net)
-    return activation
+    return decode_activation(net, up, t.x_col)
 
 
 def alg_mcf_pp(net: Network, rho) -> Activation:
@@ -110,9 +108,7 @@ def alg_mcf_pp(net: Network, rho) -> Activation:
         sol = solve_lp(t.model, warm=True)
         if sol.status != "optimal":
             raise InfeasibleAfterFix(f"LP {sol.status} after fixing arc {arc_id}")
-    activation = decode_activation(sol.primal, t.x_col)
-    activation.validate(net)
-    return activation
+    return decode_activation(net, sol.primal, t.x_col)
 
 
 def supports_scaled_traffic(net: Network, rho, activation: Activation) -> bool:

@@ -121,6 +121,30 @@ def test_error_rows_do_not_abort_the_batch():
     assert good_rows and all(not r.status.startswith("error:") for r in good_rows)
 
 
+def test_a_solver_that_raises_gives_one_timed_error_row(monkeypatch):
+    config = ExperimentConfig(
+        algorithms=("f-mspnd", "mcps", "mcf"), rhos=(0.5,), mus=(1,), modes=(SIMPLEX,),
+        time_limit=60,
+    )
+
+    def untimed(rows):
+        return [dataclasses.replace(r, runtime_seconds=0.0) for r in rows]
+
+    before = run_experiment(config, [ring_instance(2)])
+
+    def broken(*args, **kwargs):
+        raise ArithmeticError("solver failed")
+
+    monkeypatch.setattr(bench, "solve_mcps", broken)
+    after = run_experiment(config, [ring_instance(2)])
+    [failed] = [r for r in after if r.algorithm == "mcps"]
+    assert failed.status == "error:ArithmeticError" and failed.runtime_seconds >= 0
+    assert failed.active_connections is None and failed.mlu == () and failed.bound is None
+    assert untimed(r for r in after if r.algorithm != "mcps") == untimed(
+        r for r in before if r.algorithm != "mcps"
+    )
+
+
 def test_one_network_per_mode_and_mu_serves_every_matrix_and_rho(monkeypatch):
     built, build = [], repetita.build_network
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from greente.bnb import BnbConfig, branch_and_bound
+from greente.bnb import branch_and_bound
 from greente.lp import GE, LE, LpModel
 
 
@@ -14,7 +14,7 @@ def test_fractional_bound_rounds_up():
     m = LpModel()
     x = m.add_column(obj=1, lb=0, ub=5)
     m.add_row({x: 1}, GE, 2.5)
-    res = branch_and_bound(m, [x], BnbConfig())
+    res = branch_and_bound(m, [x])
     assert res.status == "optimal"
     assert round(res.incumbent.primal[x]) == 3
 
@@ -41,7 +41,7 @@ def test_branches_on_the_most_fractional_column(monkeypatch, mode, x_min, y_min,
         real(self, col, lb, ub)
 
     monkeypatch.setattr(LpModel, "set_bounds", spy)
-    res = branch_and_bound(m, [y, x], BnbConfig(mode=mode))
+    res = branch_and_bound(m, [y, x], mode=mode)
     assert res.status == "optimal" and float(res.incumbent.objective) == 2
     assert calls[0] == ({"x": x, "y": y}[branched], 0, 0)
 
@@ -50,7 +50,7 @@ def test_integral_relaxation_solves_at_root():
     m = LpModel()
     x = m.add_column(obj=1, lb=0, ub=5)
     m.add_row({x: 1}, GE, 2)
-    res = branch_and_bound(m, [x], BnbConfig())
+    res = branch_and_bound(m, [x])
     assert res.status == "optimal" and res.nodes == 1
     assert round(res.incumbent.primal[x]) == 2
 
@@ -65,7 +65,7 @@ def knapsack_model(values, weights, budget):
 def test_knapsack_matches_enumeration():
     values, weights, budget = (6, 5, 4), (5, 4, 3), 7
     m, cols = knapsack_model(values, weights, budget)
-    res = branch_and_bound(m, cols, BnbConfig())
+    res = branch_and_bound(m, cols)
     best = min(
         -sum(v for v, take in zip(values, combo) if take)
         for combo in itertools.product((0, 1), repeat=3)
@@ -108,7 +108,7 @@ def test_random_integer_models_match_enumeration():
             if coefs:
                 m.add_row(coefs, rng.choice([GE, LE]), rng.randint(-4, 6))
         expected = _enumeration_optimum(m, cols)
-        res = branch_and_bound(m, cols, BnbConfig())
+        res = branch_and_bound(m, cols)
         if expected is None:
             assert res.status == "infeasible"
         else:
@@ -125,7 +125,7 @@ def test_bound_history_is_monotone():
         m = LpModel()
         cols = [m.add_column(obj=rng.randint(1, 5), lb=0, ub=2) for _ in range(n)]
         m.add_row({c: rng.randint(1, 3) for c in cols}, GE, rng.randint(4, 9))
-        res = branch_and_bound(m, cols, BnbConfig())
+        res = branch_and_bound(m, cols)
         hist = res.bound_history
         assert all(a <= b + 1e-12 for a, b in zip(hist, hist[1:]))
         if res.status == "optimal":
@@ -139,11 +139,9 @@ def test_time_limit_statuses():
     m = LpModel()
     x = m.add_column(obj=1, lb=0, ub=5)
     m.add_row({x: 1}, GE, 2.5)
-    res = branch_and_bound(m, [x], BnbConfig(time_limit=0))
+    res = branch_and_bound(m, [x], deadline=time.perf_counter())
     assert res.status == "timeout" and res.incumbent is None
-    res = branch_and_bound(
-        m, [x], BnbConfig(time_limit=0, initial_incumbent=(4, {x: 4}))
-    )
+    res = branch_and_bound(m, [x], deadline=time.perf_counter(), initial_incumbent=(4, {x: 4}))
     assert res.status == "timeout"
     assert res.incumbent.objective == 4
 
@@ -166,7 +164,7 @@ def test_timeout_inside_a_node_keeps_the_node_open_and_restores_its_bounds():
         stalled.append(model.add_row({x: 1}, GE, 0))  # redundant
         return stalled
 
-    res = branch_and_bound(m, [x, y], BnbConfig(time_limit=0.2, refine=refine))
+    res = branch_and_bound(m, [x, y], deadline=time.perf_counter() + 0.2, refine=refine)
     assert stalled and res.status == "timeout" and res.incumbent is None
     assert math.isfinite(res.bound) and res.bound <= 3
     assert [m.bounds(x), m.bounds(y)] == original
@@ -180,14 +178,14 @@ def test_unbounded_relaxation_raises(mode):
     m.add_column(obj=-1, lb=0, ub=None)
     m.add_row({x: 1}, GE, 0.5)
     with pytest.raises(RuntimeError, match="unbounded"):
-        branch_and_bound(m, [x], BnbConfig(mode=mode))
+        branch_and_bound(m, [x], mode=mode)
 
 
 def test_initial_incumbent_prunes_to_optimality():
     m = LpModel()
     x = m.add_column(obj=1, lb=0, ub=5)
     m.add_row({x: 1}, GE, 3)
-    res = branch_and_bound(m, [x], BnbConfig(initial_incumbent=(3, {x: 3})))
+    res = branch_and_bound(m, [x], initial_incumbent=(3, {x: 3}))
     assert res.status == "optimal"
     assert float(res.bound) == pytest.approx(3)
 
@@ -200,7 +198,7 @@ def test_bound_rounds_up_to_a_multiple_of_the_cost_step():
     x = m.add_column(obj=2, lb=0, ub=10)
     y = m.add_column(obj=2, lb=0, ub=10)
     m.add_row({x: 1, y: 1}, GE, 5.37)
-    res = branch_and_bound(m, [x, y], BnbConfig(initial_incumbent=(12, {x: 6, y: 0})))
+    res = branch_and_bound(m, [x, y], initial_incumbent=(12, {x: 6, y: 0}))
     assert res.status == "optimal" and res.nodes == 1
     assert float(res.bound) == 12
 
@@ -220,7 +218,7 @@ def test_separation_callback_refines_to_exactness():
             return [added[-1]]
         return []
 
-    res = branch_and_bound(m, [x, y], BnbConfig(refine=separate))
+    res = branch_and_bound(m, [x, y], refine=separate)
     assert res.status == "optimal"
     assert float(res.incumbent.objective) == pytest.approx(3)
 
@@ -239,7 +237,7 @@ def _infeasible_until_priced(offer, heuristic=None):
             return [model.add_column(obj=3, lb=0, ub=5, coefs={r: 1})]
         return []
 
-    return branch_and_bound(m, [x], BnbConfig(refine=price, heuristic=heuristic)), seen
+    return branch_and_bound(m, [x], refine=price, heuristic=heuristic), seen
 
 
 def test_price_runs_on_an_infeasible_relaxation_and_restores_it():
@@ -269,7 +267,7 @@ def test_priced_continuous_cost_stops_integral_rounding():
             return [model.add_column(obj=Fraction(1, 2), lb=0, ub=1, coefs={r: 1})]
         return []
 
-    res = branch_and_bound(m, [x], BnbConfig(refine=price, initial_incumbent=(2, {x: 2})))
+    res = branch_and_bound(m, [x], refine=price, initial_incumbent=(2, {x: 2}))
     assert res.status == "optimal"
     assert float(res.incumbent.objective) == pytest.approx(1.35)
 
@@ -286,8 +284,8 @@ def _half_model():
 
 def test_heuristic_at_the_root_closes_the_search_in_one_node():
     m, x, y = _half_model()
-    assert branch_and_bound(m, [x, y], BnbConfig()).nodes > 1
-    res = branch_and_bound(m, [x, y], BnbConfig(heuristic=lambda sol: (2, {x: 1, y: 1})))
+    assert branch_and_bound(m, [x, y]).nodes > 1
+    res = branch_and_bound(m, [x, y], heuristic=lambda sol: (2, {x: 1, y: 1}))
     assert res.status == "optimal" and res.nodes == 1
     assert res.incumbent.primal == {x: 1, y: 1}
 
@@ -301,9 +299,7 @@ def test_heuristic_value_no_better_than_the_incumbent_is_ignored(offered):
         calls.append(sol.status)
         return offered, {x: 1, y: 1}
 
-    res = branch_and_bound(
-        m, [x, y], BnbConfig(heuristic=heuristic, initial_incumbent=(2, {x: 2, y: 0}))
-    )
+    res = branch_and_bound(m, [x, y], heuristic=heuristic, initial_incumbent=(2, {x: 2, y: 0}))
     assert calls and res.status == "optimal"
     assert res.incumbent.primal == {x: 2, y: 0}
 

@@ -218,6 +218,15 @@ def test_bench_bad_config_exits_2(tmp_path):
     assert main(["bench", "--config", str(cfg)]) == 2
 
 
+def test_bench_unknown_algorithm_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"instances": [], "algorithms": ["bogus"]}))
+    assert main(["bench", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: bad bench config: unknown algorithm 'bogus'\n"
+    )
+
+
 @pytest.mark.parametrize("mu", [1.5, True, "2"])
 def test_bench_mu_must_be_a_json_integer(tmp_path, instance_files, capsys, mu):
     graph, demands = instance_files
@@ -274,6 +283,22 @@ def test_malformed_graph_exits_2(instance_files, capsys):
     assert main(["solve", "--algorithm", "mcf", "--graph", str(graph),
                  "--demands", str(demands)]) == 2
     assert "input error" in capsys.readouterr().err
+
+
+def test_non_integer_edge_weight_exits_2(instance_files, capsys):
+    graph, demands = instance_files
+    graph.write_text(GRAPH.replace("e1 0 1 1 6 0", "e1 0 1 1.5 6 0"))
+    assert main(["solve", "--algorithm", "mcf", "--graph", str(graph),
+                 "--demands", str(demands)]) == 2
+    assert capsys.readouterr().err == "input error: line 10: malformed edge fields\n"
+
+
+def test_repeated_node_label_exits_2(instance_files, capsys):
+    graph, demands = instance_files
+    graph.write_text(GRAPH.replace("n0 0 0", "a 0 0").replace("n1 1 0", "a 1 0"))
+    assert main(["solve", "--algorithm", "mcf", "--graph", str(graph),
+                 "--demands", str(demands)]) == 2
+    assert capsys.readouterr().err == "input error: duplicate vertex 'a'\n"
 
 
 @pytest.mark.parametrize("lengths", ["given", "unit", "invcap"])
@@ -357,20 +382,24 @@ def test_oracle_rejects_rho_outside_unit_interval(instance_files, capsys):
     assert "--rho" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("chi_text", [
-    "arc_id,chi\n0,1\n1,1\n9,1\n",
-    "arc_id,chi\n0,5\n1,1\n2,1\n",
-    "arc_id,chi\n",
-    "arc_id,chi\n0,1\n0,1\n1,1\n2,1\n",
-    "arc_id,chi\n0,1\n1,0.5\n2,1\n",
-], ids=["arc-out-of-range", "chi-above-mu", "header-only", "repeated-arc", "fractional-chi"])
-def test_evaluate_rejects_bad_activation_csv(tmp_path, instance_files, capsys, chi_text):
+@pytest.mark.parametrize("chi_text, error", [
+    ("arc_id,chi\n0,1\n1,1\n9,1\n", "activation csv: arc id 9"),
+    ("arc_id,chi\n0,5\n1,1\n2,1\n", "activation csv: chi(0)=5"),
+    ("arc_id,chi\n", "activation csv: no count"),
+    ("arc_id,chi\n0,1\n0,1\n1,1\n2,1\n", "activation csv: arc id 0"),
+    ("arc_id,chi\n0,1\n1,0.5\n2,1\n", "activation csv: expected 'arc_id,chi'"),
+    # the header is checked, not skipped: without one, arc 0's count is not lost
+    ("0,0\n1,1\n2,0\n", "activation csv: expected the header 'arc_id,chi', got '0,0'"),
+    ("arc,count\n0,1\n1,1\n2,1\n", "activation csv: expected the header 'arc_id,chi'"),
+], ids=["arc-out-of-range", "chi-above-mu", "header-only", "repeated-arc", "fractional-chi",
+        "no-header", "wrong-header"])
+def test_evaluate_rejects_bad_activation_csv(tmp_path, instance_files, capsys, chi_text, error):
     graph, demands = instance_files
     chi = tmp_path / "chi.csv"
     chi.write_text(chi_text)
     assert main(["evaluate", "--graph", str(graph), "--demands", str(demands),
                  "--chi", str(chi)]) == 2
-    assert "activation csv" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(f"config error: {error}")
 
 
 def test_oracle_on_too_large_instance_exits_2(instance_files, capsys):
@@ -419,6 +448,21 @@ def test_non_finite_rho_exits_2(tmp_path, instance_files, capsys, command, rho):
         args += ["--chi", str(chi)]
     assert main(args) == 2
     assert capsys.readouterr().err.startswith("config error: --rho")
+
+
+def test_solve_takes_a_time_limit(instance_files, capsys, monkeypatch):
+    graph, demands = instance_files
+    limits, solve = [], greente.bench.solve_mspnd
+
+    def spy(*args, time_limit, **kwargs):
+        limits.append(time_limit)
+        return solve(*args, time_limit=time_limit, **kwargs)
+
+    monkeypatch.setattr(greente.bench, "solve_mspnd", spy)
+    assert main(["solve", "--algorithm", "mspnd", "--graph", str(graph),
+                 "--demands", str(demands), "--time-limit", "5"]) == 0
+    assert limits == [5.0]
+    assert capsys.readouterr().out.startswith("arc_id,chi\n")
 
 
 @pytest.mark.parametrize("limit", ["nan", "-5", "0", "inf"])

@@ -415,9 +415,9 @@ def test_preprocessing_bounds_are_column_lower_bounds(monkeypatch, mode):
     lb, _ = precompute_lower_bounds(make_instance(net, rho))
     seen = []
 
-    def spy(model, integer_columns, config):
+    def spy(model, integer_columns, **hooks):
         seen.append((model.n_rows, [model.bounds(j)[0] for j in integer_columns]))
-        return branch_and_bound(model, integer_columns, config)
+        return branch_and_bound(model, integer_columns, **hooks)
 
     monkeypatch.setattr(mcps, "branch_and_bound", spy)
     solve_mcps(net, rho)

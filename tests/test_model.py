@@ -63,9 +63,9 @@ def test_solver_models_have_one_activation_column_per_link(monkeypatch, mode):
     )
     seen = []
 
-    def spy(model, integer_columns, config):
+    def spy(model, integer_columns, **hooks):
         seen.append((model, list(integer_columns)))
-        return branch_and_bound(model, integer_columns, config)
+        return branch_and_bound(model, integer_columns, **hooks)
 
     monkeypatch.setattr(mcps, "branch_and_bound", spy)
     mcps.solve_mcps(net, Fraction(1, 2))

@@ -14,7 +14,6 @@ from greente import (
     is_spr_routable,
 )
 from greente import mspnd
-from greente.bnb import BnbConfig
 from greente.lp import GE, INT_TOL, LpModel, LpSolution, solve_lp
 from greente.mspnd import (
     DisconnectedPair,
@@ -926,10 +925,10 @@ def test_steiner_rows_lift_the_first_node_bound_to_the_optimum(monkeypatch):
     assert root_lp_value(net, traffic, strengthening=True, mode="exact") == 4
     real, roots = mspnd.branch_and_bound, []
 
-    def spy(lp_model, int_cols, config):
+    def spy(lp_model, int_cols, **hooks):
         # the first node's relaxation, priced out, on the model the search gets
-        roots.append(real(lp_model, [], BnbConfig(refine=config.refine)).incumbent.objective)
-        return real(lp_model, int_cols, config)
+        roots.append(real(lp_model, [], refine=hooks["refine"]).incumbent.objective)
+        return real(lp_model, int_cols, **hooks)
 
     monkeypatch.setattr(mspnd, "branch_and_bound", spy)
     res = solve_mspnd(net, traffic)
@@ -946,9 +945,9 @@ def test_simplex_models_get_no_steiner_rows(monkeypatch, instance, overlap_gadge
     }[instance]
     real, sizes = mspnd.branch_and_bound, []
 
-    def spy(lp_model, int_cols, config):
+    def spy(lp_model, int_cols, **hooks):
         sizes.append((lp_model.n_rows, lp_model.n_cols))
-        return real(lp_model, int_cols, config)
+        return real(lp_model, int_cols, **hooks)
 
     monkeypatch.setattr(mspnd, "branch_and_bound", spy)
     solve_mspnd(net, traffic)
