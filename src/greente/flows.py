@@ -5,15 +5,17 @@ Flows are exact: capacities and targets run as given, ``int`` or
 exact, and callers that scale capacities to integers get plain integer
 arithmetic.  ``max_flow`` augments along shortest paths (Edmonds-Karp), at
 most |V|.|E|/2 times whatever the capacities, and returns its residual
-graph.  Cut extraction reads that residual graph (Picard & Queyranne 1980):
-the front cut is the arcs that leave the vertices residual-reachable from
-the source, the back cut the arcs that enter the vertices that residually
-reach the sink.  These are the two extreme minimum cuts, so they do not
-depend on which maximum flow was found.  Both are full delta-out sets of a
-vertex bipartition, so the emitted constraints are valid for the cut family.
-Under capacities that are symmetric per full-duplex link, ``cut_tree`` gives
-every pair's min-cut value from n - 1 max-flows (Gusfield's flow-equivalent
-tree), and ``all_pairs_maxflow`` uses it on full-duplex networks.
+graph.  Each breadth-first search stops as soon as it labels the sink, and
+the walk back from the sink takes the path's bottleneck.  Cut extraction
+reads that residual graph (Picard & Queyranne 1980): the front cut is the
+arcs that leave the vertices residual-reachable from the source, the back
+cut the arcs that enter the vertices that residually reach the sink.  These
+are the two extreme minimum cuts, so they do not depend on which maximum
+flow was found.  Both are full delta-out sets of a vertex bipartition, so
+the emitted constraints are valid for the cut family.  Under capacities
+that are symmetric per full-duplex link, ``cut_tree`` gives every pair's
+min-cut value from n - 1 max-flows (Gusfield's flow-equivalent tree), and
+``all_pairs_maxflow`` uses it on full-duplex networks.
 """
 from __future__ import annotations
 
@@ -38,11 +40,6 @@ class FlowResult:
     value: Rational
     terminated_early: bool
 
-    @property
-    def flow(self) -> dict[int, Rational]:
-        """The flow on each arc that carries any."""
-        return {a: f for a, f in enumerate(self.residual[1::2]) if f > 0}
-
 
 @dataclass(frozen=True)
 class Cut:
@@ -55,7 +52,7 @@ def max_flow(net: Network, ecap, s: int, t: int, target=None) -> FlowResult:
 
     Shortest augmenting paths (Edmonds-Karp): each augmentation is one
     breadth-first search from s over the network's cached residual edges,
-    cut short once t is reached, and at most |V|.|E|/2 augmentations run
+    cut short once t is labelled, and at most |V|.|E|/2 augmentations run
     whatever the capacities.  Only the capacities are per flow, and they are
     returned as the result's ``residual``.
 
@@ -64,30 +61,33 @@ def max_flow(net: Network, ecap, s: int, t: int, target=None) -> FlowResult:
     """
     if s == t:
         raise ValueError("source equals sink")
-    heads, adj = net.residual_edges
+    adj, n = net.residual_edges, net.n_vertices
     cap: list[Rational] = [0] * (2 * net.n_arcs)
     cap[::2] = [ecap.get(a, 0) for a in range(net.n_arcs)]
     total = 0
     while target is None or total < target:
-        into = [-1] * net.n_vertices  # the residual edge a BFS reached each vertex by
-        into[s] = 0  # reached; the walk back from t stops before reading it
+        into = [None] * n  # (residual edge, its tail) a BFS reached each vertex by
+        into[s] = ()  # reached; the walk back from t stops before reading it
         frontier = [s]
         for v in frontier:
-            for eid in adj[v]:
-                w = heads[eid]
-                if into[w] < 0 and cap[eid] > 0:
-                    into[w] = eid
+            for eid, w in adj[v]:
+                if into[w] is None and cap[eid] > 0:
+                    into[w] = (eid, v)
+                    if w == t:
+                        break
                     frontier.append(w)
-            if into[t] >= 0:
+            if into[t] is not None:
                 break
-        if into[t] < 0:
+        if into[t] is None:
             break  # no augmenting path: the flow is maximum
         path = []
+        got = cap[into[t][0]]
         v = t
         while v != s:
-            path.append(into[v])
-            v = heads[into[v] ^ 1]
-        got = min(cap[eid] for eid in path)
+            eid, v = into[v]
+            path.append(eid)
+            if cap[eid] < got:
+                got = cap[eid]
         for eid in path:
             cap[eid] -= got
             cap[eid ^ 1] += got
@@ -99,13 +99,12 @@ def _reach(net: Network, start: int, flow_result: FlowResult, back: int) -> set[
     """The vertices ``start`` reaches in a flow's residual graph (``back``
     0), or those that reach ``start`` (``back`` 1): edge ``e`` is walked
     when ``residual[e ^ back]`` is positive, the edge itself or its reverse."""
-    heads, adj = net.residual_edges
+    adj = net.residual_edges
     residual = flow_result.residual
     seen = {start}
     stack = [start]
     while stack:
-        for eid in adj[stack.pop()]:
-            w = heads[eid]
+        for eid, w in adj[stack.pop()]:
             if residual[eid ^ back] > 0 and w not in seen:
                 seen.add(w)
                 stack.append(w)
@@ -130,11 +129,10 @@ def extract_cut(
         raise ValueError("side must be 'front' or 'back'")
     back = int(side == "back")
     inside = _reach(net, t if back else s, flow_result, back)
-    heads, adj = net.residual_edges
+    adj = net.residual_edges
     # edge 2a leaves arc a's tail along it, edge 2a + 1 leaves its head against it
     cut = frozenset(
-        eid >> 1 for v in inside for eid in adj[v]
-        if eid & 1 == back and heads[eid] not in inside
+        eid >> 1 for v in inside for eid, w in adj[v] if eid & 1 == back and w not in inside
     )
     return Cut(cut, sum(ecap.get(a, 0) for a in cut))
 

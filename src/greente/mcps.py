@@ -15,7 +15,9 @@ integer-arithmetic capacity perturbation that never reorders cuts of
 different unperturbed capacity.  Each pair's integer target lives on the
 instance, in units of ``1 / net.ccap_scale``; preprocessing and the retention
 audit run their max-flows on integers against it, and the preprocessing
-bounds are lower bounds on the activation columns.
+bounds are lower bounds on the activation columns.  The instance also keeps
+every pair's exact goal rho * lambda, which separation scales to integers
+together with the point's capacities, built from integer ratios.
 """
 from __future__ import annotations
 
@@ -35,6 +37,7 @@ class McpsInstance:
     net: Network
     rho: Fraction
     lam: dict[tuple[int, int], Fraction]  # all-pairs max-flow at full activation
+    goals: dict[tuple[int, int], Fraction]  # rho * lam, for every pair of lam
     # rho * lam in units of 1 / net.ccap_scale, rounded up, for each checked
     # pair (lam > 0, and s < t on full-duplex nets) in pair order: an integer
     # flow meets it iff the unscaled flow meets rho * lam
@@ -53,12 +56,13 @@ def make_instance(net: Network, rho) -> McpsInstance:
     if not 0 < rho < 1:
         raise ValueError("rho must lie strictly between 0 and 1")
     lam = all_pairs_maxflow(net)
+    goals = {pair: rho * value for pair, value in lam.items()}
     duplex = net.link_pair is not None  # (t,s) is checked by (s,t)
     targets = {
-        (s, t): math.ceil(rho * lam[s, t] * net.ccap_scale)
+        (s, t): math.ceil(goals[s, t] * net.ccap_scale)
         for s, t in sorted(lam) if lam[s, t] > 0 and (s < t or not duplex)
     }
-    return McpsInstance(net, rho, lam, targets)
+    return McpsInstance(net, rho, lam, goals, targets)
 
 
 def _unmet(instance: McpsInstance, counts):
@@ -111,18 +115,19 @@ def separate_cuts(
     instance checks (s,t) for (t,s); ``solve_mcps``'s shared link columns
     make every point so.
 
-    The flows run on integer capacities: the point's capacities and every
-    pending pair's target are scaled by ``(n_arcs + 1)`` times the lcm of all
-    their denominators, and every arc gains 1 so that min cuts break ties by
-    cardinality.  The test is exact for any common multiple of the
-    denominators: the perturbed flow meets the scaled target iff the
-    unperturbed flow meets ``target``.  The front and back cuts are the
-    unique extreme ones among the fewest-arc minimum cuts, so the scale does
-    not change them either.  The +1 also keeps every capacity positive,
-    and the cuts rely on it: then every arc of a front or back cut lies on
-    some s-t route, whereas ``flows.extract_cut`` would let an arc at
-    capacity 0 off every route join a cut, at no capacity, and weaken its
-    row.
+    The flows run on integer capacities: the point's capacities, ccap * x
+    reduced from the integer ratios of ccap and of x (a float x is the binary
+    fraction it holds), and every pending pair's goal rho * lambda are scaled
+    by ``(n_arcs + 1)`` times the lcm of all their denominators, and every
+    arc gains 1 so that min cuts break ties by cardinality.  The test is
+    exact for any common multiple of the denominators: the perturbed flow
+    meets the scaled target iff the unperturbed flow meets ``target``.  The
+    front and back cuts are the unique extreme ones among the fewest-arc
+    minimum cuts, so the scale does not change them either.  The +1 also
+    keeps every capacity positive, and the cuts rely on it: then every arc of
+    a front or back cut lies on some s-t route, whereas ``flows.extract_cut``
+    would let an arc at capacity 0 off every route join a cut, at no
+    capacity, and weaken its row.
 
     On a full-duplex network one cut tree (``flows.cut_tree``, n - 1 flows)
     screens the pairs first.  It is built with both arcs of a link at the
@@ -132,12 +137,20 @@ def separate_cuts(
     value is the max-flow itself: the screen passes exactly the pairs the
     directed flow would, and the cuts do not change.
     """
-    net, rho = instance.net, instance.rho
+    net = instance.net
     pairs = sorted(pending_pairs)
-    targets = [rho * instance.lam[pair] for pair in pairs]
-    ecap = [a.ccap * Fraction(xhat.get(a.id, 0)) for a in net.arcs]
-    scale = (net.n_arcs + 1) * math.lcm(*(c.denominator for c in ecap + targets))
-    pcap = {a: c.numerator * (scale // c.denominator) + 1 for a, c in enumerate(ecap)}
+    targets = [instance.goals[pair] for pair in pairs]
+    ecap = []  # ccap * x per arc, as (numerator, denominator) in lowest terms
+    for a in net.arcs:
+        num, den = xhat.get(a.id, 0).as_integer_ratio()
+        num *= a.ccap.numerator
+        den *= a.ccap.denominator
+        g = math.gcd(num, den)
+        ecap.append((num // g, den // g))
+    scale = (net.n_arcs + 1) * math.lcm(
+        *(den for _, den in ecap), *(target.denominator for target in targets)
+    )
+    pcap = {a: num * (scale // den) + 1 for a, (num, den) in enumerate(ecap)}
     screen = {}
     if net.link_pair is not None and pairs:
         screen = cut_tree(net, {a: min(c, pcap[net.link_pair[a]]) for a, c in pcap.items()})

@@ -88,18 +88,15 @@ class Network:
         return tuple(tuple(b) for b in buckets)
 
     @cached_property
-    def residual_edges(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-        """Static residual graph for max-flow: the head of each residual edge
-        (edge ``2a`` runs along arc ``a``, edge ``2a + 1`` against it) and
-        each vertex's residual edge ids, in arc order."""
-        heads: list[int] = []
-        adj: list[list[int]] = [[] for _ in range(self.n_vertices)]
-        for arc in self.arcs:
-            adj[arc.tail].append(len(heads))
-            heads.append(arc.head)
-            adj[arc.head].append(len(heads))
-            heads.append(arc.tail)
-        return tuple(heads), tuple(tuple(edges) for edges in adj)
+    def residual_edges(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Static residual graph for max-flow: each vertex's residual edges,
+        in arc order, as (edge id, head) pairs; edge ``2a`` runs along arc
+        ``a``, edge ``2a + 1`` against it."""
+        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n_vertices)]
+        for a, arc in enumerate(self.arcs):
+            adj[arc.tail].append((2 * a, arc.head))
+            adj[arc.head].append((2 * a + 1, arc.tail))
+        return tuple(tuple(edges) for edges in adj)
 
     @cached_property
     def ccap_scale(self) -> int:

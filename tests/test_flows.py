@@ -7,12 +7,58 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from greente import SIMPLEX, all_pairs_maxflow, build_network, extract_cut, max_flow
-from greente.flows import Cut, NotMaximum, cut_tree
+from greente.flows import Cut, FlowResult, NotMaximum, cut_tree
 from conftest import digraphs, duplex_digraphs, random_net
 
 
 def unit_caps(net):
     return {a.id: Fraction(1) for a in net.arcs}
+
+
+def flow_of(result):
+    """The flow on each arc that carries any: ``residual[2a + 1]``, the
+    residual against arc ``a``."""
+    return {a: f for a, f in enumerate(result.residual[1::2]) if f > 0}
+
+
+def reference_max_flow(net, ecap, s, t, target=None):
+    """Reference: the Edmonds-Karp loop that labels whole vertices, scanning
+    each one's residual edges to the end, and takes the bottleneck in a
+    second pass over the path."""
+    heads, adj = [], [[] for _ in range(net.n_vertices)]
+    for arc in net.arcs:
+        adj[arc.tail].append(len(heads))
+        heads.append(arc.head)
+        adj[arc.head].append(len(heads))
+        heads.append(arc.tail)
+    cap = [0] * (2 * net.n_arcs)
+    cap[::2] = [ecap.get(a, 0) for a in range(net.n_arcs)]
+    total = 0
+    while target is None or total < target:
+        into = [-1] * net.n_vertices
+        into[s] = 0
+        frontier = [s]
+        for v in frontier:
+            for eid in adj[v]:
+                w = heads[eid]
+                if into[w] < 0 and cap[eid] > 0:
+                    into[w] = eid
+                    frontier.append(w)
+            if into[t] >= 0:
+                break
+        if into[t] < 0:
+            break
+        path = []
+        v = t
+        while v != s:
+            path.append(into[v])
+            v = heads[into[v] ^ 1]
+        got = min(cap[eid] for eid in path)
+        for eid in path:
+            cap[eid] -= got
+            cap[eid ^ 1] += got
+        total += got
+    return FlowResult(cap, total, target is not None and total >= target)
 
 
 def brute_force_min_cut(net, ecap, s, t):
@@ -125,8 +171,9 @@ def assert_feasible(net, caps, s, t, result):
     """The flow keeps within capacities and is conserved outside s and t,
     where it leaves and enters ``result.value``."""
     net_out = {v: 0 for v in range(net.n_vertices)}
+    flow = flow_of(result)
     for a in net.arcs:
-        f = result.flow.get(a.id, 0)
+        f = flow.get(a.id, 0)
         assert 0 <= f <= caps.get(a.id, 0)
         net_out[a.tail] += f
         net_out[a.head] -= f
@@ -145,13 +192,12 @@ def test_flow_respects_capacities_and_conservation():
 
 def test_residual_edges_follow_the_arcs(diamond, triangle):
     for net in (diamond, triangle, build_network([(0, 1, 1, 1, 1), (1, 0, 2, 1, 1)])):
-        heads, adj = net.residual_edges
-        assert len(heads) == 2 * net.n_arcs
-        for arc in net.arcs:
-            assert (heads[2 * arc.id], heads[2 * arc.id + 1]) == (arc.head, arc.tail)
+        adj = net.residual_edges
+        assert sorted(eid for edges in adj for eid, _ in edges) == list(range(2 * net.n_arcs))
         for v in range(net.n_vertices):
             assert adj[v] == tuple(sorted(
-                [2 * a.id for a in net.out_arcs[v]] + [2 * a.id + 1 for a in net.in_arcs[v]]
+                [(2 * a.id, a.head) for a in net.out_arcs[v]]
+                + [(2 * a.id + 1, a.tail) for a in net.in_arcs[v]]
             ))
 
 
@@ -174,17 +220,46 @@ def test_int_and_fraction_capacities_flow_alike(problem):
     for goal in (None, target):
         whole = max_flow(net, caps, s, t, target=goal)
         frac = max_flow(net, fcaps, s, t, target=None if goal is None else Fraction(goal))
-        assert (whole.value, whole.flow, whole.terminated_early) == (
-            frac.value, frac.flow, frac.terminated_early
+        assert (whole.value, flow_of(whole), whole.terminated_early) == (
+            frac.value, flow_of(frac), frac.terminated_early
         )
         assert type(whole.value) is int
-        assert all(type(f) is int for f in whole.flow.values())
+        assert all(type(f) is int for f in flow_of(whole).values())
     full = max_flow(net, caps, s, t)
     full_frac = max_flow(net, fcaps, s, t)
     for side in ("front", "back"):
         cut = extract_cut(net, caps, full, s, t, side)
         assert cut == extract_cut(net, fcaps, full_frac, s, t, side)
         assert cut.capacity == full.value
+
+
+@st.composite
+def mapped_flow_problems(draw):
+    """A digraph with capacities all int, all Fraction or mixed, some arcs
+    left out of the map, and a source and a sink."""
+    net = draw(digraphs())
+    ints, fractions = st.integers(0, 9), st.fractions(0, 9, max_denominator=6)
+    values = draw(st.sampled_from([ints, fractions, ints | fractions]))
+    caps = {a.id: draw(values) for a in net.arcs if draw(st.integers(0, 4))}
+    s, t = draw(st.lists(st.integers(0, net.n_vertices - 1), min_size=2, max_size=2, unique=True))
+    return net, caps, s, t
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(mapped_flow_problems())
+def test_max_flow_matches_the_reference_loop(problem):
+    """Stopping the search once t is labelled and taking the bottleneck on
+    the walk back augment along the same paths in the same order: every
+    residual, the value and the early-termination flag are identical, down
+    to their types, for targets of None, 0, below, at and above the maximum."""
+    net, caps, s, t = problem
+    top = reference_max_flow(net, caps, s, t).value
+    for goal in (None, 0, Fraction(top) / 2, top, top + 1):
+        got = max_flow(net, caps, s, t, target=goal)
+        want = reference_max_flow(net, caps, s, t, target=goal)
+        assert got == want
+        assert [type(r) for r in got.residual] == [type(r) for r in want.residual]
+        assert type(got.value) is type(want.value)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -215,9 +290,9 @@ def walked_cut(net, caps, result, s, t, side):
     if side == "back":
         arcs = [(a, v, u) for a, u, v in arcs]
         s, t = t, s
-    residual, into = {}, {}
+    residual, into, flow = {}, {}, flow_of(result)
     for a, u, v in arcs:
-        f = result.flow.get(a, 0)
+        f = flow.get(a, 0)
         if caps.get(a, 0) > f:
             residual.setdefault(u, []).append(v)
         if f > 0:

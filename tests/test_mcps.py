@@ -3,6 +3,7 @@ import math
 import random
 import time
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -243,14 +244,73 @@ def reference_separate_cuts(instance, xhat, pending_pairs):
     return cuts
 
 
-# LP points: exact fractions, and floats with long binary expansions
-_coordinates = st.fractions(0, 1, max_denominator=12) | st.floats(0, 1)
+def fraction_separate_cuts(instance, xhat, pending_pairs):
+    """Reference: separation with the point's capacities and the goals in
+    Fraction arithmetic, as it ran before the integer ratios, through the
+    same module-level flows and cut tree."""
+    net, rho = instance.net, instance.rho
+    pairs = sorted(pending_pairs)
+    targets = [rho * instance.lam[pair] for pair in pairs]
+    ecap = [a.ccap * Fraction(xhat.get(a.id, 0)) for a in net.arcs]
+    scale = (net.n_arcs + 1) * math.lcm(*(c.denominator for c in ecap + targets))
+    pcap = {a: c.numerator * (scale // c.denominator) + 1 for a, c in enumerate(ecap)}
+    screen = {}
+    if net.link_pair is not None and pairs:
+        screen = mcps.cut_tree(net, {a: min(c, pcap[net.link_pair[a]]) for a, c in pcap.items()})
+    cuts = []
+    for (s, t), target in zip(pairs, targets):
+        ptarget = target.numerator * (scale // target.denominator)
+        if screen.get((min(s, t), max(s, t)), 0) >= ptarget:
+            continue
+        result = mcps.max_flow(net, pcap, s, t, target=ptarget)
+        if result.value >= ptarget:
+            continue
+        front, back = (
+            mcps.extract_cut(net, pcap, result, s, t, side).arc_ids for side in ("front", "back")
+        )
+        cuts.append(CutConstraint((s, t), front, target))
+        if back != front:
+            cuts.append(CutConstraint((s, t), back, target))
+    return cuts
+
+
+def _with_flow_arguments(separate, *args):
+    """``separate``'s cuts, and the capacities, pair and target of every
+    max-flow and cut tree that it runs through the mcps module."""
+    calls = []
+
+    def spy(name, fn):
+        def recorded(net, ecap, *rest, **kwargs):
+            calls.append((name, dict(ecap), rest, kwargs))
+            return fn(net, ecap, *rest, **kwargs)
+        return recorded
+
+    with patch.object(mcps, "max_flow", spy("max_flow", mcps.max_flow)), \
+            patch.object(mcps, "cut_tree", spy("cut_tree", mcps.cut_tree)):
+        return separate(*args), calls
+
+
+# LP point coordinates in [0, 1]: ints and fractions; dyadic floats k / 2^m,
+# such as the integral and half-integral values of LP vertices; floats of
+# non-dyadic values such as 0.1 and 1/3; and floats with long binary expansions
+_coordinates = (
+    st.integers(0, 1)
+    | st.fractions(0, 1, max_denominator=12)
+    | st.integers(0, 6).flatmap(lambda m: st.integers(0, 2**m).map(lambda k: k / 2**m))
+    | st.fractions(0, 1, max_denominator=12).map(float)
+    | st.floats(0, 1)
+)
 
 
 def _assert_separation_matches_reference(net, tenths, xhat):
+    """The same cuts as the per-pair Fraction reference, and the same cuts
+    from the same integer flows as separation in Fraction arithmetic."""
     inst = make_instance(net, Fraction(tenths, 10))
     pending = [p for p, lam in inst.lam.items() if lam > 0]
-    assert separate_cuts(inst, xhat, pending) == reference_separate_cuts(inst, xhat, pending)
+    cuts, calls = _with_flow_arguments(separate_cuts, inst, xhat, pending)
+    assert (cuts, calls) == _with_flow_arguments(fraction_separate_cuts, inst, xhat, pending)
+    assert all(type(c) is int for _, ecap, _, _ in calls for c in ecap.values())
+    assert cuts == reference_separate_cuts(inst, xhat, pending)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
