@@ -168,6 +168,9 @@ def _cmd_bench(args) -> int:
             instances.append(
                 RepetitaInstance(str(inst.get("id", Path(inst["graph"]).stem)), precursor, matrices)
             )
+        for key in ("algorithms", "rho", "mu", "modes"):  # the list-valued CONFIG_KEYS
+            if key in spec and not isinstance(spec[key], list):
+                raise ConfigError(f"{key} must be a list, got {spec[key]!r}")
         config = ExperimentConfig(**{
             field: convert(spec[key])
             for key, (field, convert) in CONFIG_KEYS.items() if key in spec

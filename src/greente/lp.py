@@ -32,6 +32,8 @@ Dual sign convention: a >=-row of a minimization has a nonnegative dual, a
 <=-row a nonpositive one.  An infeasible solve carries a Farkas ray in
 ``dual``, in the same convention.  Every solve is audited -- weak duality at
 an optimum, a proof of infeasibility from the ray -- or raises NumericalFailure.
+A float optimum's audit reuses the HiGHS mirror's floats and skips columns bounded
+only by 0 or None, which add nothing; exact mode, rays and ``bnb`` use ``_dual_bound``.
 
 The HiGHS bindings are scipy's bundled extension, loaded alone at import, not
 through the ``scipy.optimize`` package, whose import also loads
@@ -133,15 +135,18 @@ class LpModel:
 
     def add_column(self, obj=0, lb=0, ub=None, coefs: Mapping | None = None) -> int:
         """New column; ``coefs`` maps existing row ids to coefficients."""
-        j = self.n_cols
+        j, n_rows = self.n_cols, self.n_rows
         _check_bounds(lb, ub, j)
         kept = {}
-        for i, v in (coefs or {}).items():
-            if not 0 <= i < self.n_rows:
-                raise BadReference(f"row {i} does not exist")
-            if v != 0:
-                kept[i] = v
-        _check_finite("column", j, [obj, *kept.values()])
+        if coefs:
+            for i, v in coefs.items():
+                if not 0 <= i < n_rows:
+                    raise BadReference(f"row {i} does not exist")
+                if v != 0:
+                    kept[i] = v
+        _check_finite("column", j, (obj,))
+        if kept:
+            _check_finite("column", j, kept.values())
         self.objective.append(obj)
         self.lower.append(lb)
         self.upper.append(ub)
@@ -154,10 +159,10 @@ class LpModel:
     def add_row(self, coefs: Mapping, sense: str, rhs) -> int:
         if sense not in (LE, GE, EQ):
             raise ValueError(f"unknown sense {sense!r}")
-        i = self.n_rows
+        i, n_cols = self.n_rows, self.n_cols
         clean = {}
         for j, v in coefs.items():
-            if not 0 <= j < self.n_cols:
+            if not 0 <= j < n_cols:
                 raise BadReference(f"column {j} does not exist")
             if v != 0:
                 clean[j] = v
@@ -223,6 +228,10 @@ class _HighsMirror:
     ``dirty`` holds the columns whose bounds changed.  HiGHS ends up storing
     the matrix exactly as a fresh load of the model would, so a solve does
     not depend on the order in which the model grew.
+
+    For the float audit it keeps floats it sends: row right-hand sides in ``rhs``
+    and, in ``entries``, the (row, coefficient) pairs of each column ever sent with
+    a bound other than 0 or None, from one row scan if ``set_bounds`` gave it one.
     """
 
     def __init__(self):
@@ -232,9 +241,11 @@ class _HighsMirror:
         self.n_rows = 0
         self.col_coefs: dict[int, dict] = {}
         self.dirty: set[int] = set()
+        self.rhs: list[float] = []
+        self.entries: dict[int, list] = {}  # column -> [(row, float coef)], columns ascending
 
     def sync(self, model: LpModel) -> None:
-        highs, old_rows = self.highs, self.n_rows
+        highs, old_rows, entries = self.highs, self.n_rows, self.entries
         new_cols = range(self.n_cols, model.n_cols)
         if new_cols:
             starts, index, value = [], [], []
@@ -244,6 +255,8 @@ class _HighsMirror:
                     if i < old_rows:
                         index.append(i)
                         value.append(float(v))
+                if _bounded(model, j):
+                    entries[j] = list(zip(index[starts[-1]:], value[starts[-1]:]))
             _check(highs.addCols(
                 len(new_cols),
                 [float(model.objective[j]) for j in new_cols],
@@ -255,21 +268,50 @@ class _HighsMirror:
             lower, upper, starts, index, value = [], [], [], [], []
             for i in new_rows:
                 rhs, sense = float(model.rhs[i]), model.senses[i]
+                self.rhs.append(rhs)
                 lower.append(-_INF if sense == LE else rhs)
                 upper.append(_INF if sense == GE else rhs)
                 starts.append(len(index))
                 for j, v in model.row_coefs[i].items():
+                    v = float(v)
                     index.append(j)
-                    value.append(float(v))
+                    value.append(v)
+                    if j in entries:
+                        entries[j].append((i, v))
             _check(highs.addRows(len(new_rows), lower, upper, len(index), starts, index, value),
                    "addRows")
         if self.dirty:
             cols = sorted(self.dirty)
             _check(highs.changeColsBounds(len(cols), cols, *_col_bounds(model, cols)),
                    "changeColsBounds")
+            for j in cols:
+                if j not in entries and _bounded(model, j):
+                    entries[j] = [(i, float(c[j])) for i, c in enumerate(model.row_coefs) if j in c]
+            self.entries = dict(sorted(entries.items()))  # column order, as _dual_bound sums
         self.n_cols, self.n_rows = model.n_cols, model.n_rows
         self.col_coefs.clear()
         self.dirty.clear()
+
+    def dual_objective(self, model: LpModel, dual: dict) -> float:
+        """``_dual_bound(model, dual, model.objective, exact=False)[0]`` for a ``dual``
+        in row order, as ``linprog`` lists it, summed over ``entries`` only: any other
+        column, bounded by 0 or None, adds r * 0 or nothing, and y = 0 leaves r as it is."""
+        dual_obj, rhs, get = 0.0, self.rhs, dual.get
+        for i, y in dual.items():
+            if y:
+                dual_obj += y * rhs[i]
+        for j, pairs in self.entries.items():
+            r = float(model.objective[j])
+            for i, a in pairs:
+                r -= get(i, 0.0) * a
+            bound = model.lower[j] if r > 0.0 else model.upper[j]
+            if r and bound is not None:
+                dual_obj += r * float(bound)
+        return dual_obj
+
+
+def _bounded(model: LpModel, j: int) -> bool:  # a bound other than 0 or None
+    return not (model.lower[j] in (0, None) and model.upper[j] in (0, None))
 
 
 def _run_highs(model: LpModel, warm: bool, presolve: bool) -> LpSolution:
@@ -364,10 +406,13 @@ def _dual_bound(model: LpModel, dual: dict, costs, exact: bool) -> tuple[object,
 
 
 def _audit(model: LpModel, sol: LpSolution, exact: bool) -> None:
-    """An optimum obeys weak duality; an infeasible solve's ray proves it."""
+    """An optimum obeys weak duality; an infeasible solve's ray proves it.
+    Only float optima reach the first check (exact mode certifies its own); it
+    reads the dual objective from the mirror the solve just synced.  Rays, exact
+    certificates and branch-and-bound's zero-dual root bound call ``_dual_bound``."""
     tol = 0 if exact else ROUNDOFF_TOL
     if sol.status == "optimal":
-        dual_obj, _ = _dual_bound(model, sol.dual, model.objective, exact)
+        dual_obj = model._mirror.dual_objective(model, sol.dual)
         if dual_obj > sol.objective + tol * (1 + abs(sol.objective)):
             raise NumericalFailure(
                 f"weak duality violated: dual {dual_obj} > primal {sol.objective}"

@@ -32,7 +32,8 @@ class TocaLp:
 
 def build_toca_lp(net: Network, rho) -> TocaLp:
     """Utilization LP: one commodity per source vertex routes the scaled full
-    capacity of each of its out-arcs to that arc's head."""
+    capacity of each of its out-arcs to that arc's head.  All columns come
+    first (flows per (source, arc) after the activations), then each row whole."""
     rho = Fraction(rho)
     if not 0 < rho < 1:
         raise ValueError("rho must lie strictly between 0 and 1")
@@ -42,25 +43,25 @@ def build_toca_lp(net: Network, rho) -> TocaLp:
         col = model.add_column(obj=len(link), lb=0, ub=net.arcs[link[0]].mu)
         for a in link:
             x_col[a] = col
-    cap_row = {a.id: model.add_row({x_col[a.id]: a.ccap}, GE, 0) for a in net.arcs}
-    for source, out in enumerate(net.out_arcs):
-        if not out:
-            continue
+    sources = [s for s, out in enumerate(net.out_arcs) if out]
+    flow_col = [[model.add_column() for _ in net.arcs] for _ in sources]
+    for a in net.arcs:
+        coefs = {x_col[a.id]: a.ccap}
+        for cols in flow_col:
+            coefs[cols[a.id]] = -1
+        model.add_row(coefs, GE, 0)
+    for source, cols in zip(sources, flow_col):
         supply = [Fraction(0)] * net.n_vertices
-        for com in out:
+        for com in net.out_arcs[source]:
             demand = rho * com.fcap
             supply[source] += demand
             supply[com.head] -= demand
-        cons_row = [model.add_row({}, EQ, b) for b in supply]
+        cons = [{} for _ in supply]
         for edge in net.arcs:
-            model.add_column(
-                obj=0, lb=0, ub=None,
-                coefs={
-                    cons_row[edge.tail]: 1,
-                    cons_row[edge.head]: -1,
-                    cap_row[edge.id]: -1,
-                },
-            )
+            cons[edge.tail][cols[edge.id]] = 1
+            cons[edge.head][cols[edge.id]] = -1
+        for coefs, b in zip(cons, supply):
+            model.add_row(coefs, EQ, b)
     return TocaLp(model, x_col)
 
 

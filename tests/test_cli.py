@@ -218,6 +218,18 @@ def test_bench_bad_config_exits_2(tmp_path):
     assert main(["bench", "--config", str(cfg)]) == 2
 
 
+@pytest.mark.parametrize("key, value", [
+    ("algorithms", "mcf"), ("rho", 0.5), ("mu", 2), ("modes", "simplex"), ("rho", None),
+])
+def test_bench_list_key_given_a_scalar_names_the_key(tmp_path, capsys, key, value):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"instances": [], key: value}))
+    assert main(["bench", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: bad bench config: {key} must be a list, got {value!r}\n"
+    )
+
+
 def test_bench_unknown_algorithm_exits_2(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"instances": [], "algorithms": ["bogus"]}))

@@ -344,11 +344,13 @@ def _fresh_copy(m):
     return copy
 
 
-def _proves_infeasible(m, ray):
+def _proves_infeasible(m, ray, roundoff=0):
     """Reference bounded-Farkas check in exact arithmetic: a sign-feasible ray
     y with y.b + sum_j min(d_j * l_j, d_j * u_j) > 0, where d = -A^T y, leaves
     no feasible point.  Float roundoff of the wrong sign (<= 1e-9) is dropped,
-    which keeps the check a proof."""
+    which keeps the check a proof.  A d_j that meets an infinite bound must
+    be 0; with ``roundoff``, a float ray's d_j up to it is forgiven there, as
+    the float audit forgives it."""
     y = {}
     for i, v in ray.items():
         wrong = (m.senses[i] == GE and v < 0) or (m.senses[i] == LE and v > 0)
@@ -360,13 +362,20 @@ def _proves_infeasible(m, ray):
         for j, a in m.row_coefs[i].items():
             d[j] -= v * Fraction(a)
     value = sum((v * Fraction(m.rhs[i]) for i, v in y.items()), Fraction(0))
-    for j, dj in enumerate(d):  # columns in these tests are boxed
-        value += min(dj * Fraction(m.lower[j]), dj * Fraction(m.upper[j]))
+    for j, dj in enumerate(d):
+        bound = m.lower[j] if dj > 0 else m.upper[j]
+        if bound is not None:
+            value += dj * Fraction(bound)
+        elif abs(dj) > roundoff:
+            return False
     return value > 0
 
 
 def _assert_mirror_matches(m):
     live = solve_lp(m, "float")
+    if live.status == "optimal":  # the audit's value is _dual_bound's, to the last bit
+        audited = m._mirror.dual_objective(m, live.dual)
+        assert audited == lp._dual_bound(m, live.dual, m.objective, exact=False)[0]
     fresh = solve_lp(_fresh_copy(m), "float")
     exact = solve_lp(m, "exact")
     assert live.status == fresh.status == exact.status
@@ -377,8 +386,9 @@ def _assert_mirror_matches(m):
         assert abs(live.objective - float(exact.objective)) <= tol
         assert abs(fresh.objective - float(exact.objective)) <= tol
     elif exact.status == "infeasible":
-        for sol in (live, fresh, exact):
-            assert _proves_infeasible(m, sol.dual)
+        assert _proves_infeasible(m, exact.dual)
+        for sol in (live, fresh):
+            assert _proves_infeasible(m, sol.dual, roundoff=lp.ROUNDOFF_TOL)
         for sol in (live, fresh):  # float rays come scaled to max-norm 1
             assert max(abs(v) for v in sol.dual.values()) == 1
 
@@ -386,25 +396,51 @@ def _assert_mirror_matches(m):
 _small = st.integers(-3, 3)
 
 
+@st.composite
+def _column(draw):
+    """(obj, lb, ub): a box, possibly below 0; fixed at 0; or open on one or
+    both sides, with a cost that keeps the LP bounded below."""
+    kind = draw(st.sampled_from(["box", "zero", "no-ub", "no-lb", "free"]))
+    lb = draw(st.integers(-2, 1))
+    ub = lb + draw(st.integers(0, 3))
+    if kind == "box":
+        return draw(_small), lb, ub
+    if kind == "zero":
+        return draw(_small), 0, 0
+    if kind == "no-ub":
+        return draw(st.integers(0, 3)), lb, None
+    if kind == "no-lb":
+        return draw(st.integers(-3, 0)), None, ub
+    return 0, None, None
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(st.data())
 def test_mirror_never_drifts_from_the_model(data):
-    """Random boxed LPs grown step by step: after every column, row or bound
-    change the live HiGHS model solves like a fresh copy and like exact mode."""
+    """Random LPs grown step by step: after every column, row or bound change
+    the live HiGHS model solves like a fresh copy and like exact mode, and the
+    float audit's dual objective is _dual_bound's."""
     m = LpModel()
     for _ in range(data.draw(st.integers(1, 3))):
-        lb = data.draw(st.integers(-2, 1))
-        m.add_column(obj=data.draw(_small), lb=lb, ub=lb + data.draw(st.integers(0, 3)))
+        obj, lb, ub = data.draw(_column())
+        m.add_column(obj=obj, lb=lb, ub=ub)
     _assert_mirror_matches(m)
     for _ in range(data.draw(st.integers(1, 8))):
-        op = data.draw(st.sampled_from(["column", "row", "bounds"]))
-        if op == "column":
+        op = data.draw(st.sampled_from(["column", "row", "bounds", "bounded-later"]))
+        if op in ("column", "bounded-later"):
             rows = []
             if m.n_rows:
                 rows = data.draw(st.lists(st.integers(0, m.n_rows - 1), unique=True))
-            lb = data.draw(st.integers(-2, 1))
-            m.add_column(obj=data.draw(_small), lb=lb, ub=lb + data.draw(st.integers(0, 3)),
-                         coefs={i: data.draw(_small) for i in rows})
+            coefs = {i: data.draw(_small) for i in rows}
+            if op == "column":
+                obj, lb, ub = data.draw(_column())
+                m.add_column(obj=obj, lb=lb, ub=ub, coefs=coefs)
+            else:  # a column with no finite bound gains one after its rows exist, then loses it
+                j = m.add_column(obj=data.draw(st.integers(0, 3)), lb=0, ub=None, coefs=coefs)
+                _assert_mirror_matches(m)
+                m.set_bounds(j, data.draw(st.integers(-2, 0)), data.draw(st.integers(1, 3)))
+                _assert_mirror_matches(m)
+                m.set_bounds(j, 0, None)
         elif op == "row":
             cols = data.draw(st.lists(st.integers(0, m.n_cols - 1), min_size=1, unique=True))
             m.add_row({j: data.draw(_small) for j in cols},
@@ -417,6 +453,24 @@ def test_mirror_never_drifts_from_the_model(data):
             _assert_mirror_matches(m)
             m.set_bounds(j, *saved)
         _assert_mirror_matches(m)
+
+
+@pytest.mark.parametrize("later", [False, True])
+def test_float_audit_catches_duals_that_overshoot_through_a_bounded_column(monkeypatch, later):
+    """x >= 1 with x in [2, 10] at cost 1: the optimum is 2.  The row dual -1
+    gives x the reduced cost 2, so the dual objective is -1 + 2 * 2 = 3 > 2;
+    only x's entry in the row and its lower bound carry the excess.  x is
+    bounded from creation, or only after a first solve has synced its row."""
+    m = LpModel()
+    x = m.add_column(obj=1, lb=0 if later else 2, ub=None if later else 10)
+    m.add_row({x: 1}, GE, 1)
+    if later:
+        assert solve_lp(m, "float").objective == pytest.approx(1)
+        m.set_bounds(x, 2, 10)
+    overshoot = lp.LpSolution("optimal", {x: 2.0}, {0: -1.0}, 2.0)
+    monkeypatch.setattr(lp, "linprog", lambda highs: overshoot)
+    with pytest.raises(NumericalFailure, match="weak duality violated: dual 3.0 > primal 2.0"):
+        solve_lp(m, "float")
 
 
 def test_branch_and_price_solves_like_fresh_loads(monkeypatch):

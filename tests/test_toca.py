@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from greente import Activation, build_network, lp
+from greente import FULL_DUPLEX, Activation, build_network, lp
 from greente.lp import EQ, GE, LpModel, solve_lp
 from greente.toca import (
     alg_mcf,
@@ -74,6 +74,71 @@ def test_one_commodity_per_source_keeps_the_per_arc_lp_value(duplex_prob):
             sol = solve_lp(t.model, "exact")
             assert sol.status == "optimal"
             assert sol.objective == _per_arc_lp_value(net, rho)
+
+
+def reference_toca_lp(net, rho):
+    """The utilization LP built column by column: each flow column enters
+    its rows as it is added, after the rows of its source exist."""
+    rho = Fraction(rho)
+    model = LpModel()
+    x_col = [0] * net.n_arcs
+    for link in net.links:
+        col = model.add_column(obj=len(link), lb=0, ub=net.arcs[link[0]].mu)
+        for a in link:
+            x_col[a] = col
+    cap_row = {a.id: model.add_row({x_col[a.id]: a.ccap}, GE, 0) for a in net.arcs}
+    for source, out in enumerate(net.out_arcs):
+        if not out:
+            continue
+        supply = [Fraction(0)] * net.n_vertices
+        for com in out:
+            demand = rho * com.fcap
+            supply[source] += demand
+            supply[com.head] -= demand
+        cons_row = [model.add_row({}, EQ, b) for b in supply]
+        for edge in net.arcs:
+            model.add_column(
+                obj=0, lb=0, ub=None,
+                coefs={cons_row[edge.tail]: 1, cons_row[edge.head]: -1, cap_row[edge.id]: -1},
+            )
+    return model, x_col
+
+
+def _duplex_ring(rng, n, chords):
+    """Full-duplex ring on n vertices plus ``chords`` random chords (at most
+    n(n-3)/2 exist), with random ccap and mu."""
+    links = {(v, (v + 1) % n) for v in range(n)}
+    while len(links) < n + chords:
+        u, v = rng.sample(range(n), 2)
+        if (v, u) not in links:
+            links.add((u, v))
+    specs = []
+    for u, v in sorted(links):
+        ccap, mu = rng.choice([1, 2, Fraction(5, 2), 4]), rng.randint(1, 4)
+        specs += [(u, v, ccap, 1, mu), (v, u, ccap, 1, mu)]
+    return build_network(specs, FULL_DUPLEX)
+
+
+def _assert_same_toca_lp(net, rho):
+    t = build_toca_lp(net, rho)
+    model, x_col = reference_toca_lp(net, rho)
+    assert t.x_col == x_col
+    for name in ("objective", "lower", "upper", "senses", "rhs"):
+        assert getattr(t.model, name) == getattr(model, name), name
+    in_order = [list(c.items()) for c in model.row_coefs]
+    assert [list(c.items()) for c in t.model.row_coefs] == in_order
+
+
+def test_build_matches_the_column_by_column_reference(single_arc, diamond, triangle,
+                                                       overlap_gadget):
+    for net in (single_arc, diamond, triangle, overlap_gadget):
+        for rho in (Fraction(1, 2), Fraction(3, 10)):
+            _assert_same_toca_lp(net, rho)
+    rng = random.Random(53)
+    for n, chords in ((4, 1), (6, 2), (9, 3), (20, 10)):
+        _assert_same_toca_lp(_duplex_ring(rng, n, chords), Fraction(7, 10))
+    for _ in range(10):
+        _assert_same_toca_lp(random_net(rng, n_max=6, arcs_max=10, mu_max=3), Fraction(1, 5))
 
 
 def test_rho_validation(single_arc):
