@@ -95,7 +95,10 @@ class ExperimentConfig:
         for mode in self.modes:
             if mode not in MODES:
                 raise ConfigError(f"unknown mode {mode!r}")
-        if not self.time_limit > 0:  # also true for nan
+        limit = self.time_limit
+        if isinstance(limit, bool) or not isinstance(limit, (int, float)):
+            raise ConfigError(f"time_limit must be a number, got {limit!r}")
+        if not limit > 0:  # also true for nan
             raise ConfigError("time limit must be positive")
         if self.length_mode not in LENGTH_MODES:
             raise ConfigError(f"unknown length mode {self.length_mode!r}")

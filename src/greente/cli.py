@@ -123,7 +123,7 @@ CONFIG_KEYS = {
     "rho": ("rhos", tuple),
     "mu": ("mus", tuple),
     "modes": ("modes", lambda names: tuple(MODE_NAMES[m] for m in names)),
-    "time_limit": ("time_limit", float),
+    "time_limit": ("time_limit", lambda value: value),  # validate checks the type
     "lengths": ("length_mode", LENGTH_NAMES.__getitem__),
     "strengthening": ("strengthening", lambda value: value),  # validate checks the type
 }

@@ -9,6 +9,14 @@ per arc, with a flow block per source vertex instead of per arc.  ALG-MCF
 rounds the fractional activations up; ALG-MCF++ re-solves, warm from the
 previous basis, while fixing one at a time the variable closest to its next
 integer.
+
+ALG-MCF++ starts from the optimum ALG-MCF rounds, so the two share one LP:
+``alg_mcf`` hands its solved model on, and an ``alg_mcf_pp`` call that comes
+next, on the same ``Network`` object and an equal ``Fraction(rho)``, takes it
+instead of building and cold-solving the same LP again.  Its fixing chain
+then makes the same solver calls on the same model as it would on its own
+cold solve, so the activations do not change.  Each call of either one
+clears the hand-off first, so it holds at most one model.
 """
 from __future__ import annotations
 
@@ -16,7 +24,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .lp import EQ, GE, INT_TOL, LpModel, frac_dist, solve_lp
+from .lp import EQ, GE, INT_TOL, LpModel, LpSolution, frac_dist, solve_lp
 from .model import Activation, Network, decode_activation
 
 
@@ -69,12 +77,32 @@ def _ceil_tol(v: float, mu: int) -> int:
     return min(mu, max(0, math.ceil(float(v) - INT_TOL)))
 
 
-def alg_mcf(net: Network, rho) -> Activation:
-    """Solve the utilization LP once and round every activation up."""
+# The last alg_mcf call's (net, Fraction(rho), TocaLp, optimal solution),
+# which the next call takes; see the module docstring.
+_handoff: tuple | None = None
+
+
+def _solved_lp(net: Network, rho, hand_on: bool) -> tuple[TocaLp, LpSolution]:
+    """The utilization LP at its first (cold) optimum: the hand-off's if it
+    matches ``(net, rho)`` and ``hand_on`` is false, else built and solved
+    here, and handed on if ``hand_on`` is true."""
+    global _handoff
+    rho = Fraction(rho)
+    entry, _handoff = _handoff, None
+    if not hand_on and entry is not None and entry[0] is net and entry[1] == rho:
+        return entry[2], entry[3]
     t = build_toca_lp(net, rho)
     sol = solve_lp(t.model)
     if sol.status != "optimal":
         raise RuntimeError(f"activation LP is {sol.status}")
+    if hand_on:
+        _handoff = (net, rho, t, sol)
+    return t, sol
+
+
+def alg_mcf(net: Network, rho) -> Activation:
+    """Solve the utilization LP once and round every activation up."""
+    t, sol = _solved_lp(net, rho, hand_on=True)
     up = {t.x_col[a]: _ceil_tol(sol.primal[t.x_col[a]], net.arcs[a].mu) for a, *_ in net.links}
     return decode_activation(net, up, t.x_col)
 
@@ -85,12 +113,11 @@ def alg_mcf_pp(net: Network, rho) -> Activation:
     Bounds first tighten to [floor, ceil] of the initial optimum, so the final
     value never exceeds the plain round-up; ceiling fixes keep the previous
     point feasible, so every re-solve succeeds.  Each re-solve changes bounds
-    only, so it starts warm from the previous basis.
+    only, so it starts warm from the previous basis.  Called right after
+    ``alg_mcf`` on the same net and rho, it continues from that call's solved
+    LP instead of building and solving its own.
     """
-    t = build_toca_lp(net, rho)
-    sol = solve_lp(t.model)
-    if sol.status != "optimal":
-        raise RuntimeError(f"activation LP is {sol.status}")
+    t, sol = _solved_lp(net, rho, hand_on=False)
     for a, *_ in net.links:
         v = float(sol.primal[t.x_col[a]])
         t.model.set_bounds(t.x_col[a], max(0, math.floor(v + INT_TOL)), _ceil_tol(v, net.arcs[a].mu))

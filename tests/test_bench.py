@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from greente import Activation, bench, repetita
+from greente import Activation, bench, repetita, toca
 from greente.bench import (
     ALGORITHMS,
     CSV_HEADER,
@@ -85,6 +85,30 @@ def test_forced_timeout_reports_status_and_bound():
     rows = run_experiment(config, [ring_instance(1)])
     assert rows[0].status == "timeout"
     assert rows[0].bound is not None
+
+
+def test_mcf_pp_row_is_the_same_after_mcf_as_alone(monkeypatch):
+    """In a cell that runs mcf first, mcf++ continues from mcf's solved LP."""
+    builds = []
+    build = toca.build_toca_lp
+    monkeypatch.setattr(toca, "build_toca_lp", lambda net, rho: builds.append(rho) or build(net, rho))
+    monkeypatch.setattr(toca, "_handoff", None)
+
+    def run(algorithms):
+        config = ExperimentConfig(
+            algorithms=algorithms, rhos=(0.3, 0.5, 0.7), mus=(1, 5),
+            modes=(SIMPLEX, FULL_DUPLEX), time_limit=60,
+        )
+        builds.clear()
+        rows = [r for r in run_experiment(config, [ring_instance(2)]) if r.algorithm == "mcf++"]
+        return [dataclasses.replace(r, runtime_seconds=0.0) for r in rows], len(builds)
+
+    alone, alone_builds = run(("mcf++",))
+    after, after_builds = run(("mcf", "mcf++"))
+    assert len(alone) == 12 and {r.status for r in alone} == {"optimal"}
+    assert after == alone
+    assert alone_builds == after_builds == 12  # mcf++ built none of its own after mcf
+    assert toca._handoff is None
 
 
 def test_oblivious_rows_ignore_matrix_content():
@@ -188,6 +212,21 @@ def test_full_duplex_without_reverse_arcs_gives_one_error_row_per_rho_and_algori
 ])
 def test_config_rejects_a_bad_length_mode_or_strengthening(field, value, message):
     config = ExperimentConfig(**{field: value})
+    with pytest.raises(ConfigError, match=message):
+        config.validate()
+    with pytest.raises(ConfigError, match=message):
+        run_experiment(config, [ring_instance(1)])
+
+
+@pytest.mark.parametrize("limit, message", [
+    (True, "time_limit must be a number, got True"),
+    ("5", "time_limit must be a number, got '5'"),
+    (None, "time_limit must be a number, got None"),
+    (0, "time limit must be positive"),
+    (float("nan"), "time limit must be positive"),
+])
+def test_config_rejects_a_time_limit_that_is_no_positive_number(limit, message):
+    config = ExperimentConfig(time_limit=limit)
     with pytest.raises(ConfigError, match=message):
         config.validate()
     with pytest.raises(ConfigError, match=message):

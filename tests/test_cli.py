@@ -494,6 +494,16 @@ def test_bench_nan_time_limit_in_config_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("config error:")
 
 
+@pytest.mark.parametrize("limit", [True, False, "5", None, [5]])
+def test_bench_time_limit_must_be_a_json_number(tmp_path, capsys, limit):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"instances": [], "time_limit": limit}))
+    assert main(["bench", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: bad bench config: time_limit must be a number, got {limit!r}\n"
+    )
+
+
 def test_bench_malformed_json_exits_2(tmp_path, capsys):
     cfg = tmp_path / "broken.json"
     cfg.write_text('{"instances": [')

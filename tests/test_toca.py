@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from greente import FULL_DUPLEX, Activation, build_network, lp
-from greente.lp import EQ, GE, LpModel, solve_lp
+from greente import FULL_DUPLEX, Activation, build_network, lp, toca
+from greente.lp import EQ, GE, LpModel, LpSolution, solve_lp
 from greente.toca import (
+    InfeasibleAfterFix,
     alg_mcf,
     alg_mcf_pp,
     build_toca_lp,
@@ -252,3 +253,114 @@ def test_round_up_respects_the_approximation_ratio():
         assert optimum is not None
         assert value <= ratio * optimum
         assert alg_mcf_pp(net, rho).value <= value
+
+
+# ---------------------------------------------------------------------------
+# alg_mcf hands its solved LP on to the next alg_mcf_pp on the same (net, rho)
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def lp_calls(monkeypatch):
+    """Counts of TOCA model builds and of cold and warm HiGHS runs (a cold run
+    starts from a fresh load, which has no valid basis), from an empty hand-off."""
+    monkeypatch.setattr(toca, "_handoff", None)
+    calls = {"build": 0, "cold": 0, "warm": 0}
+    build, linprog = toca.build_toca_lp, lp.linprog
+
+    def build_spy(net, rho):
+        calls["build"] += 1
+        return build(net, rho)
+
+    def linprog_spy(highs):
+        calls["warm" if highs.getBasis().valid else "cold"] += 1
+        return linprog(highs)
+
+    monkeypatch.setattr(toca, "build_toca_lp", build_spy)
+    monkeypatch.setattr(lp, "linprog", linprog_spy)
+    return calls
+
+
+def _handoff_nets(single_arc, diamond, triangle, overlap_gadget):
+    rng = random.Random(61)
+    yield from (single_arc, diamond, triangle, overlap_gadget)
+    for n, chords in ((4, 1), (6, 2), (9, 3), (14, 5), (20, 10)):
+        yield _duplex_ring(rng, n, chords)
+    for _ in range(8):
+        yield random_net(rng, n_max=6, arcs_max=10, mu_max=3, duplex_prob=0.5)
+
+
+def test_mcf_pp_after_mcf_gives_the_counts_of_mcf_pp_alone(
+        monkeypatch, single_arc, diamond, triangle, overlap_gadget):
+    for net in _handoff_nets(single_arc, diamond, triangle, overlap_gadget):
+        for rho in (Fraction(3, 10), Fraction(7, 10), 0.5, 0.3):
+            monkeypatch.setattr(toca, "_handoff", None)
+            alone = alg_mcf_pp(net, rho)
+            rounded = alg_mcf(net, rho)
+            assert toca._handoff is not None
+            after = alg_mcf_pp(net, rho)
+            assert toca._handoff is None
+            assert after.counts == alone.counts, (net, rho)
+            assert after.value <= rounded.value
+
+
+def test_the_pair_builds_and_cold_solves_once(lp_calls):
+    net = _duplex_ring(random.Random(67), 8, 3)
+    rho = Fraction(1, 2)
+    alg_mcf(net, rho)
+    assert lp_calls == {"build": 1, "cold": 1, "warm": 0}
+    alg_mcf_pp(net, rho)
+    assert lp_calls["build"] == 1 and lp_calls["cold"] == 1
+    assert lp_calls["warm"] > 0
+
+
+def test_each_pass_of_the_sweep_builds_once_per_rho(lp_calls):
+    """The toca-sweep call order, twice: no pass gains from the one before it."""
+    net = _duplex_ring(random.Random(71), 8, 3)
+    passes = []
+    for _ in range(2):
+        before = dict(lp_calls)
+        for rho in (Fraction(3, 10), Fraction(1, 2), Fraction(7, 10)):
+            alg_mcf(net, rho)
+            alg_mcf_pp(net, rho)
+        passes.append({k: lp_calls[k] - before[k] for k in lp_calls})
+    assert passes[0]["build"] == passes[0]["cold"] == 3
+    assert passes[1] == passes[0]
+
+
+def _builds(calls, *steps):
+    before = calls["build"]
+    for alg, net, rho in steps:
+        alg(net, rho)
+    return calls["build"] - before
+
+
+def test_the_handoff_is_taken_once_and_only_by_the_same_net_and_rho(lp_calls):
+    specs = [(0, 1, 1, 1, 2), (1, 2, 1, 1, 2), (0, 2, 1, 1, 2)]
+    net, twin = build_network(specs), build_network(specs)
+    assert net == twin and net is not twin
+    half = Fraction(1, 2)
+    assert _builds(lp_calls, (alg_mcf, net, half), (alg_mcf_pp, net, half)) == 1
+    assert _builds(lp_calls, (alg_mcf_pp, net, half)) == 1  # the first took the entry
+    assert _builds(lp_calls, (alg_mcf, net, half), (alg_mcf_pp, twin, half)) == 2
+    assert _builds(lp_calls, (alg_mcf, net, 0.3), (alg_mcf_pp, net, Fraction(3, 10))) == 2
+    assert _builds(lp_calls, (alg_mcf, net, 0.3), (alg_mcf_pp, net, 0.3)) == 1
+    assert _builds(lp_calls, (alg_mcf, net, half), (alg_mcf, net, half),
+                   (alg_mcf_pp, net, half)) == 2
+    assert toca._handoff is None
+
+
+def test_a_failed_fixing_chain_leaves_no_handoff(monkeypatch):
+    net = _duplex_ring(random.Random(67), 8, 3)
+    rho = Fraction(1, 2)
+    monkeypatch.setattr(toca, "_handoff", None)
+    real = toca.solve_lp
+
+    def solve(model, *args, warm=False, **kwargs):
+        return LpSolution("infeasible") if warm else real(model, *args, **kwargs)
+
+    monkeypatch.setattr(toca, "solve_lp", solve)
+    alg_mcf(net, rho)
+    assert toca._handoff is not None
+    with pytest.raises(InfeasibleAfterFix):
+        alg_mcf_pp(net, rho)
+    assert toca._handoff is None
