@@ -54,10 +54,21 @@ class ConfigError(ValueError):
     pass
 
 
+def _finite_number(name: str, value) -> bool:
+    """Whether ``value`` is finite as a float; it must be an int or a float
+    (a JSON number, not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
 def as_rho(value) -> Fraction:
     """rho as every solver takes it: the nearest fraction with denominator at
     most 10**6, which must lie strictly between 0 and 1."""
-    if not math.isfinite(value):
+    if not _finite_number("rho", value):
         raise ConfigError(f"rho {value} outside (0,1)")
     rho = Fraction(value).limit_denominator(10**6)
     if not 0 < rho < 1:
@@ -95,11 +106,9 @@ class ExperimentConfig:
         for mode in self.modes:
             if mode not in MODES:
                 raise ConfigError(f"unknown mode {mode!r}")
-        limit = self.time_limit
-        if isinstance(limit, bool) or not isinstance(limit, (int, float)):
-            raise ConfigError(f"time_limit must be a number, got {limit!r}")
-        if not limit > 0:  # also true for nan
-            raise ConfigError("time limit must be positive")
+        # the solvers add the limit to a float clock, so it must be finite as a float
+        if not (_finite_number("time_limit", self.time_limit) and self.time_limit > 0):
+            raise ConfigError("time limit must be positive and finite")
         if self.length_mode not in LENGTH_MODES:
             raise ConfigError(f"unknown length mode {self.length_mode!r}")
         if not isinstance(self.strengthening, bool):

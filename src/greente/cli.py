@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -41,38 +40,36 @@ MODE_NAMES = {"simplex": SIMPLEX, "duplex": FULL_DUPLEX}
 LENGTH_NAMES = {"given": "asGiven", "unit": "unit", "invcap": "inverseCapacity"}
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)  # argparse reports a ValueError as an invalid value
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if not 0 < value < math.inf:  # also false for nan
-        raise argparse.ArgumentTypeError(f"must be positive and finite, not {text}")
-    return value
-
-
 def _add_instance_args(p: argparse.ArgumentParser, multi_demands: bool) -> None:
     p.add_argument("--graph", required=True, help="REPETITA topology file")
     p.add_argument(
         "--demands", required=True, nargs="+" if multi_demands else None,
         help="REPETITA demand file" + ("(s)" if multi_demands else ""),
     )
-    p.add_argument("--mu", type=_positive_int, default=1, help="connections per link")
+    p.add_argument("--mu", type=int, default=1, help="connections per link")
     p.add_argument("--mode", choices=sorted(MODE_NAMES), default="simplex")
     p.add_argument("--lengths", choices=sorted(LENGTH_NAMES), default="given")
 
 
+def _checked_rho(args, **fields) -> Fraction:
+    """The exact rho, after ``ExperimentConfig.validate`` has checked the flags."""
+    ExperimentConfig(rhos=(args.rho,), mus=(args.mu,), **fields).validate()
+    return as_rho(args.rho)
+
+
+def _read_instance(graph, demand_paths, instance_id: str) -> RepetitaInstance:
+    """A REPETITA graph file and its demand files, parsed."""
+    precursor = parse_repetita_graph(Path(graph).read_text())
+    n = len(precursor.nodes)
+    matrices = (parse_repetita_demands(Path(p).read_text(), num_nodes=n) for p in demand_paths)
+    return RepetitaInstance(instance_id, precursor, tuple(matrices))
+
+
 def _load_preprocessed(args, demand_paths: list[str]):
     """The network and each demand file's normalized traffic: one parse, one build."""
-    precursor = parse_repetita_graph(Path(args.graph).read_text())
-    n = len(precursor.nodes)
-    matrices = [parse_repetita_demands(Path(p).read_text(), num_nodes=n) for p in demand_paths]
+    inst = _read_instance(args.graph, demand_paths, Path(args.graph).stem)
     return preprocess(
-        precursor, matrices, MODE_NAMES[args.mode], LENGTH_NAMES[args.lengths], args.mu
+        inst.precursor, inst.matrices, MODE_NAMES[args.mode], LENGTH_NAMES[args.lengths], args.mu
     )
 
 
@@ -109,13 +106,6 @@ def _read_activation_csv(text: str, net: Network) -> Activation:
     return activation
 
 
-def _parse_rho(value: float) -> Fraction:
-    try:
-        return as_rho(value)
-    except ConfigError as exc:
-        raise ConfigError(f"--{exc}") from None
-
-
 # bench config key -> (ExperimentConfig field, conversion); a key the config
 # leaves out keeps the field's default
 CONFIG_KEYS = {
@@ -137,7 +127,7 @@ def _write(text: str, out: str | None) -> None:
 
 
 def _cmd_solve(args) -> int:
-    rho = _parse_rho(args.rho)
+    rho = _checked_rho(args, time_limit=args.time_limit)
     net, [traffic] = _load_preprocessed(args, [args.demands])
     scaled = scale_traffic(traffic, rho)
     matrix = "0" if args.algorithm in TRAFFIC_AWARE else "-"  # as bench names it
@@ -155,19 +145,6 @@ def _cmd_bench(args) -> int:
     text = Path(args.config).read_text()
     try:
         spec = json.loads(text)
-        instances = []
-        for inst in spec["instances"]:
-            precursor = parse_repetita_graph(Path(inst["graph"]).read_text())
-            demands = inst["demands"]
-            if not isinstance(demands, list) or not demands:
-                raise ConfigError(f"demands must be a non-empty list of files, got {demands!r}")
-            matrices = tuple(
-                parse_repetita_demands(Path(p).read_text(), num_nodes=len(precursor.nodes))
-                for p in demands
-            )
-            instances.append(
-                RepetitaInstance(str(inst.get("id", Path(inst["graph"]).stem)), precursor, matrices)
-            )
         for key in ("algorithms", "rho", "mu", "modes"):  # the list-valued CONFIG_KEYS
             if key in spec and not isinstance(spec[key], list):
                 raise ConfigError(f"{key} must be a list, got {spec[key]!r}")
@@ -176,6 +153,13 @@ def _cmd_bench(args) -> int:
             for key, (field, convert) in CONFIG_KEYS.items() if key in spec
         })
         config.validate()
+        instances = []
+        for inst in spec["instances"]:
+            demands = inst["demands"]
+            if not isinstance(demands, list) or not demands:
+                raise ConfigError(f"demands must be a non-empty list of files, got {demands!r}")
+            instance_id = str(inst.get("id", Path(inst["graph"]).stem))
+            instances.append(_read_instance(inst["graph"], demands, instance_id))
     except (KeyError, ValueError, TypeError) as exc:
         raise ConfigError(f"bad bench config: {exc}") from exc
     rows = run_experiment(config, instances)
@@ -184,7 +168,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    rho = _parse_rho(args.rho)
+    rho = _checked_rho(args)
     net, traffics = _load_preprocessed(args, args.demands)
     activation = _read_activation_csv(Path(args.chi).read_text(), net)
     records = [
@@ -196,7 +180,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    rho = _parse_rho(args.rho)
+    rho = _checked_rho(args)
     net, [traffic] = _load_preprocessed(args, [args.demands])
     activation = brute_force_mspnd(net, scale_traffic(traffic, rho))
     _write(_activation_csv(activation), args.out)
@@ -214,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_instance_args(p, multi_demands=False)
     p.add_argument("--algorithm", choices=ALGORITHMS, required=True)
     p.add_argument("--rho", type=float, default=0.5)
-    p.add_argument("--time-limit", type=_positive_float, default=600.0)
+    p.add_argument("--time-limit", type=float, default=600.0)
     p.add_argument("--strengthening", choices=("on", "off"), default="on")
     p.add_argument("--out", default=None, help="activation csv destination ('-' = stdout)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")

@@ -62,8 +62,11 @@ class Arc:
 class Network:
     vertex_names: tuple[str, ...]
     arcs: tuple[Arc, ...]
-    duplex_mode: str = SIMPLEX
-    link_pair: tuple[int, ...] | None = None  # arc id -> reverse arc id
+    link_pair: tuple[int, ...] | None = None  # arc id -> reverse arc id; None in simplex mode
+
+    @property
+    def duplex_mode(self) -> str:
+        return SIMPLEX if self.link_pair is None else FULL_DUPLEX
 
     @property
     def n_vertices(self) -> int:
@@ -107,7 +110,7 @@ class Network:
     def links(self) -> tuple[tuple[int, ...], ...]:
         """The units of activation, in lowest-arc-id order: ``(a, reverse)``
         per full-duplex link (``a < reverse``), ``(a,)`` per simplex arc."""
-        if self.duplex_mode != FULL_DUPLEX:
+        if self.link_pair is None:
             return tuple((a.id,) for a in self.arcs)
         return tuple((a, rev) for a, rev in enumerate(self.link_pair) if a < rev)
 
@@ -292,7 +295,7 @@ def build_network(
         Arc(id=i, tail=t, head=h, ccap=c, length=l, mu=m)
         for i, (t, h, c, l, m) in enumerate(raw)
     )
-    return Network(tuple(names), arcs, duplex_mode, link_pair)
+    return Network(tuple(names), arcs, link_pair)
 
 
 def full_activation(net: Network) -> Activation:

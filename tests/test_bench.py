@@ -224,6 +224,9 @@ def test_config_rejects_a_bad_length_mode_or_strengthening(field, value, message
     (None, "time_limit must be a number, got None"),
     (0, "time limit must be positive"),
     (float("nan"), "time limit must be positive"),
+    # 10**400 < math.inf holds in Python, but the solvers' float clock overflows on it
+    pytest.param(10**400, "^time limit must be positive and finite$", id="int-beyond-float"),
+    pytest.param(float("inf"), "^time limit must be positive and finite$", id="inf"),
 ])
 def test_config_rejects_a_time_limit_that_is_no_positive_number(limit, message):
     config = ExperimentConfig(time_limit=limit)
@@ -231,6 +234,18 @@ def test_config_rejects_a_time_limit_that_is_no_positive_number(limit, message):
         config.validate()
     with pytest.raises(ConfigError, match=message):
         run_experiment(config, [ring_instance(1)])
+
+
+@pytest.mark.parametrize("rho, message", [
+    ("0.5", "^rho must be a number, got '0.5'$"),
+    (True, "^rho must be a number, got True$"),
+    (None, "^rho must be a number, got None$"),
+    (10**400, r"^rho 1000*0 outside \(0,1\)$"),
+], ids=["str", "bool", "none", "int-beyond-float"])
+def test_config_rejects_a_rho_that_is_no_number_in_range(rho, message):
+    config = ExperimentConfig(rhos=(rho,))
+    with pytest.raises(ConfigError, match=message):
+        config.validate()
 
 
 def test_rows_sorted_deterministically():

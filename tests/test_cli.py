@@ -283,10 +283,8 @@ def test_nonpositive_mu_exits_2(instance_files, capsys, command):
     args = [command, "--graph", str(graph), "--demands", str(demands), "--mu", "0"]
     if command == "solve":
         args += ["--algorithm", "mcf"]
-    with pytest.raises(SystemExit) as err:
-        main(args)
-    assert err.value.code == 2
-    assert "--mu" in capsys.readouterr().err
+    assert main(args) == 2
+    assert capsys.readouterr().err == "config error: mu 0 must be an integer >= 1\n"
 
 
 def test_malformed_graph_exits_2(instance_files, capsys):
@@ -391,7 +389,7 @@ def test_oracle_rejects_rho_outside_unit_interval(instance_files, capsys):
     graph, demands = instance_files
     assert main(["oracle", "--graph", str(graph), "--demands", str(demands),
                  "--rho", "1.5"]) == 2
-    assert "--rho" in capsys.readouterr().err
+    assert capsys.readouterr().err == "config error: rho 1.5 outside (0,1)\n"
 
 
 @pytest.mark.parametrize("chi_text, error", [
@@ -442,7 +440,7 @@ def test_rho_that_rounds_to_an_end_says_so(instance_files, capsys, rho, rounded)
     assert main(["solve", "--algorithm", "mcf", "--graph", str(graph),
                  "--demands", str(demands), "--rho", rho]) == 2
     assert capsys.readouterr().err == (
-        f"config error: --rho {float(rho)} rounds to {rounded} at denominator 10**6,"
+        f"config error: rho {float(rho)} rounds to {rounded} at denominator 10**6,"
         " outside (0,1)\n"
     )
 
@@ -459,7 +457,7 @@ def test_non_finite_rho_exits_2(tmp_path, instance_files, capsys, command, rho):
         chi.write_text("arc_id,chi\n0,1\n1,1\n2,1\n")
         args += ["--chi", str(chi)]
     assert main(args) == 2
-    assert capsys.readouterr().err.startswith("config error: --rho")
+    assert capsys.readouterr().err == f"config error: rho {rho} outside (0,1)\n"
 
 
 def test_solve_takes_a_time_limit(instance_files, capsys, monkeypatch):
@@ -480,11 +478,9 @@ def test_solve_takes_a_time_limit(instance_files, capsys, monkeypatch):
 @pytest.mark.parametrize("limit", ["nan", "-5", "0", "inf"])
 def test_bad_time_limit_exits_2(instance_files, capsys, limit):
     graph, demands = instance_files
-    with pytest.raises(SystemExit) as err:
-        main(["solve", "--algorithm", "mcf", "--graph", str(graph),
-              "--demands", str(demands), "--time-limit", limit])
-    assert err.value.code == 2
-    assert "--time-limit" in capsys.readouterr().err
+    assert main(["solve", "--algorithm", "mcf", "--graph", str(graph),
+                 "--demands", str(demands), "--time-limit", limit]) == 2
+    assert capsys.readouterr().err == "config error: time limit must be positive and finite\n"
 
 
 def test_bench_nan_time_limit_in_config_exits_2(tmp_path, capsys):
@@ -502,6 +498,58 @@ def test_bench_time_limit_must_be_a_json_number(tmp_path, capsys, limit):
     assert capsys.readouterr().err == (
         f"config error: bad bench config: time_limit must be a number, got {limit!r}\n"
     )
+
+
+def test_bench_time_limit_beyond_the_float_range_exits_2(tmp_path, instance_files, capsys):
+    # a 400-digit JSON integer is finite, but the solvers' float clock overflows on it
+    graph, demands = instance_files
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({
+        "instances": [{"graph": str(graph), "demands": [str(demands)]}],
+        "algorithms": ["mspnd", "mcps"], "time_limit": 10**400,
+    }))
+    assert main(["bench", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: bad bench config: time limit must be positive and finite\n"
+    )
+
+
+@pytest.mark.parametrize("rho", ["0.5", True])
+def test_bench_rho_must_be_a_json_number(tmp_path, capsys, rho):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"instances": [], "rho": [rho]}))
+    assert main(["bench", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: bad bench config: rho must be a number, got {rho!r}\n"
+    )
+
+
+@pytest.mark.parametrize("flag, value, rule", [
+    ("--rho", "1.5", "rho 1.5 outside (0,1)"),
+    ("--rho", "0.99999999", "rho 0.99999999 rounds to 1 at denominator 10**6, outside (0,1)"),
+    ("--rho", "nan", "rho nan outside (0,1)"),
+    ("--rho", "inf", "rho inf outside (0,1)"),
+    ("--mu", "0", "mu 0 must be an integer >= 1"),
+    ("--mu", "-3", "mu -3 must be an integer >= 1"),
+    ("--time-limit", "0", "time limit must be positive and finite"),
+    ("--time-limit", "-5", "time limit must be positive and finite"),
+    ("--time-limit", "nan", "time limit must be positive and finite"),
+    ("--time-limit", "inf", "time limit must be positive and finite"),
+    ("--time-limit", "1e400", "time limit must be positive and finite"),
+])
+def test_solve_flag_and_bench_key_obey_one_rule(tmp_path, instance_files, capsys, flag, value, rule):
+    graph, demands = instance_files
+    assert main(["solve", "--algorithm", "mcf", "--graph", str(graph),
+                 "--demands", str(demands), flag, value]) == 2
+    assert capsys.readouterr().err == f"config error: {rule}\n"
+    key = flag[2:].replace("-", "_")
+    number = {"nan": "NaN", "inf": "Infinity"}.get(value, value)  # as JSON spells it
+    instances = json.dumps([{"graph": str(graph), "demands": [str(demands)]}])
+    cfg = tmp_path / "bench.json"
+    cfg.write_text(f'{{"instances": {instances}, "algorithms": ["mcf"], '
+                   f'"{key}": {number if key == "time_limit" else f"[{number}]"}}}')
+    assert main(["bench", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"config error: bad bench config: {rule}\n"
 
 
 def test_bench_malformed_json_exits_2(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from fractions import Fraction
 
@@ -43,6 +45,16 @@ def test_full_duplex_pairs_arcs():
     )
     assert net.link_pair == (1, 0)
     assert net.links == ((0, 1),)
+
+
+def test_duplex_mode_follows_the_pairing():
+    # the mode is not stored beside the pairing, so the two cannot disagree
+    net = build_network([(0, 1, 2, 3, 1), (1, 0, 2, 3, 1)], duplex_mode=FULL_DUPLEX)
+    assert net.duplex_mode == FULL_DUPLEX
+    unpaired = dataclasses.replace(net, link_pair=None)
+    assert unpaired.duplex_mode == SIMPLEX
+    assert unpaired.links == ((0,), (1,))
+    assert build_network([(0, 1, 2, 3, 1)]).duplex_mode == SIMPLEX
 
 
 def test_duplex_pairs_in_arc_order(diamond):
