@@ -106,15 +106,25 @@ def _read_activation_csv(text: str, net: Network) -> Activation:
     return activation
 
 
+def _lookup(key: str, names: dict):
+    """The conversion of a bench config name under ``key`` through ``names``,
+    or a ConfigError naming the key and the allowed names."""
+    def convert(name):
+        if not isinstance(name, str) or name not in names:
+            raise ConfigError(f"{key} must be one of {', '.join(sorted(names))}, got {name!r}")
+        return names[name]
+    return convert
+
+
 # bench config key -> (ExperimentConfig field, conversion); a key the config
 # leaves out keeps the field's default
 CONFIG_KEYS = {
     "algorithms": ("algorithms", tuple),
     "rho": ("rhos", tuple),
     "mu": ("mus", tuple),
-    "modes": ("modes", lambda names: tuple(MODE_NAMES[m] for m in names)),
+    "modes": ("modes", lambda names: tuple(map(_lookup("modes", MODE_NAMES), names))),
     "time_limit": ("time_limit", lambda value: value),  # validate checks the type
-    "lengths": ("length_mode", LENGTH_NAMES.__getitem__),
+    "lengths": ("length_mode", _lookup("lengths", LENGTH_NAMES)),
     "strengthening": ("strengthening", lambda value: value),  # validate checks the type
 }
 
@@ -153,13 +163,20 @@ def _cmd_bench(args) -> int:
             for key, (field, convert) in CONFIG_KEYS.items() if key in spec
         })
         config.validate()
+        if not isinstance(spec["instances"], list):
+            raise ConfigError(f"instances must be a list, got {spec['instances']!r}")
         instances = []
         for inst in spec["instances"]:
+            if not isinstance(inst, dict):
+                raise ConfigError(f"instances entry must be an object, got {inst!r}")
+            graph = inst.get("graph")
+            if not isinstance(graph, str):
+                raise ConfigError(f"instances entry graph must be a string, got {graph!r}")
             demands = inst["demands"]
             if not isinstance(demands, list) or not demands:
                 raise ConfigError(f"demands must be a non-empty list of files, got {demands!r}")
-            instance_id = str(inst.get("id", Path(inst["graph"]).stem))
-            instances.append(_read_instance(inst["graph"], demands, instance_id))
+            instance_id = str(inst.get("id", Path(graph).stem))
+            instances.append(_read_instance(graph, demands, instance_id))
     except (KeyError, ValueError, TypeError) as exc:
         raise ConfigError(f"bad bench config: {exc}") from exc
     rows = run_experiment(config, instances)

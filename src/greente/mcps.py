@@ -15,9 +15,18 @@ integer-arithmetic capacity perturbation that never reorders cuts of
 different unperturbed capacity.  Each pair's integer target lives on the
 instance, in units of ``1 / net.ccap_scale``; preprocessing and the retention
 audit run their max-flows on integers against it, and the preprocessing
-bounds are lower bounds on the activation columns.  The instance also keeps
-every pair's exact goal rho * lambda, which separation scales to integers
-together with the point's capacities, built from integer ratios.
+bounds are lower bounds on the activation columns.  On a full-duplex network
+the audit's counts are per link, so one cut tree on the integer capacities
+gives every pair's max-flow; a simplex network runs one directed flow per
+pair.  The instance also keeps every pair's exact goal rho * lambda, which
+separation scales to integers together with the point's capacities, built
+from integer ratios.
+
+A round-up heuristic (simple rounding) supplies incumbents: at every
+fractional LP point it sets each link to ceil(x), capped at mu, and offers
+that activation if it beats the best value known and passes the audit.
+After a separation round that finds no cut, ceil(x) meets every cut, so it
+is feasible.
 """
 from __future__ import annotations
 
@@ -28,7 +37,7 @@ from fractions import Fraction
 
 from .bnb import branch_and_bound
 from .flows import all_pairs_maxflow, cut_tree, extract_cut, max_flow
-from .lp import GE, LpModel
+from .lp import GE, INT_TOL, LpModel, frac_dist
 from .model import Activation, Network, Result, decode_activation
 
 
@@ -67,11 +76,20 @@ def make_instance(net: Network, rho) -> McpsInstance:
 
 def _unmet(instance: McpsInstance, counts):
     """The instance's pairs, in order, whose integer max-flow misses its
-    target when arc a has ``counts[a]`` connections."""
+    target when arc a has ``counts[a]`` connections.
+
+    A simplex network runs one directed flow per pair, each stopping at its
+    target.  On a full-duplex network ``counts`` must be per link, as
+    ``audit_retention`` (after ``Activation.validate``), the preprocessing
+    bounds and the round-up heuristic all give them: the capacities are then
+    link-symmetric, so one cut tree (n - 1 flows) gives every pair's max-flow
+    exactly."""
     net = instance.net
     ecap = {a.id: int(a.ccap * net.ccap_scale) * counts[a.id] for a in net.arcs}
+    tree = None if net.link_pair is None else cut_tree(net, ecap)
     for (s, t), target in instance.targets.items():
-        if max_flow(net, ecap, s, t, target=target).value < target:
+        value = max_flow(net, ecap, s, t, target=target).value if tree is None else tree[s, t]
+        if value < target:
             yield (s, t)
 
 
@@ -218,12 +236,40 @@ def solve_mcps(net: Network, rho, time_limit: float | None = None) -> Result:
             new_rows.append(lp_model.add_row(coefs, GE, cut.rhs))
         return new_rows
 
+    # the value a rounding must beat: full activation, then every incumbent
+    best = sum(a.mu for a in net.arcs)
+
     def accept(sol):
-        return audit_retention(instance, decode_activation(net, sol.primal, x_col))
+        nonlocal best
+        activation = decode_activation(net, sol.primal, x_col)
+        if not audit_retention(instance, activation):
+            return False
+        best = min(best, activation.value)
+        return True
+
+    def round_up(sol):
+        """ceil(x) per link, capped at mu, if the point is fractional and the
+        rounding beats ``best`` and passes the audit (branch-and-bound keeps
+        a heuristic's result unchecked)."""
+        nonlocal best
+        x = sol.primal
+        if all(frac_dist(x[x_col[link[0]]]) <= INT_TOL for link in net.links):
+            return None  # accept judges integral points
+        counts = [0] * net.n_arcs
+        for link in net.links:
+            chi = min(net.arcs[link[0]].mu, math.ceil(x[x_col[link[0]]] - INT_TOL))
+            for a in link:
+                counts[a] = chi
+        value = sum(counts)
+        if value >= best or next(_unmet(instance, counts), None) is not None:
+            return None
+        best = value
+        return value, {x_col[a]: chi for a, chi in enumerate(counts)}
 
     result = branch_and_bound(
-        model, sorted(set(x_col)), deadline=deadline, refine=separate, accept_incumbent=accept,
-        initial_incumbent=(sum(a.mu for a in net.arcs), {x_col[a.id]: a.mu for a in net.arcs}),
+        model, sorted(set(x_col)), deadline=deadline, refine=separate, heuristic=round_up,
+        accept_incumbent=accept,
+        initial_incumbent=(best, {x_col[a.id]: a.mu for a in net.arcs}),
     )
     assert result.incumbent is not None  # full activation is always feasible
     activation = decode_activation(net, result.incumbent.primal, x_col)

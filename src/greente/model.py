@@ -102,6 +102,16 @@ class Network:
         return tuple(tuple(edges) for edges in adj)
 
     @cached_property
+    def lengths_to(self) -> tuple[dict[int, int], ...]:
+        """Full-network shortest lengths into every vertex: ``lengths_to[v][u]``
+        from u, for every u that reaches v (``routing.costs_to`` over arc
+        lengths).  Built once per network, for every traffic matrix on it."""
+        from .routing import costs_to  # routing imports this module
+
+        lengths = [a.length for a in self.arcs]
+        return tuple(costs_to(self, lengths, v) for v in range(self.n_vertices))
+
+    @cached_property
     def ccap_scale(self) -> int:
         """Lcm of the ccap denominators: every ccap times it is an integer."""
         return math.lcm(*(arc.ccap.denominator for arc in self.arcs))

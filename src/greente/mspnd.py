@@ -52,7 +52,6 @@ from .routing import (
     Disconnected,
     Path,
     RoutingResult,
-    costs_to,
     is_spr_routable,
     k_shortest_paths,
     make_path,
@@ -113,11 +112,8 @@ class MspndModel:
         self.cap_row: list[int] = [0] * net.n_arcs
         self.pairs: dict[tuple[int, int], _PairData] = {}
         self.deferred: dict[int, Path] = {}  # column -> its path, closure not yet added
-        # full-network shortest lengths into every vertex, dist_to[v][u] from u
-        lengths = [a.length for a in net.arcs]
-        self.dist_to = [costs_to(net, lengths, v) for v in range(net.n_vertices)]
         # no arc has a strictly shorter parallel route
-        self.one_shortest = all(self.dist_to[a.head][a.tail] == a.length for a in net.arcs)
+        self.one_shortest = all(net.lengths_to[a.head][a.tail] == a.length for a in net.arcs)
         for link in net.links:
             mu = net.arcs[link[0]].mu
             x = self.lp.add_column(obj=len(link), lb=0, ub=mu)
@@ -273,7 +269,7 @@ def price_paths(model: MspndModel, pair: tuple[int, int], bound, dcost) -> Path 
     nonnegative costs a bound <= 0 finds nothing, so callers skip such pairs.
     """
     pd = model.pairs[pair]
-    paths = ordered_paths(model.net, pd.s, pd.t, model.dist_to[pd.t], dcost, bound)
+    paths = ordered_paths(model.net, pd.s, pd.t, model.net.lengths_to[pd.t], dcost, bound)
     arcs = next((arcs for arcs in paths if arcs not in pd.entries), None)
     return None if arcs is None else make_path(model.net, arcs)
 
@@ -305,8 +301,11 @@ def _price_round(model: MspndModel, sol: LpSolution) -> list[int]:
         bound = y(pd.conn_row) - eps
         if bound <= 0:  # path costs are nonnegative, so none is cheaper
             continue
+        # a Fraction times a float is float(Fraction) times it, so in float
+        # mode the demand converts once per pair, not once per arc
+        demand = pd.demand if exact else float(pd.demand)
         dcost = [
-            (y(pd.eb_row[a]) if a in pd.eb_row else 0) + pd.demand * g
+            (y(pd.eb_row[a]) if a in pd.eb_row else 0) + demand * g
             for a, g in enumerate(gamma)
         ]
         path = price_paths(model, pair, bound, dcost)

@@ -107,7 +107,7 @@ def ordered_paths(net: Network, s: int, t: int, len_to_t, cost, bound):
     """Every elementary s-t path whose total ``cost`` (nonnegative, per arc
     id) stays below ``bound``, as arc-id tuples in (length, cost, hops, arc
     ids) order; ``len_to_t`` maps each vertex to its full-network shortest
-    length into t (``costs_to`` over arc lengths).
+    length into t (``Network.lengths_to[t]``).
 
     Best-first label setting over elementary labels (a visited-vertex mask),
     keyed by (length + length on to t, cost, hops, arc ids).  That length is
@@ -144,8 +144,7 @@ def k_shortest_paths(net: Network, s: int, t: int, k: int) -> list[Path]:
         raise ValueError("k must be >= 1")
     if s == t:
         return []
-    len_to_t = costs_to(net, [a.length for a in net.arcs], t)
-    found = ordered_paths(net, s, t, len_to_t, [0] * net.n_arcs, inf)
+    found = ordered_paths(net, s, t, net.lengths_to[t], [0] * net.n_arcs, inf)
     return [make_path(net, arcs) for arcs in itertools.islice(found, k)]
 
 

@@ -239,6 +239,25 @@ def test_bench_unknown_algorithm_exits_2(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("config, rule", [
+    ({"instances": [], "modes": ["bogus"]}, "modes must be one of duplex, simplex, got 'bogus'"),
+    ({"instances": [], "lengths": "bogus"},
+     "lengths must be one of given, invcap, unit, got 'bogus'"),
+    ({"instances": [], "lengths": ["unit"]},
+     "lengths must be one of given, invcap, unit, got ['unit']"),
+    ({"instances": ["a"]}, "instances entry must be an object, got 'a'"),
+    ({"instances": [{"graph": 5, "demands": ["d"]}]},
+     "instances entry graph must be a string, got 5"),
+    ({"instances": 5}, "instances must be a list, got 5"),
+], ids=["unknown-mode", "unknown-lengths", "list-lengths", "string-instance", "number-graph",
+        "scalar-instances"])
+def test_bench_config_errors_name_the_key(tmp_path, capsys, config, rule):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["bench", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"config error: bad bench config: {rule}\n"
+
+
 @pytest.mark.parametrize("mu", [1.5, True, "2"])
 def test_bench_mu_must_be_a_json_integer(tmp_path, instance_files, capsys, mu):
     graph, demands = instance_files

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from greente import Activation, build_network, extract_cut, flows, full_activation, max_flow, mcps
 from greente.bnb import branch_and_bound
-from greente.lp import LpModel
+from greente.lp import LpModel, LpSolution
 from greente.mcps import (
     CutConstraint,
     audit_retention,
@@ -519,3 +519,116 @@ def test_duplex_max_flows_run_from_the_lower_vertex(monkeypatch):
     res = solve_mcps(build_network(RING5_DUPLEX, duplex_mode="full-duplex"), Fraction(1, 2))
     assert res.status == "optimal" and calls
     assert all(s < t for s, t in calls)
+
+
+def _solve_recording_offers(net, rho):
+    """solve_mcps's result and the (value, counts) of every incumbent its
+    round-up heuristic offers; the link columns come in link order."""
+    offers = []
+
+    def spy(model, integer_columns, heuristic, **hooks):
+        def recorded(sol):
+            found = heuristic(sol)
+            if found is not None:
+                value, primal = found
+                counts = [0] * net.n_arcs
+                for col, link in enumerate(net.links):
+                    for a in link:
+                        counts[a] = primal[col]
+                offers.append((value, tuple(counts)))
+            return found
+        return branch_and_bound(model, integer_columns, heuristic=recorded, **hooks)
+
+    with patch.object(mcps, "branch_and_bound", spy):
+        return solve_mcps(net, rho), offers
+
+
+def _assert_offers_are_audited_incumbents(net, tenths):
+    rho = Fraction(tenths, 10)
+    res, offers = _solve_recording_offers(net, rho)
+    inst = make_instance(net, rho)
+    values = [sum(a.mu for a in net.arcs)]
+    for value, counts in offers:
+        assert value == sum(counts) < values[-1]  # each offer beats the one before
+        assert audit_retention(inst, Activation(counts))
+        values.append(value)
+    assert res.status == "optimal"
+    assert res.value == brute_force_mcps_value(net, rho) <= values[-1]
+    return offers
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(digraphs(n_max=5, arcs_max=7), st.sampled_from([3, 5, 7]))
+def test_round_up_offers_pass_the_audit_on_simplex_nets(net, tenths):
+    _assert_offers_are_audited_incumbents(net, tenths)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(duplex_digraphs(n_max=5, links_max=5, mu_max=3), st.sampled_from([3, 5, 7]))
+def test_round_up_offers_pass_the_audit_on_duplex_nets(net, tenths):
+    _assert_offers_are_audited_incumbents(net, tenths)
+
+
+@pytest.mark.parametrize("specs, mode, tenths, offered", [
+    ([(0, 1, 2, 1, 1), (1, 0, 2, 1, 1), (1, 2, 3, 1, 1), (2, 1, 3, 1, 1),
+      (0, 2, 2, 1, 3), (2, 0, 2, 1, 3)], "full-duplex", 3, [6]),
+    ([(2, 3, 2, 1, 3), (3, 2, 2, 1, 2), (1, 3, 2, 1, 2), (3, 1, 2, 1, 3),
+      (0, 2, 3, 1, 3), (1, 2, 1, 1, 2)], "simplex", 5, [10]),  # the optimum is 9
+], ids=["duplex-triangle", "simplex"])
+def test_round_up_offers_incumbents(specs, mode, tenths, offered):
+    # the property tests above would also pass with a heuristic that never offers
+    net = build_network(specs, duplex_mode=mode, vertices=range(4))
+    offers = _assert_offers_are_audited_incumbents(net, tenths)
+    assert [value for value, _ in offers] == offered
+
+
+def test_round_up_audits_only_fractional_points_that_improve():
+    net = build_network(RING5_DUPLEX, duplex_mode="full-duplex")  # 5 links of mu 2, value 20
+    audits, answers = [], []
+    unmet = mcps._unmet
+
+    def counting(instance, counts):
+        audits.append(tuple(counts))
+        return unmet(instance, counts)
+
+    def probe(model, integer_columns, heuristic, **hooks):
+        del audits[:]  # the preprocessing's
+        for point in [
+            {j: 2.0 for j in integer_columns},  # integral: accept's to judge
+            {j: 1.5 for j in integer_columns},  # rounds up to the full activation
+            {j: 1.0 + 1e-7 for j in integer_columns},  # integral within INT_TOL
+            {j: 0.5 if j == 0 else 2.0 for j in integer_columns},  # rounds to 18: audited
+        ]:
+            answers.append(heuristic(LpSolution("optimal", point, {}, sum(point.values()))))
+            probed.append(list(audits))
+        return branch_and_bound(model, integer_columns, **hooks)
+
+    probed = []
+    with patch.object(mcps, "_unmet", counting), patch.object(mcps, "branch_and_bound", probe):
+        assert solve_mcps(net, Fraction(1, 2)).value == 10
+    assert probed == [[], [], [], [(1, 2, 2, 2, 2) * 2]]
+    assert answers == [None, None, None, (18, {0: 1, 1: 2, 2: 2, 3: 2, 4: 2})]
+
+
+def _directed_unmet(instance, counts):
+    """Reference: the instance's pairs whose directed integer max-flow, in
+    either direction, misses the target."""
+    net = instance.net
+    ecap = {a.id: int(a.ccap * net.ccap_scale) * counts[a.id] for a in net.arcs}
+    return [
+        (s, t) for (s, t), target in instance.targets.items()
+        if min(max_flow(net, ecap, s, t).value, max_flow(net, ecap, t, s).value) < target
+    ]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    duplex_digraphs(n_max=6, links_max=8, mu_max=3,
+                    ccaps=st.fractions(Fraction(1, 6), 3, max_denominator=6)),
+    st.sampled_from([3, 5, 7]),
+    st.data(),
+)
+def test_cut_tree_audit_finds_the_pairs_directed_flows_find(net, tenths, data):
+    inst = make_instance(net, Fraction(tenths, 10))
+    counts = _per_link(net, lambda arc: data.draw(st.integers(0, arc.mu)))
+    assert list(mcps._unmet(inst, counts)) == _directed_unmet(inst, counts)

@@ -12,7 +12,7 @@ from greente import (
     full_activation,
     scale_traffic,
 )
-from greente import mcps
+from greente import mcps, routing
 from greente.bnb import branch_and_bound
 from greente.lp import EQ
 from greente.model import (
@@ -23,7 +23,7 @@ from greente.model import (
     NetworkError,
     NonPositiveParameter,
 )
-from greente.mspnd import MspndModel
+from greente.mspnd import MspndModel, build_root_model
 from greente.toca import build_toca_lp
 
 
@@ -55,6 +55,24 @@ def test_duplex_mode_follows_the_pairing():
     assert unpaired.duplex_mode == SIMPLEX
     assert unpaired.links == ((0,), (1,))
     assert build_network([(0, 1, 2, 3, 1)]).duplex_mode == SIMPLEX
+
+
+def test_shortest_length_table_is_built_once_per_network(monkeypatch, overlap_gadget):
+    net = overlap_gadget
+    lengths = [a.length for a in net.arcs]
+    expected = [routing.costs_to(net, lengths, v) for v in range(net.n_vertices)]
+    calls = []
+    costs_to = routing.costs_to
+
+    def spy(net, cost, t):
+        calls.append(list(cost) == lengths)
+        return costs_to(net, cost, t)
+
+    monkeypatch.setattr(routing, "costs_to", spy)
+    for demand in (1, 2):  # two matrices on one network
+        build_root_model(net, TrafficMatrix({(0, 5): demand, (0, 2): 1}))
+    assert list(net.lengths_to) == expected
+    assert calls.count(True) == net.n_vertices  # the table's Dijkstra runs only
 
 
 def test_duplex_pairs_in_arc_order(diamond):
